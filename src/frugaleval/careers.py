@@ -200,17 +200,15 @@ def detect_hot_streak(
 
 
 def streak_adjusted_summary(
-    seq: CareerSequence,
-    min_len: int = MIN_STREAK_LEN,
-    penalty_per_param: float | None = None,
+    seq: CareerSequence, fit: HotStreakFit
 ) -> tuple[float, float, float | None]:
-    """(overall mean impact, baseline mean, streak mean or None).
+    """(overall mean impact, baseline mean, streak mean or None), given the
+    streak fit of the same career (from detect_hot_streak).
 
     Makes visible how much a detected streak pulls the overall mean away
     from the baseline: ignoring streaks over- or under-states typical
     performance.
     """
-    fit = detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty_per_param)
     impacts = np.asarray(seq.impacts)
     overall = float(np.mean(impacts))
     if fit.interval is None:

@@ -263,7 +263,7 @@ def _cmd_bench(config: RunConfig) -> tuple[dict, list[str], list[str]]:
         )
     # wall time is a diagnostic: it would break byte-identical report bodies
     diagnostics = [
-        f"{r.name}: {1000.0 * r.wall_time / max(r.decisions, 1):.3f} s per 1000 decisions"
+        f"{r.name}: {1000.0 * r.wall_time / max(r.decisions, 1):.6f} s per 1000 decisions"
         for r in report.results
     ]
     return result, body, diagnostics
@@ -291,9 +291,7 @@ def _cmd_career(config: RunConfig) -> tuple[dict, list[str], list[str]]:
             write_career(seq, p["save_career"])
     fit = detect_hot_streak(seq, min_len=p["min_streak_len"],
                             penalty_per_param=p["penalty_per_param"])
-    overall, baseline_mean, streak_mean = streak_adjusted_summary(
-        seq, min_len=p["min_streak_len"], penalty_per_param=p["penalty_per_param"]
-    )
+    overall, baseline_mean, streak_mean = streak_adjusted_summary(seq, fit)
     result = {
         "works": len(seq.impacts),
         "planted_interval": list(planted) if planted else None,

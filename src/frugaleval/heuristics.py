@@ -73,6 +73,7 @@ class DiscriminationRule:
     delta = 0 in absolute mode is pure lexicographic choice: any strict
     inequality discriminates. Relative mode compares |a - b| / max(|a|, |b|)
     and falls back to the absolute difference when both scores are zero.
+    Scores may be scalars or numpy arrays (compared elementwise).
     """
 
     delta: float = 0.0
@@ -82,12 +83,12 @@ class DiscriminationRule:
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be a finite value >= 0, got {self.delta}")
 
-    def discriminates(self, a: float, b: float) -> bool:
+    def discriminates(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
         diff = abs(a - b)
         if self.mode is RuleMode.RELATIVE:
-            scale = max(abs(a), abs(b))
-            if scale > 0.0:
-                return diff / scale > self.delta
+            scale = np.maximum(abs(a), abs(b))
+            # both scores zero: dividing by 1 keeps the absolute difference
+            diff = diff / np.where(scale > 0.0, scale, 1.0)
         return diff > self.delta
 
 
@@ -217,7 +218,7 @@ def one_reason_choose(
     decision = Decision.UNDECIDED
     reason = StoppingReason.CUES_EXHAUSTED
     for cue, score_a, score_b in scores:
-        hit = rule.discriminates(score_a, score_b)
+        hit = bool(rule.discriminates(score_a, score_b))
         steps.append(TraceStep(cue, score_a, score_b, hit))
         if hit:
             a_better = score_a > score_b

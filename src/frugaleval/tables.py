@@ -13,10 +13,11 @@ contract.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from .careers import CareerSequence
-from .ecology import Environment, EnvironmentObject
+from .ecology import Environment
 from .indicators import (
     CandidateProfile,
     DocType,
@@ -154,7 +155,8 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
 def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
     problems: list[str] = []
-    objects: list[EnvironmentObject] = []
+    ids: list[str] = []
+    rows: list[list[float]] = []
     cue_names: list[str] | None = None
     for lineno, row in _open_rows(path, ("id", "criterion")):
         if cue_names is None:
@@ -164,26 +166,24 @@ def read_environment(path: str | Path) -> Environment:
         if row.get("id") is None:
             problems.append(f"line {lineno}: row has fewer fields than the header")
             continue
-        values = {}
-        ok = True
+        values = []
         for column in ["criterion", *cue_names]:
             try:
-                values[column] = float(row[column])
+                value = float(row[column])
             except (TypeError, ValueError):
                 problems.append(f"line {lineno}: {column} {row[column]!r} is not a number")
-                ok = False
-        if ok:
-            objects.append(
-                EnvironmentObject(
-                    id=row["id"],
-                    criterion=values["criterion"],
-                    cues={name: values[name] for name in cue_names},
-                )
-            )
+                continue
+            if not math.isfinite(value):
+                problems.append(f"line {lineno}: {column} {row[column]!r} is not a finite number")
+                continue
+            values.append(value)
+        if len(values) == 1 + len(cue_names):
+            ids.append(row["id"])
+            rows.append(values)
     _raise_collected(path, problems)
-    if len(objects) < 2:
-        raise TableError(f"{path}: environment needs at least 2 objects, got {len(objects)}")
-    return Environment(objects)
+    if len(rows) < 2:
+        raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
+    return Environment.from_arrays(ids, [r[0] for r in rows], [r[1:] for r in rows], cue_names)
 
 
 def write_environment(env: Environment, path: str | Path) -> None:

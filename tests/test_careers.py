@@ -188,17 +188,20 @@ class TestDetectHotStreak:
 
 class TestStreakAdjustedSummary:
     def test_no_streak_baseline_equals_overall(self):
-        overall, baseline, streak = streak_adjusted_summary(CareerSequence((4.0,) * 10))
+        seq = CareerSequence((4.0,) * 10)
+        overall, baseline, streak = streak_adjusted_summary(seq, detect_hot_streak(seq))
         assert overall == baseline == 4.0
         assert streak is None
 
     def test_planted_streak_overall_between_baseline_and_streak(self):
-        overall, baseline, streak = streak_adjusted_summary(CareerSequence(plateau()))
+        seq = CareerSequence(plateau())
+        overall, baseline, streak = streak_adjusted_summary(seq, detect_hot_streak(seq))
         assert baseline < overall < streak
 
     def test_half_and_half_block(self):
         impacts = (1.0,) * 10 + (10.0,) * 10
-        overall, baseline, streak = streak_adjusted_summary(CareerSequence(impacts))
+        seq = CareerSequence(impacts)
+        overall, baseline, streak = streak_adjusted_summary(seq, detect_hot_streak(seq))
         assert overall == pytest.approx(5.5)
         assert baseline == pytest.approx(1.0)
         assert streak == pytest.approx(10.0)

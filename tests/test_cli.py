@@ -247,6 +247,29 @@ class TestBenchCommand:
         assert code == 1
         assert "psychic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, column, text", [
+        ("o2,3,nan,1", "c1", "nan"),
+        ("o2,3,inf,1", "c1", "inf"),
+        ("o2,nan,1,1", "criterion", "nan"),
+    ])
+    def test_non_finite_environment_value_names_its_line(self, tmp_path, capfd, row, column, text):
+        path = write(tmp_path / "env.csv", f"id,criterion,c1,c2\no0,1,0,1\no1,2,1,0\n{row}\no3,4,1,1\n")
+        code = main(["bench", "--environment", path, "--reps", "2"])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert f"line 4: {column} '{text}' is not a finite number" in err
+        assert "DLASCL" not in err
+
+    def test_tiny_train_split_rejected(self, capsys):
+        code = main([
+            "bench", "--gen", "binary", "--weights", "c1=4,c2=2,c3=1",
+            "--n-objects", "5", "--train-fraction", "0.3",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "train split has 1 objects" in err
+        assert "n=5, train_fraction=0.3" in err
+
 
 class TestCareerCommand:
     def test_generate_detect_round_trip(self, tmp_path, capsys):

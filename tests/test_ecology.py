@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frugaleval.ecology import (
-    AlwaysUndecidedStrategy,
     Environment,
     EnvironmentObject,
     LinearRegressionStrategy,
@@ -20,9 +20,23 @@ from frugaleval.ecology import (
     run_benchmark,
     train_test_indices,
 )
-from frugaleval.heuristics import WeightVector, cue_validity, validity_order
+from frugaleval.heuristics import (
+    Decision,
+    DiscriminationRule,
+    RuleMode,
+    WeightVector,
+    cue_validity,
+    one_reason_choose,
+    tallying_choose,
+    validity_order,
+    weighted_linear_choose,
+)
+from frugaleval.indicators import Direction
 
 NC_WEIGHTS = WeightVector({"c1": 4.0, "c2": 2.0, "c3": 1.0})
+
+# decide_pairs codes: +1 chooses the first object of a pair, -1 the second
+DECISION_CODE = {Decision.CHOOSE_A: 1, Decision.CHOOSE_B: -1, Decision.UNDECIDED: 0}
 
 
 def env_of(rows):
@@ -30,6 +44,44 @@ def env_of(rows):
         [EnvironmentObject(f"o{i}", float(c), {k: float(v) for k, v in cues.items()})
          for i, (c, cues) in enumerate(rows)]
     )
+
+
+class AlwaysUndecidedStrategy:
+    """Abstains from every pair; pins the 0.5 scoring convention."""
+
+    name = "always_undecided"
+
+    def fit(self, train_env, seed):
+        pass
+
+    def decide_pairs(self, env, i, j):
+        return np.zeros(len(i), dtype=int), np.zeros(len(i), dtype=int)
+
+
+@st.composite
+def small_environments(draw, min_objects=2):
+    """1-5 cues with integer or one-decimal values, so ties are common,
+    and a random direction per cue."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(max(min_objects, 2), 8))
+    scale = draw(st.sampled_from([1.0, 10.0]))
+    value = st.integers(-3, 3).map(lambda v: v / scale)
+    names = [f"c{k}" for k in range(m)]
+    objects = [
+        EnvironmentObject(f"o{k}", draw(value), {name: draw(value) for name in names})
+        for k in range(n)
+    ]
+    directions = {name: draw(st.sampled_from(list(Direction))) for name in names}
+    return Environment(objects, directions)
+
+
+rules = st.builds(
+    DiscriminationRule, st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.sampled_from(list(RuleMode))
+)
+
+
+def all_ordered_pairs(env):
+    return np.divmod(np.arange(len(env) ** 2), len(env))
 
 
 class TestGenerateBinaryEnvironment:
@@ -166,6 +218,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="strictly inside"):
             SplitConfig(train_fraction=1.0, repetitions=1, seed=0)
 
+    def test_tiny_train_split_rejected(self):
+        with pytest.raises(ValueError, match=r"train split has 1 objects.*n=5, train_fraction=0.3"):
+            train_test_indices(5, 0.3, np.random.default_rng(0))
+
     def test_tiny_test_split_rejected(self):
         env = self._noncompensatory_env(n=4)
         with pytest.raises(ValueError, match="test split"):
@@ -234,12 +290,131 @@ class TestRunBenchmark:
         env = Environment(objects)
         strategy = LinearRegressionStrategy()
         strategy.fit(env, seed=0)
-        a = env.profiles()[3]
-        b = env.profiles()[0]
-        decision, _ = strategy.decide(a, b)
-        from frugaleval.heuristics import Decision
+        codes, _ = strategy.decide_pairs(env, np.array([3]), np.array([0]))
+        assert codes[0] == DECISION_CODE[Decision.CHOOSE_A]
 
-        assert decision is Decision.CHOOSE_A
+    def test_scores_match_the_scalar_functions_pair_by_pair(self):
+        # reference: a loop over the scalar free functions, one pair at a time,
+        # on values rounded to one decimal so that cues and criterion values tie
+        base = generate_gaussian_environment({"a": 0.8, "b": -0.5, "c": 0.3}, 30, seed=3)
+        directions = {"b": Direction.LOWER_IS_BETTER}
+        env = Environment.from_arrays(
+            base.ids, base.criterion_values.round(1), base.cue_matrix.round(1),
+            base.cue_names, directions,
+        )
+        rule = DiscriminationRule(0.5, RuleMode.RELATIVE)
+        split = SplitConfig(0.5, 4, seed=11)
+        report = run_benchmark(
+            env, [TakeTheBestStrategy(rule), TallyingStrategy(), LinearRegressionStrategy()], split
+        )
+        scores = {"take_the_best": [], "tallying": [], "linear_regression": []}
+        inspected = dict.fromkeys(scores, 0)
+        undecided = dict.fromkeys(scores, 0)
+        pairs = 0
+        for rep_seq in np.random.SeedSequence(split.seed).spawn(split.repetitions):
+            rng = np.random.default_rng(rep_seq.spawn(4)[0])
+            train_idx, test_idx = train_test_indices(len(env), split.train_fraction, rng)
+            train = env.subset(train_idx)
+            test = env.subset(test_idx)
+            profiles = test.profiles()
+            criterion = test.criterion_values
+            order = validity_order(train)
+            weights = fit_linear_weights(train)
+
+            def take_the_best(a, b):
+                decision, trace = one_reason_choose(a, b, order, rule, directions)
+                return decision, len(trace.steps)
+
+            deciders = {
+                "take_the_best": take_the_best,
+                "tallying": lambda a, b: (tallying_choose(a, b, env.cue_names, directions), 3),
+                "linear_regression": lambda a, b: (weighted_linear_choose(a, b, weights), 3),
+            }
+            rep_pairs = list(itertools.combinations(range(len(profiles)), 2))
+            pairs += len(rep_pairs)
+            for name, decide in deciders.items():
+                score = 0.0
+                for i, j in rep_pairs:
+                    decision, n_inspected = decide(profiles[i], profiles[j])
+                    inspected[name] += n_inspected
+                    if decision is Decision.UNDECIDED:
+                        undecided[name] += 1
+                        score += 0.5
+                    elif criterion[i] == criterion[j]:
+                        score += 0.5
+                    elif (decision is Decision.CHOOSE_A) == (criterion[i] > criterion[j]):
+                        score += 1.0
+                scores[name].append(score / len(rep_pairs))
+        for r in report.results:
+            assert r.accuracy == float(np.mean(scores[r.name]))
+            assert r.frugality == inspected[r.name] / pairs
+            assert r.undecided_rate == undecided[r.name] / pairs
+        assert 0.0 < report.results[0].undecided_rate < 1.0
+
+
+class TestDecidePairs:
+    """The array pass against the scalar free functions, pair by pair."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_environments(), rules)
+    def test_take_the_best_matches_one_reason_choose(self, env, rule):
+        strategy = TakeTheBestStrategy(rule)
+        strategy.fit(env, seed=0)
+        order = validity_order(env)
+        profiles = env.profiles()
+        i, j = all_ordered_pairs(env)
+        codes, inspected = strategy.decide_pairs(env, i, j)
+        for a, b, code, n_inspected in zip(i, j, codes, inspected):
+            decision, trace = one_reason_choose(
+                profiles[a], profiles[b], order, rule, env.cue_directions
+            )
+            assert (code, n_inspected) == (DECISION_CODE[decision], len(trace.steps))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_environments())
+    def test_tallying_matches_tallying_choose(self, env):
+        strategy = TallyingStrategy()
+        strategy.fit(env, seed=0)
+        profiles = env.profiles()
+        i, j = all_ordered_pairs(env)
+        codes, inspected = strategy.decide_pairs(env, i, j)
+        for a, b, code, n_inspected in zip(i, j, codes, inspected):
+            decision = tallying_choose(profiles[a], profiles[b], env.cue_names, env.cue_directions)
+            assert (code, n_inspected) == (DECISION_CODE[decision], len(env.cue_names))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_environments(min_objects=6))
+    def test_linear_matches_weighted_linear_choose(self, env):
+        strategy = LinearRegressionStrategy()
+        strategy.fit(env, seed=0)
+        weights = strategy._weights
+        profiles = env.profiles()
+        i, j = all_ordered_pairs(env)
+        codes, inspected = strategy.decide_pairs(env, i, j)
+        for a, b, code, n_inspected in zip(i, j, codes, inspected):
+            decision = weighted_linear_choose(profiles[a], profiles[b], weights)
+            assert (code, n_inspected) == (DECISION_CODE[decision], len(env.cue_names))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_environments(), st.integers(0, 2**32))
+    def test_minimalist_properties(self, env, seed):
+        strategy = MinimalistStrategy()
+        strategy.fit(env, seed)
+        m = len(env.cue_names)
+        i, j = all_ordered_pairs(env)
+        codes, inspected = strategy.decide_pairs(env, i, j)
+        a, b = env.cue_matrix[i], env.cue_matrix[j]
+        assert np.array_equal(codes == 0, (a == b).all(axis=1))
+        assert ((1 <= inspected) & (inspected <= m)).all()
+        assert (inspected[codes == 0] == m).all()
+        # a profile at least as good on every cue and better on one always wins
+        flip = np.array([env.cue_directions[c] is Direction.LOWER_IS_BETTER for c in env.cue_names])
+        a_better = np.where(flip, a < b, a > b)
+        b_better = np.where(flip, a > b, a < b)
+        a_dominates = a_better.any(axis=1) & ~b_better.any(axis=1)
+        b_dominates = b_better.any(axis=1) & ~a_better.any(axis=1)
+        assert (codes[a_dominates] == 1).all()
+        assert (codes[b_dominates] == -1).all()
 
 
 class TestLessIsMoreCurve:
@@ -291,6 +466,21 @@ class TestEnvironmentType:
                 EnvironmentObject("a", float("inf"), {"c": 1.0}),
                 EnvironmentObject("b", 2.0, {"c": 1.0}),
             ])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_cue(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            Environment([
+                EnvironmentObject("a", 1.0, {"c": value}),
+                EnvironmentObject("b", 2.0, {"c": 1.0}),
+            ])
+
+    def test_subset_slices_rows(self):
+        env = env_of([(float(k), {"c": 10.0 + k, "d": -k}) for k in range(5)])
+        part = env.subset([3, 1])
+        assert part.ids == ("o3", "o1")
+        assert part.objects == (env.objects[3], env.objects[1])
+        assert part.cue_matrix.tolist() == [[13.0, -3.0], [11.0, -1.0]]
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):

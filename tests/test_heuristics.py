@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,6 +158,15 @@ class TestOneReasonChoose:
         rule = DiscriminationRule(0.5, RuleMode.RELATIVE)
         decision, _ = one_reason_choose(a, b, CueOrder(("hcp",)), rule)
         assert decision is Decision.UNDECIDED
+
+    def test_relative_mode_divides_rather_than_scaling_delta(self):
+        # |0.04 - 0.05| / 0.05 rounds to just above 0.2, while 0.2 * 0.05
+        # rounds to exactly |0.04 - 0.05|: only the ratio form discriminates
+        rule = DiscriminationRule(0.2, RuleMode.RELATIVE)
+        assert rule.discriminates(0.04, 0.05)
+        scores_a = np.array([0.04, 0.0, 100.0, 110.0])
+        scores_b = np.array([0.05, 0.0, 70.0, 100.0])
+        assert rule.discriminates(scores_a, scores_b).tolist() == [True, False, True, False]
 
     def test_missing_cue_named(self):
         with pytest.raises(ValueError, match="collab"):
