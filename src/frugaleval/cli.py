@@ -39,7 +39,7 @@ from .heuristics import (
     one_cue_select,
     one_reason_choose,
 )
-from .indicators import HIGHLY_CITED, count_highly_cited
+from .indicators import HIGHLY_CITED, CandidateProfile, count_highly_cited
 from .tables import (
     read_candidates,
     read_career,
@@ -69,11 +69,6 @@ def workload(query: WorkloadQuery) -> float:
     return (query.papers * query.reviews_per_paper) / (
         query.panel_size * query.working_days
     )
-
-
-def ingest(corpus_path: str, candidates_path: str):
-    """Load a reference corpus and the candidate profiles screened against it."""
-    return read_corpus(corpus_path), read_candidates(candidates_path)
 
 
 @dataclass(frozen=True)
@@ -131,16 +126,21 @@ def _parse_streak_len(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
+    """The --candidates profiles with the highly-cited indicator scored against --corpus."""
+    corpus = read_corpus(p["corpus"])
+    return [
+        prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
+        for prof in read_candidates(p["candidates"])
+    ]
+
+
 def _cmd_screen(config: RunConfig) -> tuple[dict, list[str], list[str]]:
     p = config.params
     _require(p, "corpus", "candidates", "quota")
-    corpus, profiles = ingest(p["corpus"], p["candidates"])
-    if not profiles:
+    scored = _score_highly_cited(p)
+    if not scored:
         raise ValueError(f"{p['candidates']}: no candidate rows to screen")
-    scored = [
-        prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
-        for prof in profiles
-    ]
     by_id = {prof.id: prof for prof in scored}
     cset = one_cue_select(scored, HIGHLY_CITED, p["quota"])
     result = {
@@ -167,11 +167,7 @@ def _cmd_choose(config: RunConfig) -> tuple[dict, list[str], list[str]]:
         profiles = read_profiles_table(p["profiles"])
     elif p["corpus"] and p["candidates"]:
         # raw publication files only carry the highly-cited indicator
-        corpus, candidates = ingest(p["corpus"], p["candidates"])
-        profiles = [
-            prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
-            for prof in candidates
-        ]
+        profiles = _score_highly_cited(p)
     else:
         raise ValueError("choose needs --profiles FILE, or --corpus plus --candidates")
     by_id = {prof.id: prof for prof in profiles}

@@ -220,11 +220,13 @@ def fit_linear_weights(env: Environment) -> WeightVector:
     """Ordinary least-squares weights regressing the criterion on the cues.
 
     An intercept is included in the fit and discarded: it cancels in any
-    pairwise comparison of weighted sums.
+    pairwise comparison of weighted sums. Fewer than m + 1 objects cannot
+    fix m weights plus the intercept, so they raise RankDeficientError like
+    any other rank-deficient sample.
     """
     n, m = env.cue_matrix.shape
     if n < m + 1:
-        raise ValueError(f"need at least {m + 1} objects to fit {m} cue weights, got {n}")
+        raise RankDeficientError(f"need at least {m + 1} objects to fit {m} cue weights, got {n}")
     design = np.column_stack([np.ones(n), env.cue_matrix])
     if np.linalg.matrix_rank(design) < m + 1:
         dependent = _dependent_cues(design, env.cue_names)
@@ -344,9 +346,9 @@ class TallyingStrategy:
 class LinearRegressionStrategy:
     """Weighted-sum comparison with weights fit on the training split.
 
-    A degenerate training sample (rank-deficient cue matrix) falls back to
-    the minimum-norm least-squares fit so a benchmark repetition never dies
-    on an unlucky draw.
+    A degenerate training sample (rank-deficient cue matrix, or fewer
+    objects than cues + 1) falls back to the minimum-norm least-squares fit
+    so a benchmark repetition never dies on an unlucky draw.
     """
 
     name = "linear_regression"

@@ -1,11 +1,13 @@
 """Delimiter-separated tabular files: corpora, candidates, environments, careers.
 
-All readers are strict: every malformed row is reported with its line
-number and nothing is silently dropped. Column names are part of the file
-contract.
+All readers are strict: every malformed row is reported with the physical
+line it starts on and nothing is silently dropped. Blank lines are skipped;
+every other row must have exactly as many fields as the header. Column
+names are part of the file contract.
 
   corpus:      id, year, category, citations, doc_type
   candidates:  id, year, category, citations, doc_type, candidate_id, validated
+  profiles:    id, <one column per indicator>  (a criterion column is ignored)
   environment: id, criterion, <one column per cue>
   career:      position, impact
 """
@@ -13,8 +15,10 @@ contract.
 from __future__ import annotations
 
 import csv
+import enum
 import math
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .careers import CareerSequence
 from .ecology import Environment
@@ -29,97 +33,136 @@ from .indicators import (
 CORPUS_COLUMNS = ("id", "year", "category", "citations", "doc_type")
 CANDIDATE_COLUMNS = CORPUS_COLUMNS + ("candidate_id", "validated")
 CAREER_COLUMNS = ("position", "impact")
+# in profiles and environments every other column holds one finite number
+KEY_COLUMNS = ("id", "criterion")
 
 
 class TableError(ValueError):
     """A tabular input violated the file contract."""
 
 
-def _open_rows(path: str | Path, required: tuple[str, ...]):
+class _RowError(ValueError):
+    """One row violated the file contract; the reader adds file and line."""
+
+
+def _read_rows(path: str | Path, required: tuple[str, ...],
+               convert: Callable[[dict[str, str]], object], unique: str | None = None) -> Iterator:
+    """Yield convert(row) for every data row of a CSV file.
+
+    A row maps each header column to its field. With `unique` naming a
+    column, convert returns a tuple led by that column's value, and no two
+    rows may share it. Every problem is collected, and after the last row
+    they are raised together as one TableError.
+    """
     path = Path(path)
+    problems: list[str] = []
+    first_line: dict = {}
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None:
             raise TableError(f"{path}: file is empty (expected a header row)")
         missing = [col for col in required if col not in header]
         if missing:
             raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
-        # DictReader consumes the header, so data starts at line 2
-        yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
-
-
-def _raise_collected(path: str | Path, problems: list[str]) -> None:
+        repeated = sorted({col for col in header if header.count(col) > 1})
+        if repeated:
+            raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
+        end = reader.line_num
+        try:
+            for fields in reader:
+                # a quoted newline makes one row span several physical lines
+                line, end = end + 1, reader.line_num
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    problems.append(f"line {line}: {len(fields)} fields, header has {len(header)}")
+                    continue
+                try:
+                    value = convert(dict(zip(header, fields)))
+                except _RowError as exc:
+                    problems.append(f"line {line}: {exc}")
+                    continue
+                if unique is not None:
+                    first = first_line.setdefault(value[0], line)
+                    if first != line:
+                        problems.append(f"line {line}: {unique} {value[0]!r} repeats line {first}")
+                        continue
+                yield value
+        except csv.Error as exc:
+            problems.append(f"line {end + 1}: {exc}")
     if problems:
         raise TableError(f"{path}: " + "; ".join(problems))
 
 
-def _parse_publication(
-    row: dict[str, str], lineno: int, problems: list[str], validated: Validation
-) -> Publication | None:
-    if any(row.get(col) is None for col in CORPUS_COLUMNS):
-        problems.append(f"line {lineno}: row has fewer fields than the header")
-        return None
+def _number(row: dict[str, str], column: str, kind: type = float):
+    """The field as an int, or as a finite float; fields become numbers only here."""
+    text = row[column]
     try:
-        year = int(row["year"])
+        value = kind(text)
     except ValueError:
-        problems.append(f"line {lineno}: year {row['year']!r} is not an integer")
-        return None
+        raise _RowError(
+            f"{column} {text!r} is not {'an integer' if kind is int else 'a number'}"
+        ) from None
+    if kind is float and not math.isfinite(value):
+        raise _RowError(f"{column} {text!r} is not a finite number")
+    return value
+
+
+def _member(row: dict[str, str], column: str, kind: type[enum.Enum]):
     try:
-        citations = int(row["citations"])
+        return kind(row[column])
     except ValueError:
-        problems.append(f"line {lineno}: citations {row['citations']!r} is not an integer")
-        return None
+        known = ", ".join(member.value for member in kind)
+        raise _RowError(f"{column} {row[column]!r} is not one of {known}") from None
+
+
+def _publication(row: dict[str, str], validated: Validation = Validation.INCLUDED) -> Publication:
+    year = _number(row, "year", int)
+    citations = _number(row, "citations", int)
     if citations < 0:
-        problems.append(f"line {lineno}: citations must be >= 0, got {citations}")
-        return None
-    try:
-        doc_type = DocType(row["doc_type"])
-    except ValueError:
-        problems.append(f"line {lineno}: unknown doc_type {row['doc_type']!r}")
-        return None
+        raise _RowError(f"citations must be >= 0, got {citations}")
     return Publication(
         id=row["id"],
         year=year,
         category=row["category"],
         citations=citations,
-        doc_type=doc_type,
+        doc_type=_member(row, "doc_type", DocType),
         validated=validated,
     )
 
 
 def read_corpus(path: str | Path) -> ReferenceCorpus:
-    problems: list[str] = []
-    publications: list[Publication] = []
-    for lineno, row in _open_rows(path, CORPUS_COLUMNS):
-        pub = _parse_publication(row, lineno, problems, Validation.INCLUDED)
-        if pub is not None:
-            publications.append(pub)
-    _raise_collected(path, problems)
-    return ReferenceCorpus(publications)
+    # a list, not the row generator: ReferenceCorpus then only builds, so
+    # reading and building can be timed apart
+    return ReferenceCorpus(list(_read_rows(path, CORPUS_COLUMNS, _publication)))
+
+
+def _candidate_row(row: dict[str, str]) -> tuple[str, Publication]:
+    return row["candidate_id"], _publication(row, _member(row, "validated", Validation))
 
 
 def read_candidates(path: str | Path) -> list[CandidateProfile]:
     """Candidate publication rows grouped into profiles by candidate_id."""
-    problems: list[str] = []
     grouped: dict[str, list[Publication]] = {}
-    for lineno, row in _open_rows(path, CANDIDATE_COLUMNS):
-        if row.get("candidate_id") is None or row.get("validated") is None:
-            problems.append(f"line {lineno}: row has fewer fields than the header")
-            continue
-        try:
-            validated = Validation(row["validated"])
-        except ValueError:
-            problems.append(f"line {lineno}: unknown validated value {row['validated']!r}")
-            continue
-        pub = _parse_publication(row, lineno, problems, validated)
-        if pub is not None:
-            grouped.setdefault(row["candidate_id"], []).append(pub)
-    _raise_collected(path, problems)
+    for candidate_id, pub in _read_rows(path, CANDIDATE_COLUMNS, _candidate_row):
+        grouped.setdefault(candidate_id, []).append(pub)
     return [
         CandidateProfile(id=candidate_id, publications=tuple(pubs))
         for candidate_id, pubs in sorted(grouped.items())
     ]
+
+
+def _read_value_rows(path: str | Path, required: tuple[str, ...], convert, what: str) -> list:
+    """Rows of a profiles or environment table: one id each, the values last."""
+    rows = list(_read_rows(path, required, convert, unique="id"))
+    if rows and not rows[0][-1]:
+        raise TableError(f"{path}: {what} has no value columns")
+    return rows
+
+
+def _values(row: dict[str, str]) -> dict[str, float]:
+    return {column: _number(row, column) for column in row if column not in KEY_COLUMNS}
 
 
 def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
@@ -127,63 +170,22 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
     indicator. A criterion column, if present, is ground truth rather than
     a cue and is not loaded as an indicator.
     """
-    problems: list[str] = []
-    profiles: list[CandidateProfile] = []
-    indicator_names: list[str] | None = None
-    for lineno, row in _open_rows(path, ("id",)):
-        if indicator_names is None:
-            indicator_names = [c for c in row if c is not None and c not in ("id", "criterion")]
-            if not indicator_names:
-                raise TableError(f"{path}: profiles table has no indicator columns")
-        if row.get("id") is None:
-            problems.append(f"line {lineno}: row has fewer fields than the header")
-            continue
-        indicators = {}
-        ok = True
-        for name in indicator_names:
-            try:
-                indicators[name] = float(row[name])
-            except (TypeError, ValueError):
-                problems.append(f"line {lineno}: {name} {row[name]!r} is not a number")
-                ok = False
-        if ok:
-            profiles.append(CandidateProfile(id=row["id"], indicators=indicators))
-    _raise_collected(path, problems)
-    return profiles
+    rows = _read_value_rows(path, ("id",), lambda row: (row["id"], _values(row)), "profiles table")
+    return [CandidateProfile(id=pid, indicators=indicators) for pid, indicators in rows]
 
 
 def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
-    problems: list[str] = []
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    cue_names: list[str] | None = None
-    for lineno, row in _open_rows(path, ("id", "criterion")):
-        if cue_names is None:
-            cue_names = [c for c in row if c is not None and c not in ("id", "criterion")]
-            if not cue_names:
-                raise TableError(f"{path}: environment file has no cue columns")
-        if row.get("id") is None:
-            problems.append(f"line {lineno}: row has fewer fields than the header")
-            continue
-        values = []
-        for column in ["criterion", *cue_names]:
-            try:
-                value = float(row[column])
-            except (TypeError, ValueError):
-                problems.append(f"line {lineno}: {column} {row[column]!r} is not a number")
-                continue
-            if not math.isfinite(value):
-                problems.append(f"line {lineno}: {column} {row[column]!r} is not a finite number")
-                continue
-            values.append(value)
-        if len(values) == 1 + len(cue_names):
-            ids.append(row["id"])
-            rows.append(values)
-    _raise_collected(path, problems)
+    rows = _read_value_rows(
+        path,
+        KEY_COLUMNS,
+        lambda row: (row["id"], _number(row, "criterion"), _values(row)),
+        "environment file",
+    )
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
-    return Environment.from_arrays(ids, [r[0] for r in rows], [r[1:] for r in rows], cue_names)
+    ids, criterion, cues = zip(*rows)
+    return Environment.from_arrays(ids, criterion, [list(c.values()) for c in cues], list(cues[0]))
 
 
 def write_environment(env: Environment, path: str | Path) -> None:
@@ -197,25 +199,18 @@ def write_environment(env: Environment, path: str | Path) -> None:
             )
 
 
+def _career_row(row: dict[str, str]) -> tuple[int, float]:
+    position = _number(row, "position", int)
+    impact = _number(row, "impact")
+    if impact < 0:
+        raise _RowError(f"impact must be >= 0, got {impact!r}")
+    return position, impact
+
+
 def read_career(path: str | Path, owner: str = "") -> CareerSequence:
-    problems: list[str] = []
-    rows: list[tuple[int, float]] = []
-    for lineno, row in _open_rows(path, CAREER_COLUMNS):
-        try:
-            position = int(row["position"])
-        except (TypeError, ValueError):
-            problems.append(f"line {lineno}: position {row['position']!r} is not an integer")
-            continue
-        try:
-            impact = float(row["impact"])
-        except (TypeError, ValueError):
-            problems.append(f"line {lineno}: impact {row['impact']!r} is not a number")
-            continue
-        rows.append((position, impact))
-    _raise_collected(path, problems)
+    rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_row, unique="position"))
     if not rows:
         raise TableError(f"{path}: career file contains no works")
-    rows.sort()
     return CareerSequence(tuple(impact for _, impact in rows), owner=owner)
 
 

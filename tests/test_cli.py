@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from frugaleval.cli import WorkloadQuery, ingest, main, workload
+from frugaleval.cli import WorkloadQuery, main, workload
 from frugaleval.tables import (
     TableError,
     read_candidates,
@@ -106,9 +106,8 @@ class TestIngest:
         assert len(profiles[0].publications) == 3
 
     def test_ingest_returns_corpus_and_profiles(self, tmp_path):
-        corpus, profiles = ingest(
-            corpus_file(tmp_path), candidates_file(tmp_path, {"alice": 1})
-        )
+        corpus = read_corpus(corpus_file(tmp_path))
+        profiles = read_candidates(candidates_file(tmp_path, {"alice": 1}))
         assert corpus.group_keys() == (("phys", 2020),)
         assert [p.id for p in profiles] == ["alice"]
 
@@ -220,6 +219,15 @@ class TestChooseCommand:
         assert payload["result"]["decision"] == "choose_a"
         assert payload["result"]["trace"][0]["score_a"] == 3.0
 
+    def test_duplicate_profile_id_names_both_lines(self, tmp_path, capsys):
+        # with the last A row silently winning, A=5 beat B=3 and the answer was choose_a
+        path = write(tmp_path / "p.csv", "id,hcp\nA,1\nA,5\nB,3\n")
+        code = main(["choose", "--profiles", path, "--cue-order", "hcp", "--a", "A", "--b", "B"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "line 3: id 'A' repeats line 2" in captured.err
+
     def test_choose_without_any_input_rejected(self, capsys):
         code = main(["choose", "--cue-order", "hcp"])
         assert code == 1
@@ -259,6 +267,17 @@ class TestBenchCommand:
         assert code == 1
         assert f"line 4: {column} '{text}' is not a finite number" in err
         assert "DLASCL" not in err
+
+    def test_linear_falls_back_on_train_side_smaller_than_cues_plus_one(self, capsys):
+        # 6 training objects cannot fix 8 weights plus an intercept
+        code = main([
+            "bench", "--gen", "binary", "--weights", "c1=128,c2=64,c3=32,c4=16,c5=8,c6=4,c7=2,c8=1",
+            "--n-objects", "12", "--train-fraction", "0.5", "--format", "machine",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        names = [s["name"] for s in json.loads(captured.out)["result"]["strategies"]]
+        assert "linear_regression" in names
 
     def test_tiny_train_split_rejected(self, capsys):
         code = main([

@@ -10,6 +10,7 @@ from frugaleval.ecology import (
     EnvironmentObject,
     LinearRegressionStrategy,
     MinimalistStrategy,
+    RankDeficientError,
     SplitConfig,
     TakeTheBestStrategy,
     TallyingStrategy,
@@ -200,7 +201,7 @@ class TestFitLinearWeights:
 
     def test_too_few_objects_rejected(self):
         rows = [(1.0, {"c1": 1.0, "c2": 2.0}), (2.0, {"c1": 2.0, "c2": 1.0})]
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(RankDeficientError, match="at least 3"):
             fit_linear_weights(env_of(rows))
 
 

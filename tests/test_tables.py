@@ -1,0 +1,293 @@
+"""The file contract every reader shares: physical line numbers, the header's
+field count, finite numbers, unique keys, and write/read round trips."""
+
+import csv
+import io
+import math
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from frugaleval.careers import CareerSequence
+from frugaleval.ecology import Environment
+from frugaleval.tables import (
+    TableError,
+    read_candidates,
+    read_career,
+    read_corpus,
+    read_environment,
+    read_profiles_table,
+    write_career,
+    write_environment,
+)
+
+# reader, header, a valid row numbered k; field 1 of every valid row is a number
+READERS = {
+    "corpus": (
+        read_corpus,
+        ["id", "year", "category", "citations", "doc_type"],
+        lambda k: [f"p{k}", "2020", "phys", "3", "article"],
+    ),
+    "candidates": (
+        read_candidates,
+        ["id", "year", "category", "citations", "doc_type", "candidate_id", "validated"],
+        lambda k: [f"p{k}", "2020", "phys", "3", "article", "alice", "included"],
+    ),
+    "profiles": (read_profiles_table, ["id", "hcp", "collab"], lambda k: [f"c{k}", "4", "2"]),
+    "environment": (
+        read_environment,
+        ["id", "criterion", "c1", "c2"],
+        lambda k: [f"o{k}", str(k), "1", "0"],
+    ),
+    "career": (read_career, ["position", "impact"], lambda k: [str(k), "1.5"]),
+}
+
+
+def record(fields):
+    """One CSV record as csv.writer quotes it (a blank line for None)."""
+    if fields is None:
+        return "\n"
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
+def table(tmp_path, header, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("".join(record(r) for r in [header, *rows]), encoding="utf-8")
+    return path
+
+
+def problems(reader, path):
+    """(line, text) of every problem in the reader's TableError."""
+    with pytest.raises(TableError) as err:
+        reader(path)
+    found = re.findall(r"(?:: |; )line (\d+): ([^;]*)", str(err.value))
+    return [(int(line), text) for line, text in found]
+
+
+def bad(fields):
+    return [fields[0], "x", *fields[2:]]
+
+
+def spread_over_lines(fields):
+    # field 0 is free text or an integer, which int() reads through whitespace
+    return ["\n" + fields[0] + "\n", *fields[1:]]
+
+
+@pytest.mark.parametrize("name", READERS)
+class TestEveryReader:
+    def test_surplus_field_rejected(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, header, [good(0), good(1) + ["9"]])
+        assert problems(reader, path) == [
+            (3, f"{len(header) + 1} fields, header has {len(header)}")
+        ]
+
+    def test_short_row_rejected(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, header, [good(0), good(1)[:-1]])
+        assert problems(reader, path) == [
+            (3, f"{len(header) - 1} fields, header has {len(header)}")
+        ]
+
+    def test_blank_line_before_bad_row(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, header, [good(0), None, bad(good(1))])
+        [(line, text)] = problems(reader, path)
+        assert line == 4
+        assert text.startswith(f"{header[1]} 'x' is not")
+
+    def test_quoted_newline_before_bad_row(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        # the quoted record covers lines 2 to 4
+        path = table(tmp_path, header, [spread_over_lines(good(0)), bad(good(1))])
+        [(line, text)] = problems(reader, path)
+        assert line == 5
+        assert text.startswith(f"{header[1]} 'x' is not")
+
+    def test_blank_lines_and_quoted_newlines_load(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, header, [None, spread_over_lines(good(0)), None, good(1), None])
+        reader(path)
+
+    def test_repeated_header_column_rejected(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, [*header, header[1]], [good(0) + ["1"]])
+        with pytest.raises(TableError, match=f"repeated header columns: {header[1]}$"):
+            reader(path)
+
+
+@pytest.mark.parametrize("name, first, again", [
+    ("profiles", "id", "'c0'"),
+    ("environment", "id", "'o0'"),
+    ("career", "position", "0"),
+])
+def test_repeated_key_names_both_lines(tmp_path, name, first, again):
+    reader, header, good = READERS[name]
+    path = table(tmp_path, header, [good(0), good(1), good(0)])
+    assert problems(reader, path) == [(4, f"{first} {again} repeats line 2")]
+
+
+def test_non_finite_profile_value_names_its_line(tmp_path):
+    path = table(tmp_path, ["id", "hcp", "collab"], [["A", "1", "2"], ["B", "3", "nan"]])
+    assert problems(read_profiles_table, path) == [(3, "collab 'nan' is not a finite number")]
+
+
+@pytest.mark.parametrize("impact, message", [
+    ("nan", "impact 'nan' is not a finite number"),
+    ("inf", "impact 'inf' is not a finite number"),
+    ("-2", "impact must be >= 0, got -2.0"),
+])
+def test_bad_career_impact_names_its_file_line(tmp_path, impact, message):
+    # position 0 sorts first, but the row is the file's line 3
+    path = table(tmp_path, ["position", "impact"], [["5", "1"], ["0", impact], ["2", "3"]])
+    assert problems(read_career, path) == [(3, message)]
+
+
+def test_unparsable_record_names_its_line(tmp_path):
+    path = table(tmp_path, ["position", "impact"], [["0", "1"], ["1", "9" * 200_000]])
+    [(line, text)] = problems(read_career, path)
+    assert line == 3
+    assert "field limit" in text
+
+
+def test_career_rows_sorted_by_position(tmp_path):
+    path = table(tmp_path, ["position", "impact"], [["5", "1"], ["0", "7"], ["2", "3"]])
+    assert read_career(path).impacts == (7.0, 3.0, 1.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# any text a CSV field can carry, quotes, separators and line breaks included
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_environment_round_trip(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 6))
+    names = data.draw(st.lists(
+        texts.filter(lambda t: t not in ("id", "criterion")), min_size=1, max_size=3, unique=True
+    ))
+    env = Environment.from_arrays(
+        data.draw(st.lists(texts, min_size=n, max_size=n, unique=True)),
+        data.draw(st.lists(finite, min_size=n, max_size=n)),
+        data.draw(st.lists(st.lists(finite, min_size=len(names), max_size=len(names)),
+                           min_size=n, max_size=n)),
+        names,
+    )
+    path = tmp_path_factory.mktemp("env") / "env.csv"
+    write_environment(env, path)
+    back = read_environment(path)
+    assert back.ids == env.ids
+    assert back.cue_names == env.cue_names
+    assert back.criterion_values.tolist() == env.criterion_values.tolist()
+    assert back.cue_matrix.tolist() == env.cue_matrix.tolist()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(impacts=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=30))
+def test_career_round_trip(tmp_path_factory, impacts):
+    seq = CareerSequence(tuple(impacts))
+    path = tmp_path_factory.mktemp("career") / "career.csv"
+    write_career(seq, path)
+    assert read_career(path).impacts == seq.impacts
+
+
+# the fuzz oracle: what each column accepts
+ENUMS = {
+    "doc_type": {"article", "review", "other"},
+    "validated": {"pending", "included", "excluded"},
+}
+INTEGERS = {"year", "citations", "position"}
+TEXTS = {"id", "category", "candidate_id"}
+NON_NEGATIVE = {"citations", "impact"}
+KEYS = {
+    "profiles": lambda row: row["id"],
+    "environment": lambda row: row["id"],
+    "career": lambda row: row["position"],
+}
+# what a loaded table holds, and the same built from rows the oracle converted
+LOADED = {
+    "corpus": (
+        lambda corpus: sorted((p.id, p.year, p.category, p.citations, p.doc_type.value)
+                              for p in corpus.publications),
+        lambda rows: sorted(tuple(row.values()) for row in rows),
+    ),
+    "candidates": (
+        lambda profiles: sorted((p.id, p.year, p.category, p.citations, p.doc_type.value,
+                                 prof.id, p.validated.value)
+                                for prof in profiles for p in prof.publications),
+        lambda rows: sorted(tuple(row.values()) for row in rows),
+    ),
+    "profiles": (
+        lambda profiles: sorted((p.id, *p.indicators.values()) for p in profiles),
+        lambda rows: sorted(tuple(row.values()) for row in rows),
+    ),
+    "environment": (
+        lambda env: sorted(zip(env.ids, env.criterion_values.tolist(), *env.cue_matrix.T.tolist())),
+        lambda rows: sorted(tuple(row.values()) for row in rows),
+    ),
+    "career": (
+        lambda seq: list(seq.impacts),
+        lambda rows: [row["impact"] for row in sorted(rows, key=lambda row: row["position"])],
+    ),
+}
+
+
+def oracle(column, text):
+    """The field's value, or None where the contract rejects it."""
+    if column in TEXTS:
+        return text
+    if column in ENUMS:
+        return text if text in ENUMS[column] else None
+    try:
+        value = int(text) if column in INTEGERS else float(text)
+    except ValueError:
+        return None
+    if not math.isfinite(value) or (column in NON_NEGATIVE and value < 0):
+        return None
+    return value
+
+
+def typed(column):
+    """Text of the column's own type, some of which (negative, non-finite) is rejected."""
+    if column in TEXTS:
+        return texts
+    if column in ENUMS:
+        return st.sampled_from(sorted(ENUMS[column]))
+    if column in INTEGERS:
+        return st.integers(-3, 3000).map(str)
+    return st.floats().map(repr)
+
+
+junk = st.one_of(
+    st.sampled_from(["0", "7", "-3", " 2", "1.5", "1e3", "nan", "inf", "-inf", "", "x",
+                     "article", "poster", "included", "alice", "p0", "o0", "c0"]),
+    texts,
+)
+
+
+@pytest.mark.parametrize("name", READERS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_row_loads_every_value_or_names_its_line(tmp_path_factory, name, data):
+    reader, header, good = READERS[name]
+    row = [data.draw(typed(column)) for column in header]
+    spoilt = data.draw(st.integers(-1, len(header) - 1))
+    if spoilt >= 0:
+        row[spoilt] = data.draw(junk)
+    row = data.draw(st.sampled_from([row, row[:-1], [*row, data.draw(junk)]]))
+    path = tmp_path_factory.mktemp(name) / "table.csv"
+    path.write_text(record(header) + record(good(0)) + record(row), encoding="utf-8")
+
+    rows = [dict(zip(header, map(oracle, header, fields))) for fields in (good(0), row)]
+    valid = len(row) == len(header) and None not in rows[1].values()
+    if valid and name in KEYS:
+        valid = KEYS[name](rows[0]) != KEYS[name](rows[1])
+    if valid:
+        loaded, expected = LOADED[name]
+        assert loaded(reader(path)) == expected(rows)
+    else:
+        assert [line for line, _ in problems(reader, path)] == [3]
