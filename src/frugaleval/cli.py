@@ -9,15 +9,17 @@ Every report embeds the tool version, the full effective configuration
 and the master seed, and is byte-identical across runs with the same
 configuration. Diagnostics go to stderr; report content goes to --out or
 stdout, never interleaved. With --out the report is written in the
-requested format plus a companion file in the other format.
+requested format plus a companion file in the other format, both or
+neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -71,25 +73,11 @@ def workload(query: WorkloadQuery) -> float:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective parameters of one run; echoed verbatim into the report."""
-
-    params: Mapping[str, object]
-    seed: int = 0
-    out: str | None = None
-    format: str = "table"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
-        if self.format not in ("table", "machine"):
-            raise ValueError(f"format must be 'table' or 'machine', got {self.format!r}")
-
-
-def _require(params: Mapping[str, object], *names: str) -> None:
+def _require(params: Mapping[str, object], *names: str,
+             message: str = "missing required options: {}") -> None:
     missing = [f"--{name.replace('_', '-')}" for name in names if params.get(name) is None]
     if missing:
-        raise ValueError("missing required options: " + ", ".join(missing))
+        raise ValueError(message.format(", ".join(missing)))
 
 
 def _parse_name_values(text: str, what: str) -> dict[str, float]:
@@ -135,8 +123,7 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
     ]
 
 
-def _cmd_screen(config: RunConfig) -> tuple[dict, list[str], list[str]]:
-    p = config.params
+def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     _require(p, "corpus", "candidates", "quota")
     scored = _score_highly_cited(p)
     if not scored:
@@ -160,8 +147,7 @@ def _cmd_screen(config: RunConfig) -> tuple[dict, list[str], list[str]]:
     return result, body, []
 
 
-def _cmd_choose(config: RunConfig) -> tuple[dict, list[str], list[str]]:
-    p = config.params
+def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     _require(p, "cue_order")
     if p["profiles"]:
         profiles = read_profiles_table(p["profiles"])
@@ -190,15 +176,7 @@ def _cmd_choose(config: RunConfig) -> tuple[dict, list[str], list[str]]:
         "b": b_id,
         "decision": decision.value,
         "stopping_reason": trace.stopping_reason.value,
-        "trace": [
-            {
-                "cue": s.cue,
-                "score_a": s.score_a,
-                "score_b": s.score_b,
-                "discriminated": s.discriminated,
-            }
-            for s in trace.steps
-        ],
+        "trace": [asdict(s) for s in trace.steps],
     }
     body = [f"a={a_id} b={b_id}", f"decision: {decision.value}", trace.record()]
     return result, body, []
@@ -215,37 +193,29 @@ def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
     return strategies
 
 
-def _cmd_bench(config: RunConfig) -> tuple[dict, list[str], list[str]]:
-    p = config.params
+def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     if p["environment"]:
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
-        env = generate_binary_environment(weights, p["n_objects"], config.seed)
+        env = generate_binary_environment(weights, p["n_objects"], seed)
     elif p["gen"] == "gaussian":
         targets = _parse_name_values(p["targets"], "targets")
-        env = generate_gaussian_environment(targets, p["n_objects"], config.seed)
+        env = generate_gaussian_environment(targets, p["n_objects"], seed)
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
     rule = DiscriminationRule(p["delta"], RuleMode(p["mode"]))
     strategies = _make_strategies(_parse_cues(p["strategies"]), rule)
-    split = SplitConfig(p["train_fraction"], p["reps"], config.seed)
+    split = SplitConfig(p["train_fraction"], p["reps"], seed)
     report = run_benchmark(env, strategies, split)
     result = {
         "n_objects": report.n_objects,
         "cues": list(report.cue_names),
         "repetitions": report.repetitions,
         "train_fraction": report.train_fraction,
-        "strategies": [
-            {
-                "name": r.name,
-                "accuracy": r.accuracy,
-                "frugality": r.frugality,
-                "decisions": r.decisions,
-                "undecided_rate": r.undecided_rate,
-            }
-            for r in report.results
-        ],
+        # wall time is a diagnostic: it would break byte-identical report bodies
+        "strategies": [{k: v for k, v in asdict(r).items() if k != "wall_time"}
+                       for r in report.results],
     }
     body = [
         f"{report.n_objects} objects, cues: {', '.join(report.cue_names)}, "
@@ -257,7 +227,6 @@ def _cmd_bench(config: RunConfig) -> tuple[dict, list[str], list[str]]:
             f"{r.name:<20}{r.accuracy:>10.6f}{r.frugality:>11.4f}"
             f"{r.undecided_rate:>11.4f}{r.decisions:>11d}"
         )
-    # wall time is a diagnostic: it would break byte-identical report bodies
     diagnostics = [
         f"{r.name}: {1000.0 * r.wall_time / max(r.decisions, 1):.6f} s per 1000 decisions"
         for r in report.results
@@ -265,23 +234,20 @@ def _cmd_bench(config: RunConfig) -> tuple[dict, list[str], list[str]]:
     return result, body, diagnostics
 
 
-def _cmd_career(config: RunConfig) -> tuple[dict, list[str], list[str]]:
-    p = config.params
+def _cmd_career(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     planted = None
     if p["impacts"]:
         seq = read_career(p["impacts"])
     else:
-        for key in ("length", "baseline_mean", "multiplier", "streak_len"):
-            if p[key] is None:
-                raise ValueError("career generation needs --length, --baseline-mean, "
-                                 "--multiplier and --streak-len (or --impacts FILE to detect)")
+        _require(p, "length", "baseline_mean", "multiplier", "streak_len",
+                 message="career generation needs {} (or --impacts FILE to detect)")
         seq, planted = generate_career(
             length=p["length"],
             baseline_mean=p["baseline_mean"],
             streak_multiplier=p["multiplier"],
             streak_len_range=_parse_streak_len(p["streak_len"]),
             noise_sigma=p["noise_sigma"],
-            seed=config.seed,
+            seed=seed,
         )
         if p["save_career"]:
             write_career(seq, p["save_career"])
@@ -318,8 +284,7 @@ def _cmd_career(config: RunConfig) -> tuple[dict, list[str], list[str]]:
     return result, body, []
 
 
-def _cmd_workload(config: RunConfig) -> tuple[dict, list[str], list[str]]:
-    p = config.params
+def _cmd_workload(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     _require(p, "papers", "panel_size", "working_days")
     query = WorkloadQuery(
         papers=p["papers"],
@@ -328,13 +293,7 @@ def _cmd_workload(config: RunConfig) -> tuple[dict, list[str], list[str]]:
         working_days=p["working_days"],
     )
     rate = workload(query)
-    result = {
-        "papers": query.papers,
-        "reviews_per_paper": query.reviews_per_paper,
-        "panel_size": query.panel_size,
-        "working_days": query.working_days,
-        "reviews_per_member_per_day": rate,
-    }
+    result = {**asdict(query), "reviews_per_member_per_day": rate}
     body = [f"reviews per member per day: {rate:.4f}"]
     return result, body, []
 
@@ -348,37 +307,49 @@ _HANDLERS = {
 }
 
 
-def run(command: str, config: RunConfig) -> int:
-    """Execute one command and emit its report; returns the exit status."""
-    if command not in _HANDLERS:
-        raise ValueError(f"unknown command {command!r}")
-    result, body_lines, diagnostics = _HANDLERS[command](config)
+_META_KEYS = ("command", "seed", "out", "format", "config")
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and emit its report; returns the exit status."""
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in _META_KEYS}
+    result, body_lines, diagnostics = _HANDLERS[args.command](params, args.seed)
     payload = {
         "tool": "frugaleval",
         "version": __version__,
-        "command": command,
-        "seed": config.seed,
-        "config": {key: config.params[key] for key in sorted(config.params)},
+        "command": args.command,
+        "seed": args.seed,
+        "config": params,
         "result": result,
     }
     machine = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     header = [
         f"# frugaleval {__version__}",
-        f"# command: {command}",
-        f"# seed: {config.seed}",
-        "# config: " + " ".join(f"{k}={config.params[k]}" for k in sorted(config.params)),
+        f"# command: {args.command}",
+        f"# seed: {args.seed}",
+        "# config: " + " ".join(f"{k}={v}" for k, v in params.items()),
     ]
     table = "\n".join(header + body_lines) + "\n"
     primary, companion, companion_suffix = (
-        (machine, table, ".txt") if config.format == "machine" else (table, machine, ".json")
+        (machine, table, ".txt") if args.format == "machine" else (table, machine, ".json")
     )
     for line in diagnostics:
         print(line, file=sys.stderr)
-    if config.out:
-        out = Path(config.out)
-        out.write_text(primary, encoding="utf-8")
+    if args.out:
+        out = Path(args.out)
         companion_path = out.with_name(out.name + companion_suffix)
-        companion_path.write_text(companion, encoding="utf-8")
+        # both go to temp files beside their targets first; the companion
+        # lands first, so a primary report never stands alone
+        temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                 for path in (companion_path, out)}
+        try:
+            temps[companion_path].write_text(companion, encoding="utf-8")
+            temps[out].write_text(primary, encoding="utf-8")
+            for path, temp in temps.items():
+                os.replace(temp, path)
+        finally:
+            for temp in temps.values():
+                temp.unlink(missing_ok=True)
         print(f"report written to {out} (companion: {companion_path})", file=sys.stderr)
     else:
         sys.stdout.write(primary)
@@ -391,10 +362,26 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("table", "machine"), default="table",
                      help="primary report format (default: table)")
     sub.add_argument("--config", default=None,
-                     help="key=value file supplying defaults for any flag of this command")
+                     help="key = value file supplying defaults for any flag of this command")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _add_publication_inputs(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--corpus", default=None,
+                     help="reference corpus CSV: id, year, category, citations, doc_type")
+    sub.add_argument("--candidates", default=None,
+                     help="candidate publications CSV: corpus columns plus candidate_id, validated")
+    sub.add_argument("--p", type=float, default=0.10,
+                     help="highly-cited share within (category, year) group (default: 0.10)")
+
+
+def _add_rule(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--delta", type=float, default=0.0,
+                     help="discrimination threshold (default: 0 = pure lexicographic)")
+    sub.add_argument("--mode", choices=("absolute", "relative"), default="absolute",
+                     help="how score differences are compared against delta")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frugaleval",
         description="Frugal screening and choice heuristics for research evaluation, "
@@ -402,46 +389,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=f"frugaleval {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    handles: dict[str, argparse.ArgumentParser] = {}
 
     screen = subs.add_parser(
         "screen",
         help="rank candidates on the highly-cited-papers indicator and keep the top share",
     )
-    screen.add_argument("--corpus", default=None,
-                        help="reference corpus CSV: id, year, category, citations, doc_type")
-    screen.add_argument("--candidates", default=None,
-                        help="candidate publications CSV: corpus columns plus candidate_id, validated")
-    screen.add_argument("--p", type=float, default=0.10,
-                        help="highly-cited share within (category, year) group (default: 0.10)")
+    _add_publication_inputs(screen)
     screen.add_argument("--quota", type=float, default=None,
                         help="share of candidates to keep, in (0, 1]")
     _add_common(screen)
-    handles["screen"] = screen
 
     choose = subs.add_parser(
         "choose", help="pairwise one-reason choice over a cue order, with audit trace"
     )
     choose.add_argument("--profiles", default=None,
                         help="CSV with column id plus one numeric column per indicator "
-                             "(a criterion column, if present, is ignored)")
-    choose.add_argument("--corpus", default=None,
-                        help="alternative to --profiles: reference corpus CSV, scores the "
-                             "highly_cited_papers indicator from raw publications")
-    choose.add_argument("--candidates", default=None,
-                        help="candidate publications CSV (with --corpus)")
-    choose.add_argument("--p", type=float, default=0.10,
-                        help="highly-cited share when scoring from --corpus (default: 0.10)")
+                             "(a criterion column, if present, is ignored); or score "
+                             "highly_cited_papers from --corpus and --candidates")
+    _add_publication_inputs(choose)
     choose.add_argument("--a", default=None, help="first candidate id")
     choose.add_argument("--b", default=None, help="second candidate id")
     choose.add_argument("--cue-order", dest="cue_order", type=_parse_cues, default=None,
                         help="comma-separated indicator names, most important first")
-    choose.add_argument("--delta", type=float, default=0.0,
-                        help="discrimination threshold (default: 0 = pure lexicographic)")
-    choose.add_argument("--mode", choices=("absolute", "relative"), default="absolute",
-                        help="how score differences are compared against delta")
+    _add_rule(choose)
     _add_common(choose)
-    handles["choose"] = choose
 
     bench = subs.add_parser("bench", help="out-of-sample pair-comparison benchmark")
     bench.add_argument("--environment", default=None,
@@ -460,11 +431,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        help="share of objects in the training split (default: 0.5)")
     bench.add_argument("--reps", type=int, default=20,
                        help="number of seeded train/test repetitions (default: 20)")
-    bench.add_argument("--delta", type=float, default=0.0,
-                       help="discrimination threshold for take-the-best (default: 0)")
-    bench.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
+    _add_rule(bench)
     _add_common(bench)
-    handles["bench"] = bench
 
     career = subs.add_parser(
         "career", help="generate a career with a planted hot streak, or detect one"
@@ -487,7 +455,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     career.add_argument("--save-career", dest="save_career", default=None,
                         help="write the generated career to this CSV")
     _add_common(career)
-    handles["career"] = career
 
     wl = subs.add_parser("workload", help="panel review-load arithmetic")
     wl.add_argument("--papers", type=int, default=None, help="papers to assess")
@@ -498,59 +465,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     wl.add_argument("--working-days", dest="working_days", type=int, default=None,
                     help="working days available")
     _add_common(wl)
-    handles["workload"] = wl
 
-    return parser, handles
+    return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str, known: set[str]) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags; a key
+    is a flag name with dashes or underscores, and must be in `known`."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
             raise ValueError(f"{path}: line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config_file(sub: argparse.ArgumentParser, values: dict[str, str], path: str) -> None:
-    actions = {action.dest: action for action in sub._actions}
-    defaults: dict[str, object] = {}
-    for key, raw in values.items():
-        action = actions.get(key)
-        if action is None or key in ("config", "help"):
-            raise ValueError(f"{path}: unknown configuration key {key!r} for this command")
-        if action.choices and raw not in action.choices:
-            raise ValueError(
-                f"{path}: {key} must be one of {', '.join(map(str, action.choices))}, got {raw!r}"
-            )
-        defaults[key] = action.type(raw) if callable(action.type) else raw
-    sub.set_defaults(**defaults)
-
-
-_META_KEYS = ("command", "seed", "out", "format", "config")
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k not in _META_KEYS}
-    return RunConfig(params=params, seed=args.seed, out=args.out, format=args.format)
+        name = key.replace("-", "_")
+        if name not in known or name in ("command", "config"):
+            raise ValueError(f"{path}: line {lineno}: unknown configuration key {key!r} "
+                             f"for this command")
+        flags.append(f"--{name.replace('_', '-')}={value}")
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, handles = build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config supplies defaults; explicit flags win on the re-parse
-            values = _load_config_file(args.config)
-            parser, handles = build_parser()
-            _apply_config_file(handles[args.command], values, args.config)
-            args = parser.parse_args(argv)
-        return run(args.command, config_from_args(args))
+            # config flags go right after the command, so typed flags, parsed later, win
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, set(vars(args)))
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        return run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

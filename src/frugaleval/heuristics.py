@@ -231,26 +231,27 @@ def one_reason_choose(
     return decision, trace
 
 
+def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
+    """cue_validity of every column of an n x m cue matrix, over one pairing."""
+    i, j = np.triu_indices(len(criterion), k=1)
+    cue_diff = cues[i] - cues[j]
+    crit_diff = criterion[i] - criterion[j]
+    totals = np.count_nonzero(cue_diff != 0.0, axis=0).tolist()
+    # a pair the cue does not discriminate has a zero product, never counted
+    corrects = np.count_nonzero(cue_diff * crit_diff[:, None] > 0.0, axis=0).tolist()
+    return [correct / total if total else 0.5 for correct, total in zip(corrects, totals)]
+
+
 def cue_validity(env: "Environment", cue: str) -> float:
     """Share of cue-discriminating object pairs where the higher-cue object
     also has the higher criterion; 0.5 when no pair discriminates.
     """
-    values = np.asarray(env.cue_values(cue), dtype=float)
-    criterion = np.asarray(env.criterion_values, dtype=float)
-    i, j = np.triu_indices(len(values), k=1)
-    cue_diff = values[i] - values[j]
-    discriminating = cue_diff != 0.0
-    total = int(np.count_nonzero(discriminating))
-    if total == 0:
-        return 0.5
-    crit_diff = criterion[i] - criterion[j]
-    correct = int(np.count_nonzero(cue_diff[discriminating] * crit_diff[discriminating] > 0.0))
-    return correct / total
+    return _validities(env.cue_values(cue)[:, None], env.criterion_values)[0]
 
 
 def validity_order(env: "Environment") -> CueOrder:
     """Cues ranked by validity, best first; ties broken by name."""
-    validities = {name: cue_validity(env, name) for name in env.cue_names}
+    validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
     ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
     return CueOrder(tuple(ranked), Provenance.VALIDITY_RANKED)
 

@@ -147,10 +147,17 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
     grouped: dict[str, list[Publication]] = {}
     for candidate_id, pub in _read_rows(path, CANDIDATE_COLUMNS, _candidate_row):
         grouped.setdefault(candidate_id, []).append(pub)
-    return [
-        CandidateProfile(id=candidate_id, publications=tuple(pubs))
-        for candidate_id, pubs in sorted(grouped.items())
-    ]
+    try:
+        return [
+            CandidateProfile(id=candidate_id, publications=tuple(pubs))
+            for candidate_id, pubs in sorted(grouped.items())
+        ]
+    except ValueError:
+        # a publication id repeats within a candidate: only now key the rows,
+        # in a second read, to name the lines
+        list(_read_rows(path, CANDIDATE_COLUMNS, lambda row: ((row["candidate_id"], row["id"]),),
+                        unique="(candidate_id, id)"))
+        raise
 
 
 def _read_value_rows(path: str | Path, required: tuple[str, ...], convert, what: str) -> list:

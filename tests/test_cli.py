@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
+from frugaleval.careers import CareerSequence
 from frugaleval.cli import WorkloadQuery, main, workload
+from frugaleval.ecology import generate_binary_environment
+from frugaleval.heuristics import WeightVector
 from frugaleval.tables import (
     TableError,
     read_candidates,
@@ -326,6 +330,86 @@ class TestWorkloadCommand:
         assert payload["result"]["reviews_per_member_per_day"] == pytest.approx(2.14, abs=0.01)
 
 
+WORKLOAD_FLAGS = ["--papers", "100", "--reviews-per-paper", "1", "--panel-size", "10",
+                  "--working-days", "10"]
+
+
+def every_option(tmp_path):
+    """Per command, a value other than the default for every option but the run options."""
+    corpus = corpus_file(tmp_path)
+    cands = candidates_file(tmp_path, {"alice": 3, "bob": 1})
+    profiles = write(tmp_path / "p.csv", "id,hcp,collab\nalice,3,5\nbob,3,2\n")
+    env = tmp_path / "env.csv"
+    write_environment(generate_binary_environment(WeightVector({"c1": 4.0, "c2": 2.0}), 12, 1), env)
+    career = tmp_path / "career.csv"
+    write_career(CareerSequence((1.0, 1.5, 9.0, 9.5, 8.0, 1.0, 1.5)), career)
+    return {
+        "screen": {"corpus": corpus, "candidates": cands, "p": "0.2", "quota": "0.5"},
+        "choose": {"profiles": profiles, "corpus": corpus, "candidates": cands, "p": "0.2",
+                   "a": "bob", "b": "alice", "cue_order": "hcp,collab", "delta": "0.5",
+                   "mode": "relative"},
+        "bench": {"environment": str(env), "gen": "gaussian", "weights": "c1=4",
+                  "targets": "c1=0.5", "n_objects": "30", "strategies": "tallying,take_the_best",
+                  "train_fraction": "0.6", "reps": "3", "delta": "0.5", "mode": "relative"},
+        "career": {"impacts": str(career), "length": "30", "baseline_mean": "5",
+                   "multiplier": "10", "streak_len": "4:6", "noise_sigma": "0.1",
+                   "min_streak_len": "2", "penalty_per_param": "1.5",
+                   "save_career": str(tmp_path / "unused.csv")},
+        "workload": {"papers": "100", "reviews_per_paper": "3", "panel_size": "10",
+                     "working_days": "5"},
+    }
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["screen", "choose", "bench", "career", "workload"])
+    @pytest.mark.parametrize("spell", [lambda key: key.replace("_", "-"), lambda key: key],
+                             ids=["dashes", "underscores"])
+    def test_every_option_from_config_matches_the_typed_flag(self, tmp_path, capsys, command, spell):
+        options = {**every_option(tmp_path)[command], "seed": "3", "format": "machine"}
+        typed, from_config = tmp_path / "typed.json", tmp_path / "config.json"
+        flags = itertools.chain.from_iterable((f"--{k.replace('_', '-')}", v) for k, v in options.items())
+        assert main([command, *flags, "--out", str(typed)]) == 0
+        lines = [f"{spell(key)} = {value}\n" for key, value in options.items()]
+        cfg = write(tmp_path / "run.cfg", "".join(lines) + f"out = {from_config}\n")
+        assert main([command, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert from_config.read_bytes() == typed.read_bytes()
+        assert (tmp_path / "config.json.txt").read_bytes() == (tmp_path / "typed.json.txt").read_bytes()
+        # the report echoes every option except the run options, so none was left out
+        echoed = json.loads(typed.read_text())["config"]
+        assert set(echoed) == set(options) - {"seed", "format"}
+
+    @pytest.mark.parametrize("command, line, flag", [
+        (["workload", "--panel-size", "10", "--working-days", "10"], "papers = x", "--papers"),
+        (["bench", "--gen", "binary", "--weights", "c1=1"], "mode = sideways", "--mode"),
+    ])
+    def test_bad_value_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, line, flag):
+        cfg = write(tmp_path / "run.cfg", line + "\n")
+        code = main([command[0], "--config", cfg, *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage" in err
+        assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("key", ["help", "config", "command"])
+    def test_reserved_key_names_itself_and_its_line(self, tmp_path, capsys, key):
+        cfg = write(tmp_path / "run.cfg", f"# panel\npapers = 100\n{key} = x\n")
+        code = main(["workload", "--config", cfg, "--panel-size", "10", "--working-days", "10"])
+        assert code == 1
+        assert f"line 3: unknown configuration key '{key}'" in capsys.readouterr().err
+
+    def test_value_with_leading_dash_reaches_the_rule_check(self, tmp_path, capsys):
+        profiles = write(tmp_path / "p.csv", "id,hcp\n-x,9\ny,1\n")
+        cfg = write(tmp_path / "run.cfg", "a = -x\nb = y\ndelta = -1\n")
+        code = main(["choose", "--config", cfg, "--profiles", profiles, "--cue-order", "hcp"])
+        assert code == 1
+        assert "delta must be" in capsys.readouterr().err
+        code = main(["choose", "--config", cfg, "--profiles", profiles, "--cue-order", "hcp",
+                     "--delta", "0", "--format", "machine"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["a"] == "-x"
+
+
 class TestReportPlumbing:
     def test_out_writes_both_formats(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -342,6 +426,29 @@ class TestReportPlumbing:
         payload = json.loads(companion.read_text())
         assert payload["result"]["reviews_per_member_per_day"] == 1.0
         assert out.read_text().startswith("# frugaleval")
+
+    @pytest.mark.parametrize("primary, companion", [("table", "machine"), ("machine", "table")])
+    def test_out_pair_is_the_printed_reports(self, tmp_path, capsys, primary, companion):
+        out = tmp_path / "report"
+        printed = {}
+        for fmt in (primary, companion):
+            assert main(["workload", *WORKLOAD_FLAGS, "--format", fmt]) == 0
+            printed[fmt] = capsys.readouterr().out.encode()
+        assert main(["workload", *WORKLOAD_FLAGS, "--format", primary, "--out", str(out)]) == 0
+        suffix = ".json" if primary == "table" else ".txt"
+        assert out.read_bytes() == printed[primary]
+        assert (tmp_path / f"report{suffix}").read_bytes() == printed[companion]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report", f"report{suffix}"]
+
+    def test_out_writes_neither_report_when_one_fails(self, tmp_path, capsys):
+        # the companion's path is taken by a directory
+        (tmp_path / "report.txt.json").mkdir()
+        code = main(["workload", *WORKLOAD_FLAGS, "--out", str(tmp_path / "report.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt.json"]
 
     def test_byte_identical_bodies_across_runs(self, tmp_path, capsys):
         args = [

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frugaleval.ecology import Environment, EnvironmentObject
 from frugaleval.heuristics import (
@@ -271,6 +271,28 @@ class TestTakeTheBest:
     def test_tied_validities_fall_back_to_name_order(self):
         env = env_from_rows([(2, {"b": 1, "a": 1}), (1, {"b": 0, "a": 0})])
         assert validity_order(env).cues == ("a", "b")
+
+    @settings(derandomize=True, max_examples=200)
+    @given(data=st.data())
+    def test_validity_order_matches_per_pair_count(self, data):
+        names = data.draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
+        n = data.draw(st.integers(2, 8))
+        rows = [(data.draw(st.integers(0, 5)), {name: data.draw(st.integers(0, 3)) for name in names})
+                for _ in range(n)]
+        env = env_from_rows(rows)
+
+        def counted(cue):
+            # independent oracle: walk every pair in Python
+            right = total = 0
+            for (ca, a), (cb, b) in itertools.combinations(rows, 2):
+                if a[cue] != b[cue]:
+                    total += 1
+                    right += (a[cue] - b[cue]) * (ca - cb) > 0
+            return right / total if total else 0.5
+
+        validities = {name: cue_validity(env, name) for name in names}
+        assert validities == {name: counted(name) for name in names}
+        assert validity_order(env).cues == tuple(sorted(names, key=lambda c: (-validities[c], c)))
 
     def test_behaves_as_one_reason_on_reordered_cues(self):
         env = self._env()

@@ -120,6 +120,7 @@ class TestEveryReader:
 
 
 @pytest.mark.parametrize("name, first, again", [
+    ("candidates", "(candidate_id, id)", "('alice', 'p0')"),
     ("profiles", "id", "'c0'"),
     ("environment", "id", "'o0'"),
     ("career", "position", "0"),
@@ -128,6 +129,16 @@ def test_repeated_key_names_both_lines(tmp_path, name, first, again):
     reader, header, good = READERS[name]
     path = table(tmp_path, header, [good(0), good(1), good(0)])
     assert problems(reader, path) == [(4, f"{first} {again} repeats line 2")]
+
+
+def test_publication_id_may_repeat_across_candidates(tmp_path):
+    reader, header, good = READERS["candidates"]
+    path = table(tmp_path, header, [good(0), good(1), [*good(0)[:5], "bob", "included"]])
+    assert [len(p.publications) for p in reader(path)] == [2, 1]
+    path = table(tmp_path, header, [good(0), good(1), good(0), good(1)])
+    with pytest.raises(TableError, match=re.escape(f"{path}: line 4: ")):
+        reader(path)
+    assert [line for line, _ in problems(reader, path)] == [4, 5]
 
 
 def test_non_finite_profile_value_names_its_line(tmp_path):
