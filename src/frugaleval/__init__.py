@@ -32,6 +32,7 @@ from .heuristics import (
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
+    recognition_choose_pairs,
     take_the_best_choose,
     tallying_choose,
     validity_order,

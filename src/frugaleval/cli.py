@@ -41,7 +41,12 @@ from .heuristics import (
     one_cue_select,
     one_reason_choose,
 )
-from .indicators import HIGHLY_CITED, CandidateProfile, count_highly_cited
+from .indicators import (
+    HIGHLY_CITED,
+    CandidateProfile,
+    PendingPublicationsError,
+    count_highly_cited,
+)
 from .tables import (
     read_candidates,
     read_career,
@@ -99,10 +104,15 @@ def _parse_name_values(text: str, what: str) -> dict[str, float]:
     return out
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def _parse_cues(text: str) -> tuple[str, ...]:
-    cues = tuple(c.strip() for c in text.split(",") if c.strip())
+    cues = _names(text)
     if not cues:
-        raise ValueError("cue order is empty")
+        # argparse shows an ArgumentTypeError's own message; a ValueError's it hides
+        raise argparse.ArgumentTypeError("cue order is empty")
     return cues
 
 
@@ -117,10 +127,13 @@ def _parse_streak_len(text: str) -> tuple[int, int]:
 def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
     """The --candidates profiles with the highly-cited indicator scored against --corpus."""
     corpus = read_corpus(p["corpus"])
-    return [
-        prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
-        for prof in read_candidates(p["candidates"])
-    ]
+    try:
+        return [
+            prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
+            for prof in read_candidates(p["candidates"])
+        ]
+    except PendingPublicationsError as exc:
+        raise ValueError(f"{p['candidates']}: {exc}") from None
 
 
 def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
@@ -205,7 +218,10 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
     rule = DiscriminationRule(p["delta"], RuleMode(p["mode"]))
-    strategies = _make_strategies(_parse_cues(p["strategies"]), rule)
+    names = _names(p["strategies"])
+    if not names:
+        raise ValueError(f"strategy list is empty: {p['strategies']!r}")
+    strategies = _make_strategies(names, rule)
     split = SplitConfig(p["train_fraction"], p["reps"], seed)
     report = run_benchmark(env, strategies, split)
     result = {

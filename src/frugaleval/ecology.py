@@ -19,15 +19,19 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .heuristics import (
-    Decision,
     DiscriminationRule,
     WeightVector,
     recognition_accuracy,
-    recognition_choose,
+    recognition_choose_pairs,
     validity_order,
 )
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
-from .heuristics import one_reason_choose, tallying_choose, weighted_linear_choose  # noqa: F401
+from .heuristics import (  # noqa: F401
+    one_reason_choose,
+    recognition_choose,
+    tallying_choose,
+    weighted_linear_choose,
+)
 from .indicators import CandidateProfile, Direction
 
 # A strategy's decide_pairs(env, i, j) decides every pair (i[k], j[k]) at once,
@@ -448,7 +452,9 @@ def less_is_more_curve(
 ) -> list[tuple[int, float, float]]:
     """For each recognized count n in 0..N, pair the closed-form expected
     accuracy with a seeded Monte Carlo estimate in which every simulated
-    pair is decided by recognition_choose.
+    pair ("better" as a, "worse" as b) is decided by the recognition
+    heuristic. All trials of one n are decided in one array pass
+    (recognition_choose_pairs, tested against recognition_choose).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -464,25 +470,13 @@ def less_is_more_curve(
         recognized_is_better = rng.random(trials) < alpha
         knowledge_is_right = rng.random(trials) < beta
         guess_seeds = rng.integers(0, 2**63, size=trials)
-        correct = 0
-        for t in range(trials):
-            kind = pair_type[t]
-            if kind == 1:
-                recognized = frozenset({"better"} if recognized_is_better[t] else {"worse"})
-                knowledge = None
-            elif kind == 2:
-                recognized = frozenset({"better", "worse"})
-                right = knowledge_is_right[t]
-                knowledge = lambda a, b, right=right: (
-                    Decision.CHOOSE_A if (a == "better") == right else Decision.CHOOSE_B
-                )
-            else:
-                recognized = frozenset()
-                knowledge = None
-            choice = recognition_choose(
-                "better", "worse", recognized, knowledge, seed=int(guess_seeds[t])
-            )
-            if choice is Decision.CHOOSE_A:
-                correct += 1
+        one, both = pair_type == 1, pair_type == 2
+        codes = recognition_choose_pairs(
+            both | (one & recognized_is_better),
+            both | (one & ~recognized_is_better),
+            knowledge_is_right,
+            seeds=guess_seeds,
+        )
+        correct = np.count_nonzero(codes == 1)
         rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))
     return rows

@@ -329,14 +329,24 @@ def weighted_linear_choose(
     return Decision.UNDECIDED
 
 
+# splitmix64 (Steele, Lea & Flood 2014): the increment and the two finalizer
+# multipliers; the algorithm works modulo 2**64, as uint64 array arithmetic does
+_SPLITMIX_STEP = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MUL = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _seeded_bits(seeds: np.ndarray) -> np.ndarray:
+    """One well-mixed bit (0 or 1) per uint64 seed: the low bit of the
+    splitmix64 finalizer, for a whole array of seeds at once."""
+    z = np.asarray(seeds, dtype=np.uint64) + _SPLITMIX_STEP
+    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MUL[0]
+    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL[1]
+    return (z ^ (z >> np.uint64(31))) & np.uint64(1)
+
+
 def _seeded_bit(seed: int) -> int:
-    # splitmix64 finalizer: one well-mixed bit per seed, cheap enough to
-    # call millions of times inside Monte Carlo loops
-    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z & 1
+    # a 1-element array, not a numpy scalar: scalar uint64 overflow warns
+    return int(_seeded_bits(np.array([seed & _MASK64], dtype=np.uint64))[0])
 
 
 def recognition_choose(
@@ -359,6 +369,30 @@ def recognition_choose(
     if a_known and b_known and knowledge is not None:
         return knowledge(a_id, b_id)
     return Decision.CHOOSE_A if _seeded_bit(seed) else Decision.CHOOSE_B
+
+
+def recognition_choose_pairs(
+    a_known: np.ndarray,
+    b_known: np.ndarray,
+    knowledge_picks_a: np.ndarray | None = None,
+    *,
+    seeds: np.ndarray,
+) -> np.ndarray:
+    """recognition_choose for many pairs at once: +1 chooses a, -1 chooses b.
+
+    Pair k recognizes a when a_known[k] and b when b_known[k]; when both are
+    recognized, knowledge_picks_a[k] is the knowledge comparator's answer
+    (None: no knowledge, guess). Guesses are the seeded bits of seeds[k]
+    (uint64), exactly as recognition_choose draws them for seed=seeds[k].
+    """
+    a_known = np.asarray(a_known, dtype=bool)
+    b_known = np.asarray(b_known, dtype=bool)
+    picks_a = _seeded_bits(seeds) == 1
+    if knowledge_picks_a is not None:
+        picks_a = np.where(a_known & b_known, knowledge_picks_a, picks_a)
+    # exactly one recognized: choose it
+    picks_a = np.where(a_known != b_known, a_known, picks_a)
+    return np.where(picks_a, 1, -1)
 
 
 def recognition_accuracy(N: int, n: int, alpha: float, beta: float) -> float:

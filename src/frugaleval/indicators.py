@@ -41,6 +41,10 @@ class Direction(enum.Enum):
     LOWER_IS_BETTER = "lower_is_better"
 
 
+class PendingPublicationsError(ValueError):
+    """A profile is scored before every pending publication is resolved."""
+
+
 def top_quota(fraction: float, n: int) -> int:
     """ceil(fraction * n), guarded against float noise on exact multiples."""
     return math.ceil(round(fraction * n, 9))
@@ -206,7 +210,7 @@ def count_highly_cited(
     pending = profile.pending_publications()
     if pending:
         ids = ", ".join(repr(p.id) for p in pending)
-        raise ValueError(f"profile {profile.id!r} has pending publications: {ids}")
+        raise PendingPublicationsError(f"profile {profile.id!r} has pending publications: {ids}")
     count = 0
     for pub in profile.publications:
         if pub.validated is not Validation.INCLUDED:

@@ -127,8 +127,10 @@ def test_criterion_04_tallying_equals_unit_weight_linear():
 
 def test_criterion_05_less_is_more():
     """Partial recognition beats full recognition, and a 100k-trial
-    simulation through recognition_choose tracks the closed form within
-    0.01 at every recognized count."""
+    simulation through the array form of the recognition heuristic
+    (recognition_choose_pairs, checked against recognition_choose in
+    test_heuristics) tracks the closed form within 0.01 at every
+    recognized count."""
     N, alpha, beta, trials = 50, 0.8, 0.6, 100_000
     rows = less_is_more_curve(N, alpha, beta, trials=trials, seed=20260810)
     full_formula = rows[-1][1]

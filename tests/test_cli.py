@@ -179,6 +179,23 @@ class TestScreenCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["screen", "--quota", "0.5"],
+        ["choose", "--cue-order", "highly_cited_papers"],
+    ])
+    def test_pending_publications_name_the_candidates_file(self, tmp_path, capsys, command):
+        corpus = corpus_file(tmp_path)
+        cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER
+                      + "p0,2020,phys,9,article,cand00,pending\n"
+                      + "p1,2020,phys,5,article,cand00,pending\n"
+                      + "p2,2020,phys,9,article,cand01,included\n")
+        code = main([*command, "--corpus", corpus, "--candidates", cands])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {cands}: profile 'cand00' has pending publications: "
+                                "'p0', 'p1'\n")
+
 
 class TestChooseCommand:
     def test_identical_profiles_undecided(self, tmp_path, capsys):
@@ -251,6 +268,13 @@ class TestBenchCommand:
         names = [s["name"] for s in payload["result"]["strategies"]]
         assert names == ["take_the_best", "linear_regression"]
         assert "per 1000 decisions" in captured.err
+
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_empty_strategy_list_rejected(self, capsys, value):
+        code = main(["bench", "--gen", "binary", "--weights", "c1=1", "--strategies", value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: strategy list is empty: {value!r}\n"
 
     def test_unknown_strategy_rejected(self, capsys):
         code = main([
@@ -390,6 +414,17 @@ class TestConfigFile:
         assert code == 2
         assert "usage" in err
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_empty_cue_order_says_so(self, tmp_path, capsys, value):
+        profiles = write(tmp_path / "p.csv", "id,hcp\nA,9\nB,1\n")
+        cfg = write(tmp_path / "run.cfg", f"cue-order = {value}\n")
+        for argv in (["choose", "--profiles", profiles, "--cue-order", value],
+                     ["choose", "--config", cfg, "--profiles", profiles]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.splitlines()[-1].endswith("error: argument --cue-order: cue order is empty")
 
     @pytest.mark.parametrize("key", ["help", "config", "command"])
     def test_reserved_key_names_itself_and_its_line(self, tmp_path, capsys, key):

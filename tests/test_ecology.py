@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -443,6 +445,18 @@ class TestLessIsMoreCurve:
         a = less_is_more_curve(10, 0.7, 0.55, trials=2000, seed=8)
         b = less_is_more_curve(10, 0.7, 0.55, trials=2000, seed=8)
         assert a == b
+
+    @pytest.mark.parametrize("args, digest", [
+        ((10, 0.7, 0.55, 2000, 8),
+         "904837220a2ad065e9538891bc13c5472a6ad2c8d9d70b232097d5183b45b880"),
+        ((50, 0.8, 0.6, 20000, 5),
+         "f2b4600a4eea2bb781f75014c8a2013168082cef6d7c9996147eec8070106cad"),
+    ])
+    def test_random_stream_is_pinned(self, args, digest):
+        # the rows, and so the draws behind them, are pinned bit for bit:
+        # a change of the random stream must show here
+        rows = less_is_more_curve(*args)
+        assert hashlib.sha256(json.dumps([list(r) for r in rows]).encode()).hexdigest() == digest
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):

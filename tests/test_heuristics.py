@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,18 +14,29 @@ from frugaleval.heuristics import (
     RuleMode,
     StoppingReason,
     WeightVector,
+    _seeded_bit,
+    _seeded_bits,
     cue_validity,
     minimalist_choose,
     one_cue_select,
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
+    recognition_choose_pairs,
     take_the_best_choose,
     tallying_choose,
     validity_order,
     weighted_linear_choose,
 )
 from frugaleval.indicators import CandidateProfile, Direction
+
+
+def splitmix64(seed):
+    """One splitmix64 output from the state `seed` (any int, taken mod 2**64)."""
+    z = (seed + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
 
 
 def profile(pid, **scores):
@@ -426,6 +438,73 @@ class TestRecognition:
         assert recognition_choose("a", "b", {"a", "b"}, None, seed=5) is recognition_choose(
             "a", "b", {"a", "b"}, None, seed=5
         )
+
+    def test_seeded_bits_match_pure_python_splitmix64(self):
+        # published splitmix64 outputs anchor the reference itself
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert splitmix64(1234567) == 6457827717110365317
+        seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, *range(2, 200), *(3**k for k in range(41))]
+        bits = _seeded_bits(np.array(seeds, dtype=np.uint64))
+        assert bits.tolist() == [splitmix64(s) & 1 for s in seeds]
+        assert [_seeded_bit(s) for s in seeds] == [splitmix64(s) & 1 for s in seeds]
+
+    @pytest.mark.parametrize("seed", [-1, -2, -(2**63), -(2**64) - 5, 2**64, 2**64 + 7, 2**70 + 3,
+                                      2**128])
+    def test_seed_outside_uint64_is_reduced_mod_2_64(self, seed):
+        # (seed + step) is taken mod 2**64, so any Python int is a seed
+        expected = Decision.CHOOSE_A if splitmix64(seed) & 1 else Decision.CHOOSE_B
+        assert recognition_choose("a", "b", set(), seed=seed) is expected
+
+    def test_no_overflow_warning_at_the_uint64_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 2**63 - 1, 2**64 - 1, -1, 2**64):
+                recognition_choose("a", "b", set(), seed=seed)
+            _seeded_bits(np.array([0, 2**63 - 1, 2**64 - 1], dtype=np.uint64))
+            recognition_choose_pairs([False], [False], seeds=np.array([2**64 - 1], dtype=np.uint64))
+
+    @staticmethod
+    def scalar_codes(cases, with_knowledge):
+        """The recognition_choose decision of each (a_known, b_known,
+        knowledge_picks_a, seed) case, as a +1/-1 code."""
+        codes = []
+        for a_known, b_known, picks_a, seed in cases:
+            recognized = {name for name, known in (("a", a_known), ("b", b_known)) if known}
+            knowledge = None
+            if with_knowledge:
+                knowledge = lambda a, b, picks_a=picks_a: (
+                    Decision.CHOOSE_A if picks_a else Decision.CHOOSE_B
+                )
+            decision = recognition_choose("a", "b", recognized, knowledge, seed=seed)
+            codes.append(1 if decision is Decision.CHOOSE_A else -1)
+        return codes
+
+    @staticmethod
+    def array_codes(cases, with_knowledge):
+        a_known, b_known, picks_a, seeds = zip(*cases)
+        codes = recognition_choose_pairs(
+            np.array(a_known), np.array(b_known), np.array(picks_a) if with_knowledge else None,
+            seeds=np.array(seeds, dtype=np.uint64),
+        )
+        return codes.tolist()
+
+    @pytest.mark.parametrize("with_knowledge", [False, True])
+    def test_pairs_cover_every_case_like_recognition_choose(self, with_knowledge):
+        seeds = range(16)
+        assert {_seeded_bit(s) for s in seeds} == {0, 1}
+        cases = list(itertools.product((False, True), (False, True), (False, True), seeds))
+        assert self.array_codes(cases, with_knowledge) == self.scalar_codes(cases, with_knowledge)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        cases=st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**63 - 1)),
+            min_size=1, max_size=40,
+        ),
+        with_knowledge=st.booleans(),
+    )
+    def test_pairs_equal_recognition_choose(self, cases, with_knowledge):
+        assert self.array_codes(cases, with_knowledge) == self.scalar_codes(cases, with_knowledge)
 
 
 class TestRecognitionAccuracy:
