@@ -7,7 +7,6 @@ from .indicators import (
     CandidateProfile,
     Direction,
     DocType,
-    IndicatorDefinition,
     Publication,
     ReferenceCorpus,
     Validation,
@@ -27,13 +26,11 @@ from .heuristics import (
     TraceStep,
     WeightVector,
     cue_validity,
-    minimalist_choose,
     one_cue_select,
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
     recognition_choose_pairs,
-    take_the_best_choose,
     tallying_choose,
     validity_order,
     weighted_linear_choose,
@@ -41,7 +38,6 @@ from .heuristics import (
 from .ecology import (
     BenchmarkReport,
     Environment,
-    EnvironmentObject,
     RankDeficientError,
     SplitConfig,
     StrategyResult,

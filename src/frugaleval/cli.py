@@ -44,6 +44,7 @@ from .heuristics import (
 from .indicators import (
     HIGHLY_CITED,
     CandidateProfile,
+    MissingGroupError,
     PendingPublicationsError,
     count_highly_cited,
 )
@@ -132,7 +133,7 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
             prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
             for prof in read_candidates(p["candidates"])
         ]
-    except PendingPublicationsError as exc:
+    except (PendingPublicationsError, MissingGroupError) as exc:
         raise ValueError(f"{p['candidates']}: {exc}") from None
 
 

@@ -1,12 +1,13 @@
 """Benchmark harness: when do frugal strategies match information-greedy ones?
 
-Builds controlled task environments (objects with a criterion value and
-named cue values, held as one cue matrix), fits cue orders and linear
-weights on a training split only, and scores every strategy on all
-unordered test pairs, decided in one array pass per strategy -- accuracy,
-frugality (mean cues inspected) and wall time. Splits and generators are
-fully seeded; identical seeds reproduce reports bit for bit apart from
-wall time.
+A task environment is object ids, a criterion vector and one cue matrix
+(`Environment`), read from a file or generated. The benchmark fits cue
+orders and linear weights on a training split only, and scores every
+strategy on all unordered test pairs, decided in one array pass per
+strategy -- accuracy, frugality (mean cues inspected) and wall time. The
+scalar functions in heuristics are the reference each array pass is
+tested against. Splits and generators are fully seeded; identical seeds
+reproduce reports bit for bit apart from wall time.
 """
 
 from __future__ import annotations
@@ -40,44 +41,15 @@ from .indicators import CandidateProfile, Direction
 Codes = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class EnvironmentObject:
-    """One environment row: the row constructor's input and `objects` view."""
-
-    id: str
-    criterion: float
-    cues: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cues", dict(self.cues))
-
-
 class Environment:
     """Objects with one criterion value and shared named cues, held as
     `ids`, a `criterion_values` vector and an n x m `cue_matrix` whose
-    columns follow the sorted `cue_names`.
+    columns follow the sorted `cue_names`. The constructor accepts
+    cue_names in any order, with cue_matrix columns to match, and sorts both.
     """
 
-    def __init__(self, objects: Sequence[EnvironmentObject],
+    def __init__(self, ids, criterion, cue_matrix, cue_names,
                  cue_directions: Mapping[str, Direction] | None = None):
-        objects = tuple(objects)
-        names = sorted(objects[0].cues) if objects else []
-        for obj in objects:
-            if (got := sorted(obj.cues)) != names:
-                raise ValueError(f"object {obj.id!r} has cue names {got}, expected {names}")
-        self._assign([o.id for o in objects], [o.criterion for o in objects],
-                     [[o.cues[name] for name in names] for o in objects], names, cue_directions)
-
-    @classmethod
-    def from_arrays(cls, ids, criterion, cue_matrix, cue_names, cue_directions=None) -> Environment:
-        """Build from a criterion vector and an n x m cue matrix whose
-        columns follow cue_names, in any order."""
-        env = cls.__new__(cls)
-        env._assign(ids, criterion, cue_matrix, cue_names, cue_directions)
-        return env
-
-    def _assign(self, ids, criterion, cue_matrix, cue_names, cue_directions) -> None:
-        # the one validation every constructor runs; columns end up in name order
         ids = tuple(ids)
         order = sorted(range(len(cue_names)), key=cue_names.__getitem__)
         names = tuple(cue_names[k] for k in order)
@@ -107,13 +79,6 @@ class Environment:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def objects(self) -> tuple[EnvironmentObject, ...]:
-        """Row view, built on demand."""
-        rows = zip(self.ids, self.criterion_values.tolist(), self.cue_matrix.tolist())
-        return tuple(EnvironmentObject(pid, crit, dict(zip(self.cue_names, cues)))
-                     for pid, crit, cues in rows)
-
     def columns(self, names: Sequence[str]) -> list[int]:
         """Column indices of the named cues in cue_matrix."""
         for name in names:
@@ -126,12 +91,13 @@ class Environment:
 
     def subset(self, indices: Sequence[int]) -> Environment:
         rows = np.asarray(indices, dtype=np.intp)
-        return Environment.from_arrays([self.ids[k] for k in rows], self.criterion_values[rows],
-                                       self.cue_matrix[rows], self.cue_names, self.cue_directions)
+        return Environment([self.ids[k] for k in rows], self.criterion_values[rows],
+                           self.cue_matrix[rows], self.cue_names, self.cue_directions)
 
     def profiles(self) -> list[CandidateProfile]:
         """View each object as a candidate whose indicators are its cues."""
-        return [CandidateProfile(obj.id, indicators=obj.cues) for obj in self.objects]
+        return [CandidateProfile(pid, indicators=dict(zip(self.cue_names, cues)))
+                for pid, cues in zip(self.ids, self.cue_matrix.tolist())]
 
 
 @dataclass(frozen=True)
@@ -187,7 +153,7 @@ def generate_binary_environment(
     rng = np.random.default_rng(seed)
     cue_matrix = rng.integers(0, 2, size=(n_objects, len(names)))
     w = np.array([weights[name] for name in names], dtype=float)
-    return Environment.from_arrays(_object_ids(n_objects), cue_matrix @ w, cue_matrix, names)
+    return Environment(_object_ids(n_objects), cue_matrix @ w, cue_matrix, names)
 
 
 def generate_gaussian_environment(
@@ -213,7 +179,7 @@ def generate_gaussian_environment(
         noise = rng.standard_normal(n_objects)
         columns.append(rho * criterion + math.sqrt(1.0 - rho * rho) * noise)
     cue_matrix = np.column_stack(columns)
-    return Environment.from_arrays(_object_ids(n_objects), criterion, cue_matrix, names)
+    return Environment(_object_ids(n_objects), criterion, cue_matrix, names)
 
 
 class RankDeficientError(ValueError):

@@ -1,11 +1,13 @@
 """Fast-and-frugal decision strategies over named indicator scores.
 
-Pairwise strategies (one-reason, take-the-best, minimalist) inspect cues
-one at a time and stop at the first cue that discriminates; they return
-the decision together with an audit trace of every cue inspected.
-Compensatory baselines (tallying, weighted linear) and the recognition
-heuristic are included for comparison, plus single-cue screening that
-prunes a candidate pool down to a consideration set.
+One-reason choice inspects cues one at a time in a given order and stops
+at the first cue that discriminates; it returns the decision together
+with an audit trace of every cue inspected. Take-the-best is one-reason
+choice over `validity_order`; minimalist, over a random order, is a
+benchmark strategy in ecology. Compensatory baselines (tallying, weighted
+linear) and the recognition heuristic are included for comparison, plus
+single-cue screening that prunes a candidate pool down to a consideration
+set.
 
 Everything is a pure function over immutable inputs; randomness is always
 passed in as an explicit seed.
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .indicators import CandidateProfile, Direction, IndicatorDefinition, top_quota
+from .indicators import CandidateProfile, Direction, top_quota
 
 if TYPE_CHECKING:
     from .ecology import Environment
@@ -43,7 +44,6 @@ class StoppingReason(enum.Enum):
 class Provenance(enum.Enum):
     FUNDER_GOALS = "funder_goals"
     VALIDITY_RANKED = "validity_ranked"
-    RANDOM_SEEDED = "random_seeded"
 
 
 @dataclass(frozen=True)
@@ -171,31 +171,28 @@ def _checked_score(profile: CandidateProfile, cue: str) -> float:
 
 def one_cue_select(
     profiles: Sequence[CandidateProfile],
-    cue: str | IndicatorDefinition,
-    x: float,
+    cue: str,
+    quota: float,
     direction: Direction = Direction.HIGHER_IS_BETTER,
 ) -> ConsiderationSet:
-    """Keep the top x share of candidates on a single indicator.
+    """Keep the top quota share of candidates on a single indicator.
 
-    The quota is ceil(x * m); every candidate tied with the quota-boundary
-    value is kept as well, so the set can be larger than the quota (a
-    candidate indistinguishable from a selected one is never dropped).
-    Ties in the returned ranking are ordered by candidate id. Passing an
-    IndicatorDefinition uses its declared direction.
+    ceil(quota * m) candidates are kept; every candidate tied with the
+    boundary value is kept as well, so the set can be larger (a candidate
+    indistinguishable from a selected one is never dropped). Ties in the
+    returned ranking are ordered by candidate id.
     """
-    if isinstance(cue, IndicatorDefinition):
-        cue, direction = cue.name, cue.direction
     if not profiles:
         raise ValueError("at least one profile is required")
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"selection share x must be in (0, 1], got {x}")
+    if not 0.0 < quota <= 1.0:
+        raise ValueError(f"quota must be in (0, 1], got {quota}")
     scored = [(p.id, _checked_score(p, cue)) for p in profiles]
     sign = -1.0 if direction is Direction.HIGHER_IS_BETTER else 1.0
     ranked = sorted(scored, key=lambda item: (sign * item[1], item[0]))
-    q = top_quota(x, len(ranked))
-    cutoff = ranked[q - 1][1]
+    kept = top_quota(quota, len(ranked))
+    cutoff = ranked[kept - 1][1]
     selected = tuple(pid for pid, score in ranked if sign * score <= sign * cutoff)
-    return ConsiderationSet(selected=selected, cutoff_value=cutoff, quota=x)
+    return ConsiderationSet(selected=selected, cutoff_value=cutoff, quota=quota)
 
 
 def one_reason_choose(
@@ -254,33 +251,6 @@ def validity_order(env: "Environment") -> CueOrder:
     validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
     ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
     return CueOrder(tuple(ranked), Provenance.VALIDITY_RANKED)
-
-
-def take_the_best_choose(
-    a: CandidateProfile,
-    b: CandidateProfile,
-    env: "Environment",
-    rule: DiscriminationRule | None = None,
-) -> tuple[Decision, DecisionTrace]:
-    """One-reason choice with the cue order learned from an environment
-    (cues ranked by validity, best first)."""
-    order = validity_order(env)
-    return one_reason_choose(a, b, order, rule, env.cue_directions)
-
-
-def minimalist_choose(
-    a: CandidateProfile,
-    b: CandidateProfile,
-    seed: int,
-    directions: Mapping[str, Direction] | None = None,
-) -> tuple[Decision, DecisionTrace]:
-    """One-reason choice over a seeded random permutation of the shared cues
-    (no cue inspected twice), pure lexicographic stopping (delta = 0)."""
-    shared = sorted(set(a.indicators) & set(b.indicators))
-    rng = random.Random(seed)
-    rng.shuffle(shared)
-    order = CueOrder(tuple(shared), Provenance.RANDOM_SEEDED)
-    return one_reason_choose(a, b, order, DiscriminationRule(), directions)
 
 
 def tallying_choose(

@@ -45,6 +45,10 @@ class PendingPublicationsError(ValueError):
     """A profile is scored before every pending publication is resolved."""
 
 
+class MissingGroupError(ValueError):
+    """A publication's (category, year) group is absent from the reference corpus."""
+
+
 def top_quota(fraction: float, n: int) -> int:
     """ceil(fraction * n), guarded against float noise on exact multiples."""
     return math.ceil(round(fraction * n, 9))
@@ -64,16 +68,6 @@ class Publication:
             raise ValueError(
                 f"publication {self.id!r}: citations must be >= 0, got {self.citations}"
             )
-
-
-@dataclass(frozen=True)
-class IndicatorDefinition:
-    name: str
-    direction: Direction = Direction.HIGHER_IS_BETTER
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("indicator name must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ class ReferenceCorpus:
         try:
             return self._groups[(category, year)]
         except KeyError:
-            raise ValueError(
+            raise MissingGroupError(
                 f"reference corpus has no group for category={category!r}, year={year}"
             ) from None
 
@@ -217,6 +211,10 @@ def count_highly_cited(
             continue
         if pub.doc_type not in (DocType.ARTICLE, DocType.REVIEW):
             continue
-        if is_highly_cited(pub, corpus, p):
-            count += 1
+        try:
+            if is_highly_cited(pub, corpus, p):
+                count += 1
+        except MissingGroupError as exc:
+            raise MissingGroupError(
+                f"profile {profile.id!r}, publication {pub.id!r}: {exc}") from None
     return count

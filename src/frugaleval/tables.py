@@ -192,7 +192,7 @@ def read_environment(path: str | Path) -> Environment:
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
     ids, criterion, cues = zip(*rows)
-    return Environment.from_arrays(ids, criterion, [list(c.values()) for c in cues], list(cues[0]))
+    return Environment(ids, criterion, [list(c.values()) for c in cues], list(cues[0]))
 
 
 def write_environment(env: Environment, path: str | Path) -> None:
@@ -200,10 +200,9 @@ def write_environment(env: Environment, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "criterion", *env.cue_names])
-        for obj in env.objects:
-            writer.writerow(
-                [obj.id, repr(obj.criterion), *(repr(obj.cues[name]) for name in env.cue_names)]
-            )
+        rows = zip(env.ids, env.criterion_values.tolist(), env.cue_matrix.tolist())
+        for pid, criterion, cues in rows:
+            writer.writerow([pid, repr(criterion), *map(repr, cues)])
 
 
 def _career_row(row: dict[str, str]) -> tuple[int, float]:

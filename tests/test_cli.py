@@ -116,15 +116,14 @@ class TestIngest:
         assert [p.id for p in profiles] == ["alice"]
 
     def test_environment_round_trip(self, tmp_path):
-        from frugaleval.ecology import generate_binary_environment
-        from frugaleval.heuristics import WeightVector
-
         env = generate_binary_environment(WeightVector({"c1": 4.0, "c2": 2.0}), 6, seed=1)
         path = tmp_path / "env.csv"
         write_environment(env, path)
         back = read_environment(path)
-        assert back.objects == env.objects
+        assert back.ids == env.ids
         assert back.cue_names == env.cue_names
+        assert back.criterion_values.tolist() == env.criterion_values.tolist()
+        assert back.cue_matrix.tolist() == env.cue_matrix.tolist()
 
     def test_career_round_trip(self, tmp_path):
         from frugaleval.careers import CareerSequence
@@ -195,6 +194,28 @@ class TestScreenCommand:
         assert captured.out == ""
         assert captured.err == (f"error: {cands}: profile 'cand00' has pending publications: "
                                 "'p0', 'p1'\n")
+
+    @pytest.mark.parametrize("quota", ["0", "1.5", "-0.2"])
+    def test_quota_outside_unit_interval_names_the_quota(self, tmp_path, capsys, quota):
+        corpus = corpus_file(tmp_path)
+        cands = candidates_file(tmp_path, {"alice": 1, "bob": 0})
+        code = main(["screen", "--corpus", corpus, "--candidates", cands, "--quota", quota])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: quota must be in (0, 1], got {float(quota)}\n"
+
+    def test_missing_corpus_group_names_candidate_publication_and_group(self, tmp_path, capsys):
+        corpus = corpus_file(tmp_path)
+        cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER
+                      + "p0,2020,phys,9,article,cand00,included\n"
+                      + "p1,2019,chem,4,review,cand01,included\n")
+        code = main(["screen", "--corpus", corpus, "--candidates", cands, "--quota", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {cands}: profile 'cand01', publication 'p1': reference "
+                                "corpus has no group for category='chem', year=2019\n")
 
 
 class TestChooseCommand:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from frugaleval.ecology import (
     Environment,
-    EnvironmentObject,
     LinearRegressionStrategy,
     MinimalistStrategy,
     RankDeficientError,
@@ -42,11 +41,16 @@ NC_WEIGHTS = WeightVector({"c1": 4.0, "c2": 2.0, "c3": 1.0})
 DECISION_CODE = {Decision.CHOOSE_A: 1, Decision.CHOOSE_B: -1, Decision.UNDECIDED: 0}
 
 
-def env_of(rows):
-    return Environment(
-        [EnvironmentObject(f"o{i}", float(c), {k: float(v) for k, v in cues.items()})
-         for i, (c, cues) in enumerate(rows)]
-    )
+def env_of(criterion, cue_matrix, cue_names, directions=None):
+    """An environment of objects o0, o1, ... with one cue_matrix row each."""
+    ids = [f"o{i}" for i in range(len(criterion))]
+    return Environment(ids, criterion, cue_matrix, cue_names, directions)
+
+
+def same_environment(a, b):
+    return (a.ids == b.ids and a.cue_names == b.cue_names
+            and np.array_equal(a.criterion_values, b.criterion_values)
+            and np.array_equal(a.cue_matrix, b.cue_matrix))
 
 
 class AlwaysUndecidedStrategy:
@@ -70,12 +74,10 @@ def small_environments(draw, min_objects=2):
     scale = draw(st.sampled_from([1.0, 10.0]))
     value = st.integers(-3, 3).map(lambda v: v / scale)
     names = [f"c{k}" for k in range(m)]
-    objects = [
-        EnvironmentObject(f"o{k}", draw(value), {name: draw(value) for name in names})
-        for k in range(n)
-    ]
+    # one row per object: its criterion value, then its cues
+    rows = [[draw(value) for _ in range(m + 1)] for _ in range(n)]
     directions = {name: draw(st.sampled_from(list(Direction))) for name in names}
-    return Environment(objects, directions)
+    return env_of([row[0] for row in rows], [row[1:] for row in rows], names, directions)
 
 
 rules = st.builds(
@@ -90,16 +92,16 @@ def all_ordered_pairs(env):
 class TestGenerateBinaryEnvironment:
     def test_noncompensatory_criterion_matches_lexicographic_order(self):
         env = generate_binary_environment(NC_WEIGHTS, 40, seed=11)
-        names = env.cue_names
-        for a, b in itertools.combinations(env.objects, 2):
-            va = tuple(a.cues[n] for n in names)
-            vb = tuple(b.cues[n] for n in names)
-            if va == vb:
-                assert a.criterion == b.criterion
+        assert env.cue_names == ("c1", "c2", "c3")
+        cues = [tuple(row) for row in env.cue_matrix.tolist()]
+        criterion = env.criterion_values.tolist()
+        for a, b in itertools.combinations(range(len(env)), 2):
+            if cues[a] == cues[b]:
+                assert criterion[a] == criterion[b]
             else:
                 # with 4 > 2 + 1 the weighted sum orders profiles exactly
                 # like the first differing cue
-                assert (a.criterion > b.criterion) == (va > vb)
+                assert (criterion[a] > criterion[b]) == (cues[a] > cues[b])
 
     def test_all_eight_distinct_profiles_rank_lexicographically(self):
         profiles = list(itertools.product((0.0, 1.0), repeat=3))
@@ -111,11 +113,11 @@ class TestGenerateBinaryEnvironment:
     def test_same_seed_identical_environment(self):
         a = generate_binary_environment(NC_WEIGHTS, 12, seed=5)
         b = generate_binary_environment(NC_WEIGHTS, 12, seed=5)
-        assert a.objects == b.objects
+        assert same_environment(a, b)
 
     def test_zero_weights_zero_criterion(self):
         env = generate_binary_environment(WeightVector({"c1": 0.0, "c2": 0.0}), 6, seed=0)
-        assert all(obj.criterion == 0.0 for obj in env.objects)
+        assert env.criterion_values.tolist() == [0.0] * 6
 
     def test_too_few_objects_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -138,7 +140,7 @@ class TestGenerateGaussianEnvironment:
     def test_same_seed_identical_environment(self):
         a = generate_gaussian_environment({"c": 0.7}, 10, seed=9)
         b = generate_gaussian_environment({"c": 0.7}, 10, seed=9)
-        assert a.objects == b.objects
+        assert same_environment(a, b)
 
     def test_empirical_correlations_follow_requested_ordering(self):
         targets = {"strong": 0.9, "medium": 0.5, "weak": 0.15}
@@ -158,53 +160,41 @@ class TestGenerateGaussianEnvironment:
 
 class TestFitLinearWeights:
     def test_exact_noiseless_recovery(self):
-        rows = [(3.0 * v1, {"c1": v1, "c2": v2})
-                for v1, v2 in [(0, 1), (1, 3), (2, 0), (3, 2), (4, 4), (5, 1)]]
-        w = fit_linear_weights(env_of(rows))
+        cues = np.array([(0, 1), (1, 3), (2, 0), (3, 2), (4, 4), (5, 1)], dtype=float)
+        w = fit_linear_weights(env_of(3.0 * cues[:, 0], cues, ["c1", "c2"]))
         assert w["c1"] == pytest.approx(3.0, abs=1e-9)
         assert w["c2"] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_cue_identity(self):
-        rows = [(v, {"c": v}) for v in (0.0, 1.0, 2.0, 5.0)]
-        w = fit_linear_weights(env_of(rows))
+        values = [0.0, 1.0, 2.0, 5.0]
+        w = fit_linear_weights(env_of(values, [[v] for v in values], ["c"]))
         assert w["c"] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_normal_equations_oracle(self):
         # independent oracle: solve (X'X) w = X'y directly
-        rows = [
-            (2.3, {"c1": 1.0, "c2": 0.5}),
-            (1.1, {"c1": 0.2, "c2": 1.5}),
-            (4.7, {"c1": 2.0, "c2": 0.1}),
-            (3.2, {"c1": 1.4, "c2": 0.9}),
-            (0.4, {"c1": 0.1, "c2": 0.3}),
-        ]
-        env = env_of(rows)
-        X = np.column_stack([
-            np.ones(5),
-            [r[1]["c1"] for r in rows],
-            [r[1]["c2"] for r in rows],
-        ])
-        y = np.array([r[0] for r in rows])
+        y = np.array([2.3, 1.1, 4.7, 3.2, 0.4])
+        cues = np.array([[1.0, 0.5], [0.2, 1.5], [2.0, 0.1], [1.4, 0.9], [0.1, 0.3]])
+        env = env_of(y, cues, ["c1", "c2"])
+        X = np.column_stack([np.ones(5), cues])
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
         w = fit_linear_weights(env)
         assert w["c1"] == pytest.approx(oracle[1], abs=1e-9)
         assert w["c2"] == pytest.approx(oracle[2], abs=1e-9)
 
     def test_rank_deficient_matrix_names_dependent_cues(self):
-        rows = [(v, {"c1": v, "twice": 2 * v}) for v in (1.0, 2.0, 3.0, 4.0)]
+        v = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError) as err:
-            fit_linear_weights(env_of(rows))
+            fit_linear_weights(env_of(v, np.column_stack([v, 2 * v]), ["c1", "twice"]))
         assert "c1" in str(err.value) and "twice" in str(err.value)
 
     def test_constant_cue_is_dependent_on_intercept(self):
-        rows = [(v, {"c1": v, "flat": 1.0}) for v in (1.0, 2.0, 3.0, 4.0)]
+        v = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="flat"):
-            fit_linear_weights(env_of(rows))
+            fit_linear_weights(env_of(v, np.column_stack([v, np.ones(4)]), ["c1", "flat"]))
 
     def test_too_few_objects_rejected(self):
-        rows = [(1.0, {"c1": 1.0, "c2": 2.0}), (2.0, {"c1": 2.0, "c2": 1.0})]
         with pytest.raises(RankDeficientError, match="at least 3"):
-            fit_linear_weights(env_of(rows))
+            fit_linear_weights(env_of([1.0, 2.0], [[1.0, 2.0], [2.0, 1.0]], ["c1", "c2"]))
 
 
 class TestRunBenchmark:
@@ -268,12 +258,9 @@ class TestRunBenchmark:
         rng = np.random.default_rng(4)
         train_idx, test_idx = train_test_indices(len(env), 0.5, rng)
         # permute criterion values among the test objects only
-        permuted = list(env.objects)
-        shuffled = [permuted[i].criterion for i in test_idx][::-1]
-        for i, crit in zip(test_idx, shuffled):
-            obj = permuted[i]
-            permuted[i] = EnvironmentObject(obj.id, crit, obj.cues)
-        env2 = Environment(permuted)
+        criterion = env.criterion_values.copy()
+        criterion[test_idx] = criterion[test_idx][::-1]
+        env2 = Environment(env.ids, criterion, env.cue_matrix, env.cue_names)
         train1, train2 = env.subset(train_idx), env2.subset(train_idx)
         assert validity_order(train1) == validity_order(train2)
         assert fit_linear_weights(train1) == fit_linear_weights(train2)
@@ -286,11 +273,8 @@ class TestRunBenchmark:
     def test_linear_strategy_survives_degenerate_training_sample(self):
         # a constant cue in the training half is rank-deficient for the
         # strict fit; the strategy falls back to the minimum-norm solution
-        objects = [
-            EnvironmentObject(f"o{i}", float(4 * a + c), {"c1": float(a), "flat": 1.0, "c3": float(c)})
-            for i, (a, c) in enumerate(itertools.product((0, 1), repeat=2))
-        ] * 1
-        env = Environment(objects)
+        a, c = np.array(list(itertools.product((0.0, 1.0), repeat=2))).T
+        env = env_of(4 * a + c, np.column_stack([a, np.ones(4), c]), ["c1", "flat", "c3"])
         strategy = LinearRegressionStrategy()
         strategy.fit(env, seed=0)
         codes, _ = strategy.decide_pairs(env, np.array([3]), np.array([0]))
@@ -301,7 +285,7 @@ class TestRunBenchmark:
         # on values rounded to one decimal so that cues and criterion values tie
         base = generate_gaussian_environment({"a": 0.8, "b": -0.5, "c": 0.3}, 30, seed=3)
         directions = {"b": Direction.LOWER_IS_BETTER}
-        env = Environment.from_arrays(
+        env = Environment(
             base.ids, base.criterion_values.round(1), base.cue_matrix.round(1),
             base.cue_names, directions,
         )
@@ -466,40 +450,33 @@ class TestLessIsMoreCurve:
 class TestEnvironmentType:
     def test_requires_two_objects(self):
         with pytest.raises(ValueError, match="at least 2"):
-            Environment([EnvironmentObject("a", 1.0, {"c": 1.0})])
+            Environment(["a"], [1.0], [[1.0]], ["c"])
 
-    def test_requires_shared_cue_names(self):
-        with pytest.raises(ValueError, match="cue names"):
-            Environment([
-                EnvironmentObject("a", 1.0, {"c": 1.0}),
-                EnvironmentObject("b", 2.0, {"d": 1.0}),
-            ])
+    def test_requires_distinct_cue_names(self):
+        with pytest.raises(ValueError, match="distinct cue names"):
+            Environment(["a", "b"], [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["c", "c"])
+
+    def test_columns_are_stored_in_name_order(self):
+        env = Environment(["a", "b"], [1.0, 2.0], [[1.0, 10.0], [2.0, 20.0]], ["z", "y"])
+        assert env.cue_names == ("y", "z")
+        assert env.cue_matrix.tolist() == [[10.0, 1.0], [20.0, 2.0]]
 
     def test_rejects_non_finite_criterion(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Environment([
-                EnvironmentObject("a", float("inf"), {"c": 1.0}),
-                EnvironmentObject("b", 2.0, {"c": 1.0}),
-            ])
+            Environment(["a", "b"], [float("inf"), 2.0], [[1.0], [1.0]], ["c"])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_cue(self, value):
         with pytest.raises(ValueError, match="non-finite"):
-            Environment([
-                EnvironmentObject("a", 1.0, {"c": value}),
-                EnvironmentObject("b", 2.0, {"c": 1.0}),
-            ])
+            Environment(["a", "b"], [1.0, 2.0], [[value], [1.0]], ["c"])
 
     def test_subset_slices_rows(self):
-        env = env_of([(float(k), {"c": 10.0 + k, "d": -k}) for k in range(5)])
+        env = env_of([float(k) for k in range(5)], [[10.0 + k, -k] for k in range(5)], ["c", "d"])
         part = env.subset([3, 1])
         assert part.ids == ("o3", "o1")
-        assert part.objects == (env.objects[3], env.objects[1])
+        assert part.criterion_values.tolist() == [3.0, 1.0]
         assert part.cue_matrix.tolist() == [[13.0, -3.0], [11.0, -1.0]]
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Environment([
-                EnvironmentObject("a", 1.0, {"c": 1.0}),
-                EnvironmentObject("a", 2.0, {"c": 0.0}),
-            ])
+            Environment(["a", "a"], [1.0, 2.0], [[1.0], [0.0]], ["c"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugaleval.ecology import Environment, EnvironmentObject
+from frugaleval.ecology import Environment, MinimalistStrategy, TakeTheBestStrategy
 from frugaleval.heuristics import (
     CueOrder,
     Decision,
@@ -17,13 +17,11 @@ from frugaleval.heuristics import (
     _seeded_bit,
     _seeded_bits,
     cue_validity,
-    minimalist_choose,
     one_cue_select,
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
     recognition_choose_pairs,
-    take_the_best_choose,
     tallying_choose,
     validity_order,
     weighted_linear_choose,
@@ -43,13 +41,9 @@ def profile(pid, **scores):
     return CandidateProfile(pid, indicators={k: float(v) for k, v in scores.items()})
 
 
-def env_from_rows(rows, directions=None):
-    """rows: list of (criterion, {cue: value})"""
-    objects = [
-        EnvironmentObject(f"o{i}", float(crit), {k: float(v) for k, v in cues.items()})
-        for i, (crit, cues) in enumerate(rows)
-    ]
-    return Environment(objects, directions)
+def make_env(criterion, cue_matrix, cue_names):
+    """An environment of objects o0, o1, ... with one cue_matrix row each."""
+    return Environment([f"o{i}" for i in range(len(criterion))], criterion, cue_matrix, cue_names)
 
 
 def reference_lexicographic(a, b, cues):
@@ -83,13 +77,6 @@ class TestOneCueSelect:
         cset = one_cue_select(profiles, "rank", 0.33, direction=Direction.LOWER_IS_BETTER)
         assert cset.selected == ("A",)
         assert cset.cutoff_value == 1.0
-
-    def test_indicator_definition_carries_its_direction(self):
-        from frugaleval.indicators import IndicatorDefinition
-
-        rank = IndicatorDefinition("rank", Direction.LOWER_IS_BETTER)
-        profiles = [profile(p, rank=v) for p, v in [("A", 1), ("B", 2), ("C", 9)]]
-        assert one_cue_select(profiles, rank, 0.33).selected == ("A",)
 
     def test_missing_cue_names_profile_and_cue(self):
         with pytest.raises(ValueError) as err:
@@ -242,19 +229,19 @@ class TestOneReasonChoose:
 
 class TestCueValidity:
     def test_perfectly_aligned_cue(self):
-        env = env_from_rows([(10, {"c": 3}), (5, {"c": 2}), (1, {"c": 1})])
+        env = make_env([10, 5, 1], [[3], [2], [1]], ["c"])
         assert cue_validity(env, "c") == 1.0
 
     def test_constant_cue_has_no_discrimination(self):
-        env = env_from_rows([(10, {"c": 7}), (5, {"c": 7}), (1, {"c": 7})])
+        env = make_env([10, 5, 1], [[7], [7], [7]], ["c"])
         assert cue_validity(env, "c") == 0.5
 
     def test_inverted_cue(self):
-        env = env_from_rows([(10, {"c": 1}), (5, {"c": 2})])
+        env = make_env([10, 5], [[1], [2]], ["c"])
         assert cue_validity(env, "c") == 0.0
 
     def test_absent_cue_is_an_error(self):
-        env = env_from_rows([(10, {"c": 1}), (5, {"c": 2})])
+        env = make_env([10, 5], [[1], [2]], ["c"])
         with pytest.raises(ValueError, match="zz"):
             cue_validity(env, "zz")
 
@@ -263,14 +250,7 @@ class TestTakeTheBest:
     def _env(self):
         # c2 always agrees with the criterion; c1 agrees on 4 of 5
         # discriminating pairs (enumerated by hand: only o0-o1 is inverted)
-        return env_from_rows(
-            [
-                (4, {"c1": 1, "c2": 4}),
-                (3, {"c1": 2, "c2": 3}),
-                (2, {"c1": 1, "c2": 2}),
-                (1, {"c1": 0, "c2": 1}),
-            ]
-        )
+        return make_env([4, 3, 2, 1], [[1, 4], [2, 3], [1, 2], [0, 1]], ["c1", "c2"])
 
     def test_orders_by_validity_descending(self):
         env = self._env()
@@ -281,7 +261,7 @@ class TestTakeTheBest:
         assert order.provenance is Provenance.VALIDITY_RANKED
 
     def test_tied_validities_fall_back_to_name_order(self):
-        env = env_from_rows([(2, {"b": 1, "a": 1}), (1, {"b": 0, "a": 0})])
+        env = make_env([2, 1], [[1, 1], [0, 0]], ["b", "a"])
         assert validity_order(env).cues == ("a", "b")
 
     @settings(derandomize=True, max_examples=200)
@@ -291,7 +271,8 @@ class TestTakeTheBest:
         n = data.draw(st.integers(2, 8))
         rows = [(data.draw(st.integers(0, 5)), {name: data.draw(st.integers(0, 3)) for name in names})
                 for _ in range(n)]
-        env = env_from_rows(rows)
+        env = make_env([crit for crit, _ in rows],
+                       [[cues[name] for name in names] for _, cues in rows], names)
 
         def counted(cue):
             # independent oracle: walk every pair in Python
@@ -307,16 +288,29 @@ class TestTakeTheBest:
         assert validity_order(env).cues == tuple(sorted(names, key=lambda c: (-validities[c], c)))
 
     def test_behaves_as_one_reason_on_reordered_cues(self):
-        env = self._env()
-        a = profile("a", c1=5, c2=1)
-        b = profile("b", c1=0, c2=2)
-        ttb_decision, ttb_trace = take_the_best_choose(a, b, env)
-        reference = one_reason_choose(a, b, CueOrder(("c2", "c1")))
-        assert ttb_decision is reference[0]
-        assert ttb_trace.steps == reference[1].steps
+        strategy = TakeTheBestStrategy()
+        strategy.fit(self._env(), seed=0)
+        pair = make_env([0.0, 0.0], [[5, 1], [0, 2]], ["c1", "c2"])
+        codes, inspected = strategy.decide_pairs(pair, np.array([0]), np.array([1]))
+        a, b = profile("a", c1=5, c2=1), profile("b", c1=0, c2=2)
+        decision, trace = one_reason_choose(a, b, CueOrder(("c2", "c1")))
+        # c2, the more valid cue, decides before c1 (which favors a) is seen
+        assert decision is Decision.CHOOSE_B
+        assert (codes[0], inspected[0]) == (-1, len(trace.steps))
 
 
 class TestMinimalist:
+    """The benchmark's minimalist: a seeded random cue order per pair."""
+
+    @staticmethod
+    def decide(a_cues, b_cues, seed):
+        names = [f"c{k + 1}" for k in range(len(a_cues))]
+        env = make_env([0.0, 0.0], [a_cues, b_cues], names)
+        strategy = MinimalistStrategy()
+        strategy.fit(env, seed)
+        codes, inspected = strategy.decide_pairs(env, np.array([0]), np.array([1]))
+        return int(codes[0]), int(inspected[0])
+
     def test_single_discriminating_cue_decides_for_every_seed(self):
         cues = ("c1", "c2", "c3", "c4")
         a = profile("a", c1=1, c2=1, c3=0, c4=1)
@@ -327,31 +321,26 @@ class TestMinimalist:
         }
         assert outcomes == {Decision.CHOOSE_B}
         for seed in range(25):
-            decision, _ = minimalist_choose(a, b, seed)
-            assert decision is Decision.CHOOSE_B
+            assert self.decide([1, 1, 0, 1], [1, 1, 1, 1], seed)[0] == -1
 
     def test_same_seed_same_trace(self):
-        a = profile("a", c1=1, c2=3, c3=0)
-        b = profile("b", c1=1, c2=2, c3=4)
-        d1, t1 = minimalist_choose(a, b, seed=11)
-        d2, t2 = minimalist_choose(a, b, seed=11)
-        assert d1 is d2
-        assert t1 == t2
+        env = make_env([0.0] * 6, [[k % 2, k % 3, k % 5] for k in range(6)], ["c1", "c2", "c3"])
+        i, j = np.triu_indices(len(env), k=1)
+        runs = []
+        for _ in range(2):
+            strategy = MinimalistStrategy()
+            strategy.fit(env, seed=11)
+            runs.append(strategy.decide_pairs(env, i, j))
+        assert all(np.array_equal(x, y) for x, y in zip(*runs))
 
     def test_all_tied_is_undecided_for_any_seed(self):
-        a = profile("a", c1=1, c2=2)
-        b = profile("b", c1=1, c2=2)
         for seed in range(10):
-            decision, trace = minimalist_choose(a, b, seed)
-            assert decision is Decision.UNDECIDED
-            assert trace.stopping_reason is StoppingReason.CUES_EXHAUSTED
+            assert self.decide([1, 2], [1, 2], seed) == (0, 2)
 
-    def test_random_provenance_and_no_repeats(self):
-        a = profile("a", c1=1, c2=2, c3=3)
-        b = profile("b", c1=1, c2=2, c3=3)
-        _, trace = minimalist_choose(a, b, seed=0)
-        inspected = [s.cue for s in trace.steps]
-        assert sorted(inspected) == ["c1", "c2", "c3"]  # permutation, no repeats
+    def test_random_order_inspects_each_cue_once(self):
+        # only c3 discriminates, so the cues inspected are its place in the order
+        places = {self.decide([1, 2, 3], [1, 2, 4], seed)[1] for seed in range(40)}
+        assert places == {1, 2, 3}
 
 
 class TestTallying:

@@ -181,7 +181,7 @@ def test_environment_round_trip(tmp_path_factory, data):
     names = data.draw(st.lists(
         texts.filter(lambda t: t not in ("id", "criterion")), min_size=1, max_size=3, unique=True
     ))
-    env = Environment.from_arrays(
+    env = Environment(
         data.draw(st.lists(texts, min_size=n, max_size=n, unique=True)),
         data.draw(st.lists(finite, min_size=n, max_size=n)),
         data.draw(st.lists(st.lists(finite, min_size=len(names), max_size=len(names)),
