@@ -1,11 +1,12 @@
 """Frugal screening and choice heuristics for desk-scale research evaluation."""
 
+import types
+
 __version__ = "0.1.0"
 
 from .indicators import (
     HIGHLY_CITED,
     CandidateProfile,
-    Direction,
     DocType,
     Publication,
     ReferenceCorpus,
@@ -20,7 +21,6 @@ from .heuristics import (
     Decision,
     DecisionTrace,
     DiscriminationRule,
-    Provenance,
     RuleMode,
     StoppingReason,
     TraceStep,
@@ -55,4 +55,7 @@ from .careers import (
     streak_adjusted_summary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

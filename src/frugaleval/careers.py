@@ -43,7 +43,6 @@ class CareerSequence:
     """Ordered per-work impact values (e.g. citation counts) for one person."""
 
     impacts: tuple[float, ...]
-    owner: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "impacts", tuple(float(v) for v in self.impacts))
@@ -68,10 +67,6 @@ class HotStreakFit:
     baseline_level: float
     streak_level: float | None
     penalized_score_gain: float
-
-    @property
-    def found(self) -> bool:
-        return self.interval is not None
 
 
 def generate_career(

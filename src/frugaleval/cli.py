@@ -118,11 +118,11 @@ def _parse_cues(text: str) -> tuple[str, ...]:
 
 
 def _parse_streak_len(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, colon, hi = text.partition(":")
+    try:
+        return int(lo), int(hi if colon else lo)
+    except ValueError:
+        raise ValueError(f"--streak-len {text!r} is not LO:HI or one integer") from None
 
 
 def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:

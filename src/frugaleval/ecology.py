@@ -33,7 +33,7 @@ from .heuristics import (  # noqa: F401
     tallying_choose,
     weighted_linear_choose,
 )
-from .indicators import CandidateProfile, Direction
+from .indicators import CandidateProfile
 
 # A strategy's decide_pairs(env, i, j) decides every pair (i[k], j[k]) at once,
 # exactly as the scalar functions in heuristics would. It returns a code per
@@ -48,8 +48,7 @@ class Environment:
     cue_names in any order, with cue_matrix columns to match, and sorts both.
     """
 
-    def __init__(self, ids, criterion, cue_matrix, cue_names,
-                 cue_directions: Mapping[str, Direction] | None = None):
+    def __init__(self, ids, criterion, cue_matrix, cue_names):
         ids = tuple(ids)
         order = sorted(range(len(cue_names)), key=cue_names.__getitem__)
         names = tuple(cue_names[k] for k in order)
@@ -74,7 +73,6 @@ class Environment:
         cue_matrix.setflags(write=False)
         self.ids, self.criterion_values, self.cue_matrix = ids, criterion, cue_matrix
         self.cue_names = names
-        self.cue_directions = dict(cue_directions or {})
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -92,7 +90,7 @@ class Environment:
     def subset(self, indices: Sequence[int]) -> Environment:
         rows = np.asarray(indices, dtype=np.intp)
         return Environment([self.ids[k] for k in rows], self.criterion_values[rows],
-                           self.cue_matrix[rows], self.cue_names, self.cue_directions)
+                           self.cue_matrix[rows], self.cue_names)
 
     def profiles(self) -> list[CandidateProfile]:
         """View each object as a candidate whose indicators are its cues."""
@@ -248,13 +246,12 @@ def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cue_signs(env: Environment, i: np.ndarray, j: np.ndarray, cues: Sequence[str],
-               directions: Mapping[str, Direction], rule: DiscriminationRule) -> np.ndarray:
+               rule: DiscriminationRule) -> np.ndarray:
     """Pairs x cues: the side each cue favors (+1 / -1), 0 where the rule
     says the two scores do not differ substantially."""
     columns = env.cue_matrix[:, env.columns(cues)]
     a, b = columns[i], columns[j]
-    flip = [directions.get(cue) is Direction.LOWER_IS_BETTER for cue in cues]
-    return np.where(rule.discriminates(a, b), np.where(flip, -1, 1) * _compare(a, b), 0)
+    return np.where(rule.discriminates(a, b), _compare(a, b), 0)
 
 
 def _lexicographic(signs: np.ndarray) -> Codes:
@@ -277,10 +274,9 @@ class TakeTheBestStrategy:
 
     def fit(self, train_env: Environment, seed: int) -> None:
         self._order = validity_order(train_env).cues
-        self._directions = train_env.cue_directions
 
     def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        return _lexicographic(_cue_signs(env, i, j, self._order, self._directions, self.rule))
+        return _lexicographic(_cue_signs(env, i, j, self._order, self.rule))
 
 
 class MinimalistStrategy:
@@ -291,10 +287,9 @@ class MinimalistStrategy:
     def fit(self, train_env: Environment, seed: int) -> None:
         self._rng = np.random.default_rng(seed)
         self._cues = train_env.cue_names
-        self._directions = train_env.cue_directions
 
     def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        signs = _cue_signs(env, i, j, self._cues, self._directions, DiscriminationRule())
+        signs = _cue_signs(env, i, j, self._cues, DiscriminationRule())
         orders = self._rng.permuted(np.tile(np.arange(len(self._cues)), (len(i), 1)), axis=1)
         return _lexicographic(np.take_along_axis(signs, orders, axis=1))
 
@@ -306,10 +301,9 @@ class TallyingStrategy:
 
     def fit(self, train_env: Environment, seed: int) -> None:
         self._cues = train_env.cue_names
-        self._directions = train_env.cue_directions
 
     def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        signs = _cue_signs(env, i, j, self._cues, self._directions, DiscriminationRule())
+        signs = _cue_signs(env, i, j, self._cues, DiscriminationRule())
         return np.sign(signs.sum(axis=1)), np.full(len(i), len(self._cues))
 
 

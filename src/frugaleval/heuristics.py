@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .indicators import CandidateProfile, Direction, top_quota
+from .indicators import CandidateProfile, top_quota
 
 if TYPE_CHECKING:
     from .ecology import Environment
@@ -41,17 +41,11 @@ class StoppingReason(enum.Enum):
     CUES_EXHAUSTED = "cues_exhausted"
 
 
-class Provenance(enum.Enum):
-    FUNDER_GOALS = "funder_goals"
-    VALIDITY_RANKED = "validity_ranked"
-
-
 @dataclass(frozen=True)
 class CueOrder:
     """Inspection order over indicator names (the search rule)."""
 
     cues: tuple[str, ...]
-    provenance: Provenance = Provenance.FUNDER_GOALS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cues", tuple(self.cues))
@@ -156,12 +150,6 @@ class ConsiderationSet:
     quota: float
 
 
-def _direction_of(name: str, directions: Mapping[str, Direction] | None) -> Direction:
-    if directions is None:
-        return Direction.HIGHER_IS_BETTER
-    return directions.get(name, Direction.HIGHER_IS_BETTER)
-
-
 def _checked_score(profile: CandidateProfile, cue: str) -> float:
     score = profile.indicator(cue)
     if not math.isfinite(score):
@@ -173,7 +161,6 @@ def one_cue_select(
     profiles: Sequence[CandidateProfile],
     cue: str,
     quota: float,
-    direction: Direction = Direction.HIGHER_IS_BETTER,
 ) -> ConsiderationSet:
     """Keep the top quota share of candidates on a single indicator.
 
@@ -187,11 +174,10 @@ def one_cue_select(
     if not 0.0 < quota <= 1.0:
         raise ValueError(f"quota must be in (0, 1], got {quota}")
     scored = [(p.id, _checked_score(p, cue)) for p in profiles]
-    sign = -1.0 if direction is Direction.HIGHER_IS_BETTER else 1.0
-    ranked = sorted(scored, key=lambda item: (sign * item[1], item[0]))
+    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
     kept = top_quota(quota, len(ranked))
     cutoff = ranked[kept - 1][1]
-    selected = tuple(pid for pid, score in ranked if sign * score <= sign * cutoff)
+    selected = tuple(pid for pid, score in ranked if score >= cutoff)
     return ConsiderationSet(selected=selected, cutoff_value=cutoff, quota=quota)
 
 
@@ -200,10 +186,9 @@ def one_reason_choose(
     b: CandidateProfile,
     order: CueOrder,
     rule: DiscriminationRule | None = None,
-    directions: Mapping[str, Direction] | None = None,
 ) -> tuple[Decision, DecisionTrace]:
     """Inspect cues in the given order; the first one whose scores differ
-    substantially (per the rule) decides in favor of the better score.
+    substantially (per the rule) decides in favor of the higher score.
 
     With no discriminating cue the outcome is undecided -- deliberately a
     first-class result, not a hidden coin flip.
@@ -218,10 +203,7 @@ def one_reason_choose(
         hit = bool(rule.discriminates(score_a, score_b))
         steps.append(TraceStep(cue, score_a, score_b, hit))
         if hit:
-            a_better = score_a > score_b
-            if _direction_of(cue, directions) is Direction.LOWER_IS_BETTER:
-                a_better = not a_better
-            decision = Decision.CHOOSE_A if a_better else Decision.CHOOSE_B
+            decision = Decision.CHOOSE_A if score_a > score_b else Decision.CHOOSE_B
             reason = StoppingReason.DISCRIMINATED
             break
     trace = DecisionTrace(steps=tuple(steps), stopping_reason=reason, decision=decision)
@@ -250,14 +232,13 @@ def validity_order(env: "Environment") -> CueOrder:
     """Cues ranked by validity, best first; ties broken by name."""
     validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
     ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
-    return CueOrder(tuple(ranked), Provenance.VALIDITY_RANKED)
+    return CueOrder(tuple(ranked))
 
 
 def tallying_choose(
     a: CandidateProfile,
     b: CandidateProfile,
     cues: Iterable[str],
-    directions: Mapping[str, Direction] | None = None,
 ) -> Decision:
     """Count the cues favoring each side, all weighted equally; the higher
     tally wins and equal tallies stay undecided. Ties on a cue favor neither.
@@ -269,10 +250,7 @@ def tallying_choose(
         score_b = _checked_score(b, cue)
         if score_a == score_b:
             continue
-        a_better = score_a > score_b
-        if _direction_of(cue, directions) is Direction.LOWER_IS_BETTER:
-            a_better = not a_better
-        if a_better:
+        if score_a > score_b:
             votes_a += 1
         else:
             votes_b += 1

@@ -34,13 +34,6 @@ class Validation(enum.Enum):
     EXCLUDED = "excluded"
 
 
-class Direction(enum.Enum):
-    """Orientation of an indicator: which end of the scale is good."""
-
-    HIGHER_IS_BETTER = "higher_is_better"
-    LOWER_IS_BETTER = "lower_is_better"
-
-
 class PendingPublicationsError(ValueError):
     """A profile is scored before every pending publication is resolved."""
 
@@ -111,39 +104,30 @@ class ReferenceCorpus:
     citation ranks are computed against.
 
     Group membership is taken from each publication's own category and
-    year fields. Publications marked excluded never enter any group.
+    year fields. Publications marked excluded never enter any group;
+    `publications` holds the others, in input order.
     """
 
     def __init__(self, publications: Iterable[Publication]):
-        groups: dict[tuple[str, int], list[Publication]] = {}
-        for pub in publications:
-            if pub.validated is Validation.EXCLUDED:
-                continue
-            groups.setdefault((pub.category, pub.year), []).append(pub)
-        self._groups = {key: tuple(pubs) for key, pubs in groups.items()}
+        self.publications = tuple(
+            pub for pub in publications if pub.validated is not Validation.EXCLUDED)
+        self._citations: dict[tuple[str, int], list[int]] = {}
+        for pub in self.publications:
+            self._citations.setdefault((pub.category, pub.year), []).append(pub.citations)
         # ascending citation counts per group, for O(log n) rank queries
-        self._citations = {
-            key: sorted(p.citations for p in pubs) for key, pubs in self._groups.items()
-        }
-
-    @property
-    def publications(self) -> tuple[Publication, ...]:
-        return tuple(p for key in sorted(self._groups) for p in self._groups[key])
+        for citations in self._citations.values():
+            citations.sort()
 
     def group_keys(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._groups))
+        return tuple(sorted(self._citations))
 
-    def group(self, category: str, year: int) -> tuple[Publication, ...]:
+    def group_citations(self, category: str, year: int) -> list[int]:
         try:
-            return self._groups[(category, year)]
+            return self._citations[(category, year)]
         except KeyError:
             raise MissingGroupError(
                 f"reference corpus has no group for category={category!r}, year={year}"
             ) from None
-
-    def group_citations(self, category: str, year: int) -> list[int]:
-        self.group(category, year)
-        return self._citations[(category, year)]
 
 
 def finalize_publication_list(
@@ -171,6 +155,11 @@ def finalize_publication_list(
     return replace(profile, publications=finalized)
 
 
+def _check_share(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+
+
 def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) -> bool:
     """True when fewer than ceil(p * N) publications in the publication's own
     (category, year) group cite strictly more than it does.
@@ -178,8 +167,7 @@ def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) 
     Every publication tied at the boundary qualifies, so the maximum of a
     non-empty group always qualifies.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_share(p)
     if pub.validated is not Validation.INCLUDED:
         raise ValueError(f"publication {pub.id!r} is not included (status: {pub.validated.value})")
     if pub.doc_type not in (DocType.ARTICLE, DocType.REVIEW):
@@ -201,6 +189,7 @@ def count_highly_cited(
     The profile must be finalized first; callers typically write the result
     back with ``profile.with_indicator(HIGHLY_CITED, count)``.
     """
+    _check_share(p)
     pending = profile.pending_publications()
     if pending:
         ids = ", ".join(repr(p.id) for p in pending)

@@ -213,11 +213,11 @@ def _career_row(row: dict[str, str]) -> tuple[int, float]:
     return position, impact
 
 
-def read_career(path: str | Path, owner: str = "") -> CareerSequence:
+def read_career(path: str | Path) -> CareerSequence:
     rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_row, unique="position"))
     if not rows:
         raise TableError(f"{path}: career file contains no works")
-    return CareerSequence(tuple(impact for _, impact in rows), owner=owner)
+    return CareerSequence(tuple(impact for _, impact in rows))
 
 
 def write_career(seq: CareerSequence, path: str | Path) -> None:

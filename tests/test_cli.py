@@ -66,7 +66,7 @@ class TestWorkload:
 class TestIngest:
     def test_well_formed_corpus(self, tmp_path):
         corpus = read_corpus(corpus_file(tmp_path, [4, 7, 2]))
-        assert len(corpus.group("phys", 2020)) == 3
+        assert corpus.group_citations("phys", 2020) == [2, 4, 7]
 
     def test_bad_citations_reports_line_number(self, tmp_path):
         path = write(
@@ -204,6 +204,24 @@ class TestScreenCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: quota must be in (0, 1], got {float(quota)}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["screen", "--quota", "0.5"],
+        ["choose", "--cue-order", "highly_cited_papers", "--a", "cand00", "--b", "cand01"],
+    ])
+    @pytest.mark.parametrize("p", ["0", "1.5"])
+    def test_p_outside_unit_interval_rejected_without_ranked_publications(
+            self, tmp_path, capsys, command, p):
+        # no publication is ranked: one is excluded, the other is neither article nor review
+        corpus = corpus_file(tmp_path)
+        cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER
+                      + "p0,2020,phys,9,article,cand00,excluded\n"
+                      + "p1,2020,phys,5,other,cand01,included\n")
+        code = main([*command, "--corpus", corpus, "--candidates", cands, "--p", p])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: p must be in (0, 1), got {float(p)}\n"
 
     def test_missing_corpus_group_names_candidate_publication_and_group(self, tmp_path, capsys):
         corpus = corpus_file(tmp_path)
@@ -361,6 +379,15 @@ class TestCareerCommand:
         code = main(["career"])
         assert code == 1
         assert "generation needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "3:x", "1:2:3", "", "3:"])
+    def test_malformed_streak_len_names_the_flag(self, capsys, value):
+        code = main(["career", "--length", "30", "--baseline-mean", "5", "--multiplier", "10",
+                     "--streak-len", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --streak-len {value!r} is not LO:HI or one integer\n"
 
 
 class TestWorkloadCommand:

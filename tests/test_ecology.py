@@ -33,7 +33,6 @@ from frugaleval.heuristics import (
     validity_order,
     weighted_linear_choose,
 )
-from frugaleval.indicators import Direction
 
 NC_WEIGHTS = WeightVector({"c1": 4.0, "c2": 2.0, "c3": 1.0})
 
@@ -41,10 +40,10 @@ NC_WEIGHTS = WeightVector({"c1": 4.0, "c2": 2.0, "c3": 1.0})
 DECISION_CODE = {Decision.CHOOSE_A: 1, Decision.CHOOSE_B: -1, Decision.UNDECIDED: 0}
 
 
-def env_of(criterion, cue_matrix, cue_names, directions=None):
+def env_of(criterion, cue_matrix, cue_names):
     """An environment of objects o0, o1, ... with one cue_matrix row each."""
     ids = [f"o{i}" for i in range(len(criterion))]
-    return Environment(ids, criterion, cue_matrix, cue_names, directions)
+    return Environment(ids, criterion, cue_matrix, cue_names)
 
 
 def same_environment(a, b):
@@ -67,8 +66,7 @@ class AlwaysUndecidedStrategy:
 
 @st.composite
 def small_environments(draw, min_objects=2):
-    """1-5 cues with integer or one-decimal values, so ties are common,
-    and a random direction per cue."""
+    """1-5 cues with integer or one-decimal values, so ties are common."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(max(min_objects, 2), 8))
     scale = draw(st.sampled_from([1.0, 10.0]))
@@ -76,8 +74,7 @@ def small_environments(draw, min_objects=2):
     names = [f"c{k}" for k in range(m)]
     # one row per object: its criterion value, then its cues
     rows = [[draw(value) for _ in range(m + 1)] for _ in range(n)]
-    directions = {name: draw(st.sampled_from(list(Direction))) for name in names}
-    return env_of([row[0] for row in rows], [row[1:] for row in rows], names, directions)
+    return env_of([row[0] for row in rows], [row[1:] for row in rows], names)
 
 
 rules = st.builds(
@@ -284,10 +281,8 @@ class TestRunBenchmark:
         # reference: a loop over the scalar free functions, one pair at a time,
         # on values rounded to one decimal so that cues and criterion values tie
         base = generate_gaussian_environment({"a": 0.8, "b": -0.5, "c": 0.3}, 30, seed=3)
-        directions = {"b": Direction.LOWER_IS_BETTER}
         env = Environment(
-            base.ids, base.criterion_values.round(1), base.cue_matrix.round(1),
-            base.cue_names, directions,
+            base.ids, base.criterion_values.round(1), base.cue_matrix.round(1), base.cue_names
         )
         rule = DiscriminationRule(0.5, RuleMode.RELATIVE)
         split = SplitConfig(0.5, 4, seed=11)
@@ -309,12 +304,12 @@ class TestRunBenchmark:
             weights = fit_linear_weights(train)
 
             def take_the_best(a, b):
-                decision, trace = one_reason_choose(a, b, order, rule, directions)
+                decision, trace = one_reason_choose(a, b, order, rule)
                 return decision, len(trace.steps)
 
             deciders = {
                 "take_the_best": take_the_best,
-                "tallying": lambda a, b: (tallying_choose(a, b, env.cue_names, directions), 3),
+                "tallying": lambda a, b: (tallying_choose(a, b, env.cue_names), 3),
                 "linear_regression": lambda a, b: (weighted_linear_choose(a, b, weights), 3),
             }
             rep_pairs = list(itertools.combinations(range(len(profiles)), 2))
@@ -352,9 +347,7 @@ class TestDecidePairs:
         i, j = all_ordered_pairs(env)
         codes, inspected = strategy.decide_pairs(env, i, j)
         for a, b, code, n_inspected in zip(i, j, codes, inspected):
-            decision, trace = one_reason_choose(
-                profiles[a], profiles[b], order, rule, env.cue_directions
-            )
+            decision, trace = one_reason_choose(profiles[a], profiles[b], order, rule)
             assert (code, n_inspected) == (DECISION_CODE[decision], len(trace.steps))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -366,7 +359,7 @@ class TestDecidePairs:
         i, j = all_ordered_pairs(env)
         codes, inspected = strategy.decide_pairs(env, i, j)
         for a, b, code, n_inspected in zip(i, j, codes, inspected):
-            decision = tallying_choose(profiles[a], profiles[b], env.cue_names, env.cue_directions)
+            decision = tallying_choose(profiles[a], profiles[b], env.cue_names)
             assert (code, n_inspected) == (DECISION_CODE[decision], len(env.cue_names))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -395,9 +388,7 @@ class TestDecidePairs:
         assert ((1 <= inspected) & (inspected <= m)).all()
         assert (inspected[codes == 0] == m).all()
         # a profile at least as good on every cue and better on one always wins
-        flip = np.array([env.cue_directions[c] is Direction.LOWER_IS_BETTER for c in env.cue_names])
-        a_better = np.where(flip, a < b, a > b)
-        b_better = np.where(flip, a > b, a < b)
+        a_better, b_better = a > b, a < b
         a_dominates = a_better.any(axis=1) & ~b_better.any(axis=1)
         b_dominates = b_better.any(axis=1) & ~a_better.any(axis=1)
         assert (codes[a_dominates] == 1).all()

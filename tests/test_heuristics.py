@@ -10,7 +10,6 @@ from frugaleval.heuristics import (
     CueOrder,
     Decision,
     DiscriminationRule,
-    Provenance,
     RuleMode,
     StoppingReason,
     WeightVector,
@@ -26,7 +25,7 @@ from frugaleval.heuristics import (
     validity_order,
     weighted_linear_choose,
 )
-from frugaleval.indicators import CandidateProfile, Direction
+from frugaleval.indicators import CandidateProfile
 
 
 def splitmix64(seed):
@@ -71,12 +70,6 @@ class TestOneCueSelect:
     def test_no_tie_keeps_exact_quota(self):
         cset = one_cue_select([profile("A", hcp=9), profile("B", hcp=0)], "hcp", 0.5)
         assert cset.selected == ("A",)
-
-    def test_lower_is_better_direction(self):
-        profiles = [profile(p, rank=v) for p, v in [("A", 1), ("B", 2), ("C", 9)]]
-        cset = one_cue_select(profiles, "rank", 0.33, direction=Direction.LOWER_IS_BETTER)
-        assert cset.selected == ("A",)
-        assert cset.cutoff_value == 1.0
 
     def test_missing_cue_names_profile_and_cue(self):
         with pytest.raises(ValueError) as err:
@@ -132,14 +125,6 @@ class TestOneReasonChoose:
         assert [s.cue for s in trace.steps] == ["hcp", "collab"]
         assert not trace.steps[0].discriminated
         assert trace.steps[1].discriminated
-
-    def test_lower_is_better_cue_flips_winner(self):
-        a = profile("a", rank=8)
-        b = profile("b", rank=2)
-        decision, _ = one_reason_choose(
-            a, b, CueOrder(("rank",)), directions={"rank": Direction.LOWER_IS_BETTER}
-        )
-        assert decision is Decision.CHOOSE_B
 
     def test_relative_mode(self):
         a = profile("a", hcp=110)
@@ -258,7 +243,6 @@ class TestTakeTheBest:
         assert cue_validity(env, "c1") == 0.8
         order = validity_order(env)
         assert order.cues == ("c2", "c1")
-        assert order.provenance is Provenance.VALIDITY_RANKED
 
     def test_tied_validities_fall_back_to_name_order(self):
         env = make_env([2, 1], [[1, 1], [0, 0]], ["b", "a"])
@@ -358,12 +342,6 @@ class TestTallying:
         a = profile("a", c1=1, c2=0, c3=5)
         b = profile("b", c1=0, c2=1, c3=5)
         assert tallying_choose(a, b, ("c1", "c2", "c3")) is Decision.UNDECIDED
-
-    def test_direction_aware(self):
-        a = profile("a", rank=1)
-        b = profile("b", rank=9)
-        directions = {"rank": Direction.LOWER_IS_BETTER}
-        assert tallying_choose(a, b, ("rank",), directions) is Decision.CHOOSE_A
 
 
 class TestWeightedLinear:

@@ -229,5 +229,5 @@ class TestDomainTypes:
             + make_group(range(4), category="chem", year=2021, prefix="b")
         )
         assert corpus.group_keys() == (("chem", 2021), ("phys", 2020))
-        assert len(corpus.group("phys", 2020)) == 3
+        assert len(corpus.group_citations("phys", 2020)) == 3
         assert corpus.group_citations("chem", 2021) == [0, 1, 2, 3]
