@@ -5,11 +5,12 @@ impact is substantially elevated over the rest, with productivity (the
 number of works) unchanged. Detection works on y = log10(impact + 1):
 citation-style impact is heavy-tailed and streak elevation is
 multiplicative, so the log transform turns it into an additive level
-shift. An exhaustive O(n^2) scan fits a two-level step model (one mean
-inside the candidate interval, one outside) to every interval of length
->= 3 that leaves at least one point outside, and keeps the best interval
-only if its penalized score beats the single-level model and the inside
-level is above the outside level.
+shift. An exhaustive scan fits a two-level step model (one mean inside
+the candidate interval, one outside) to every interval of length >= 3
+that leaves at least one point outside, and keeps the best interval only
+if its penalized score beats the single-level model and the inside level
+is above the outside level. The O(n^2) intervals are scored in one array
+pass per start, holding only that start's ends, so memory is O(n).
 
 Scores are BIC-style on the residual sum of squares:
 
@@ -18,6 +19,8 @@ Scores are BIC-style on the residual sum of squares:
 where the two-level model pays for 2 extra parameters and the penalty
 defaults to 2 * ln(n) per parameter. The penalty is configurable; stricter
 penalties trade recall on weak streaks for fewer spurious detections.
+Ties on the score go to the earlier start, then the shorter interval; two
+intervals whose RSS differ but round to the same score tie too.
 
 One subtlety: an interval that touches either end of the career describes
 the same two-level partition as its complement, just with inside and
@@ -89,12 +92,12 @@ def generate_career(
         raise ValueError(f"invalid streak length range {streak_len_range}")
     if hi > length:
         raise ValueError(f"streak length up to {hi} does not fit in a career of length {length}")
-    if streak_multiplier < 1.0:
-        raise ValueError(f"streak multiplier must be >= 1, got {streak_multiplier}")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise sigma must be >= 0, got {noise_sigma}")
-    if baseline_mean <= 0.0:
-        raise ValueError(f"baseline mean must be > 0, got {baseline_mean}")
+    if not (math.isfinite(streak_multiplier) and streak_multiplier >= 1.0):
+        raise ValueError(f"streak multiplier must be finite and >= 1, got {streak_multiplier}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
+    if not (math.isfinite(baseline_mean) and baseline_mean > 0.0):
+        raise ValueError(f"baseline mean must be finite and > 0, got {baseline_mean}")
     rng = np.random.default_rng(seed)
     impacts = np.exp(rng.normal(math.log(baseline_mean), noise_sigma, size=length))
     streak_len = int(rng.integers(lo, hi + 1))
@@ -112,15 +115,13 @@ def _bic_score(rss: float, n: int, extra_params: int, penalty: float) -> float:
     return n * math.log(max(rss, _RSS_FLOOR) / n) + extra_params * penalty
 
 
-def _hot_twin_is_legal(start: int, end: int, n: int, min_len: int) -> bool:
-    """True when the complement of (start, end) is itself a searchable
-    interval, so the partition will be (or was) scored under the encoding
-    whose inside is the elevated side."""
+def _hot_twin_is_legal(start: int, ends: np.ndarray, n: int, min_len: int) -> np.ndarray:
+    """Mask over ends: True where the complement of (start, end) is itself
+    a searchable interval, so the partition will be (or was) scored under
+    the encoding whose inside is the elevated side."""
     if start == 0:
-        return n - 1 - end >= min_len
-    if end == n - 1:
-        return start >= min_len
-    return False
+        return n - 1 - ends >= min_len
+    return (ends == n - 1) & (start >= min_len)
 
 
 def detect_hot_streak(
@@ -130,15 +131,25 @@ def detect_hot_streak(
 ) -> HotStreakFit:
     """Exhaustive two-level fit over all candidate intervals.
 
-    Ties on the penalized score go to the earlier start, then the shorter
-    interval. Prefix sums make each candidate O(1), so the whole scan is
-    O(n^2); n = 200 runs well under a second.
+    The O(n^2) intervals are scored in one array pass per start that holds
+    only that start's ends, so memory stays O(n). Ties on the penalized
+    score go to the earlier start, then the shorter interval. The score
+    never falls as the RSS grows, so the best score is the scalar score
+    (math.log) of the smallest RSS, and the winner is the first interval in
+    scan order with that score: two RSS values that round to the same score
+    tie. The reported score gain and levels are that interval's scalar
+    values.
     """
     n = len(seq.impacts)
     if n < 5:
         raise ValueError(f"need at least 5 works to look for a streak, got {n}")
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    if not 1 <= min_len <= n - 1:
+        raise ValueError(
+            f"min_len must be between 1 and n - 1 = {n - 1} for a career of {n} works, "
+            f"got {min_len}"
+        )
+    if penalty_per_param is not None and not math.isfinite(penalty_per_param):
+        raise ValueError(f"penalty_per_param must be finite, got {penalty_per_param}")
     y = _log_impacts(seq)
     penalty = 2.0 * math.log(n) if penalty_per_param is None else penalty_per_param
 
@@ -151,35 +162,37 @@ def detect_hot_streak(
     prefix = np.concatenate([[0.0], np.cumsum(y)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(y * y)])
 
-    best: tuple[int, int] | None = None
-    best_score = math.inf
-    best_levels = (overall_mean, overall_mean)
-    for start in range(n):
+    def scan(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # the interval may touch either boundary but must leave outside points
         max_end = n - 2 if start == 0 else n - 1
-        for end in range(start + min_len - 1, max_end + 1):
-            k = end - start + 1
-            inside_sum = prefix[end + 1] - prefix[start]
-            inside_sq = prefix_sq[end + 1] - prefix_sq[start]
-            outside_sum = total - inside_sum
-            outside_sq = total_sq - inside_sq
-            mean_in = inside_sum / k
-            mean_out = outside_sum / (n - k)
-            if mean_in <= mean_out and _hot_twin_is_legal(start, end, n, min_len):
-                # a boundary interval and its complement describe the same
-                # two-level partition; score it once, under its hot name
-                continue
-            rss = (inside_sq - k * mean_in * mean_in) + (
-                outside_sq - (n - k) * mean_out * mean_out
-            )
-            score = _bic_score(rss, n, 2, penalty)
-            if score < best_score:
-                best_score = score
-                best = (start, end)
-                best_levels = (mean_out, mean_in)
+        ends = np.arange(start + min_len - 1, max_end + 1)
+        k = ends - start + 1
+        inside_sum = prefix[ends + 1] - prefix[start]
+        inside_sq = prefix_sq[ends + 1] - prefix_sq[start]
+        outside_sum = total - inside_sum
+        outside_sq = total_sq - inside_sq
+        mean_in = inside_sum / k
+        mean_out = outside_sum / (n - k)
+        rss = (inside_sq - k * mean_in * mean_in) + (outside_sq - (n - k) * mean_out * mean_out)
+        # a boundary interval and its complement describe the same two-level
+        # partition; score it once, under its hot name
+        rss[(mean_in <= mean_out) & _hot_twin_is_legal(start, ends, n, min_len)] = math.inf
+        return ends, rss, mean_in, mean_out
+
+    # every start here has at least one end, and the interval (1, min_len)
+    # or (0, n - 2) is never skipped, so a winner exists: the first start
+    # whose smallest RSS has the best score, and its first end with it
+    starts = range(n - min_len + 1)
+    row_min = [float(np.min(scan(start)[1])) for start in starts]
+    best_score = _bic_score(min(row_min), n, 2, penalty)
+    start = next(s for s in starts if _bic_score(row_min[s], n, 2, penalty) == best_score)
+    ends, rss, mean_in, mean_out = scan(start)
+    j = next(j for j, value in enumerate(rss.tolist())
+             if _bic_score(value, n, 2, penalty) == best_score)
+    best = (start, int(ends[j]))
+    baseline_level, streak_level = mean_out[j], mean_in[j]
     gain = score_single - best_score
-    baseline_level, streak_level = best_levels
-    if best is not None and gain > 0.0 and streak_level > baseline_level:
+    if gain > 0.0 and streak_level > baseline_level:
         return HotStreakFit(
             interval=best,
             baseline_level=baseline_level,
@@ -190,7 +203,7 @@ def detect_hot_streak(
         interval=None,
         baseline_level=overall_mean,
         streak_level=None,
-        penalized_score_gain=min(gain, 0.0) if best is not None else 0.0,
+        penalized_score_gain=min(gain, 0.0),
     )
 
 

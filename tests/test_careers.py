@@ -1,14 +1,97 @@
 import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frugaleval.careers import (
     CareerSequence,
+    HotStreakFit,
     detect_hot_streak,
     generate_career,
     streak_adjusted_summary,
 )
+
+
+def scalar_candidates(impacts, min_len, penalty_per_param):
+    """Every scored interval in scan order (earliest start, then shortest),
+    as (start, end, rss, score, mean_out, mean_in), computed one interval at
+    a time with the same prefix-sum arithmetic as detect_hot_streak."""
+    y = np.log10(np.asarray(impacts) + 1.0)
+    n = len(y)
+    penalty = 2.0 * math.log(n) if penalty_per_param is None else penalty_per_param
+    total = float(np.sum(y))
+    total_sq = float(np.sum(y * y))
+    prefix = np.concatenate([[0.0], np.cumsum(y)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(y * y)])
+    for start in range(n):
+        max_end = n - 2 if start == 0 else n - 1
+        for end in range(start + min_len - 1, max_end + 1):
+            k = end - start + 1
+            inside_sum = prefix[end + 1] - prefix[start]
+            inside_sq = prefix_sq[end + 1] - prefix_sq[start]
+            outside_sum = total - inside_sum
+            outside_sq = total_sq - inside_sq
+            mean_in = inside_sum / k
+            mean_out = outside_sum / (n - k)
+            if start == 0:
+                twin_is_legal = n - 1 - end >= min_len
+            else:
+                twin_is_legal = end == n - 1 and start >= min_len
+            if mean_in <= mean_out and twin_is_legal:
+                continue
+            rss = (inside_sq - k * mean_in * mean_in) + (
+                outside_sq - (n - k) * mean_out * mean_out
+            )
+            score = n * math.log(max(rss, 1e-300) / n) + 2 * penalty
+            yield start, end, rss, score, mean_out, mean_in
+
+
+def scalar_detect(seq, min_len=3, penalty_per_param=None):
+    """Reference scan: a scalar loop over scalar_candidates that keeps the
+    first interval with the strictly lowest score, as a whole HotStreakFit."""
+    impacts = seq.impacts
+    n = len(impacts)
+    y = np.log10(np.asarray(impacts) + 1.0)
+    penalty = 2.0 * math.log(n) if penalty_per_param is None else penalty_per_param
+    total = float(np.sum(y))
+    overall_mean = total / n
+    rss_single = float(np.sum(y * y)) - n * overall_mean * overall_mean
+    score_single = n * math.log(max(rss_single, 1e-300) / n) + 0 * penalty
+    best, best_score, best_levels = None, math.inf, (overall_mean, overall_mean)
+    for start, end, _, score, mean_out, mean_in in scalar_candidates(
+        impacts, min_len, penalty_per_param
+    ):
+        if score < best_score:
+            best, best_score, best_levels = (start, end), score, (mean_out, mean_in)
+    gain = score_single - best_score
+    baseline_level, streak_level = best_levels
+    if best is not None and gain > 0.0 and streak_level > baseline_level:
+        return HotStreakFit(best, baseline_level, streak_level, gain)
+    return HotStreakFit(None, overall_mean, None, min(gain, 0.0) if best is not None else 0.0)
+
+
+def same_fit(a, b):
+    """Equal as whole fits, down to the bits and the types of the levels."""
+    return a == b and all(
+        type(getattr(a, name)) is type(getattr(b, name))
+        for name in ("baseline_level", "streak_level", "penalized_score_gain")
+    )
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(5, 80))
+    min_len = draw(st.integers(1, min(5, n - 1)))
+    penalty = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 20.0)))
+    if draw(st.booleans()):
+        # few distinct integer impacts make exact RSS and score ties
+        impacts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    else:
+        impacts = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    return CareerSequence(impacts), min_len, penalty
 
 
 def oracle_detect(impacts, min_len=3, penalty_per_param=None):
@@ -91,6 +174,18 @@ class TestGenerateCareer:
             generate_career(10, 5.0, 2.0, (3, 3), -0.1, seed=0)
         with pytest.raises(ValueError, match="baseline"):
             generate_career(10, 0.0, 2.0, (3, 3), 0.1, seed=0)
+
+    @pytest.mark.parametrize("name,args", [
+        ("baseline mean", (10, math.nan, 2.0, (3, 3), 0.1)),
+        ("baseline mean", (10, math.inf, 2.0, (3, 3), 0.1)),
+        ("noise sigma", (10, 5.0, 2.0, (3, 3), math.nan)),
+        ("noise sigma", (10, 5.0, 2.0, (3, 3), math.inf)),
+        ("streak multiplier", (10, 5.0, math.inf, (3, 3), 0.1)),
+        ("streak multiplier", (10, 5.0, math.nan, (3, 3), 0.1)),
+    ])
+    def test_non_finite_parameter_named(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            generate_career(*args, seed=0)
 
     def test_streak_changes_impact_not_length(self):
         seq, _ = generate_career(40, 5.0, 10.0, (5, 10), 0.2, seed=7)
@@ -179,6 +274,68 @@ class TestDetectHotStreak:
         elapsed = time.perf_counter() - started
         assert fit.interval is not None
         assert elapsed < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_matches_the_scalar_scan_as_a_whole_fit(self, case):
+        seq, min_len, penalty = case
+        assert same_fit(
+            detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty),
+            scalar_detect(seq, min_len=min_len, penalty_per_param=penalty),
+        )
+
+    @pytest.mark.parametrize("impacts,penalty,first,later", [
+        # mirror-image intervals of a palindrome: two starts
+        ((6.0, 1.2, 14.7, 14.7, 1.2, 6.0), 0.0, (0, 3), (2, 5)),
+        # a work at the mid level, in or out of the hot run: two ends of one start
+        ((11.0, 11.0, 11.0, 3.2426406871192848, 0.5, 0.5, 0.5), None, (0, 2), (0, 3)),
+    ], ids=["two-starts", "one-start"])
+    def test_first_of_two_intervals_an_ulp_apart_wins(self, impacts, penalty, first, later):
+        # equal RSS on paper, one ulp apart in floats, the same score; the
+        # later interval in scan order has the smaller RSS
+        rows = {(s, e): (rss, score) for s, e, rss, score, _, _ in
+                scalar_candidates(impacts, 3, penalty)}
+        (rss_first, score_first), (rss_later, score_later) = rows[first], rows[later]
+        assert math.nextafter(rss_later, math.inf) == rss_first
+        assert score_first == score_later == min(score for _, score in rows.values())
+        seq = CareerSequence(impacts)
+        fit = detect_hot_streak(seq, penalty_per_param=penalty)
+        assert fit.interval == first
+        assert same_fit(fit, scalar_detect(seq, penalty_per_param=penalty))
+
+    @pytest.mark.parametrize("impacts,min_len,expected", [
+        (plateau(start=0, end=7), 3, (0, 7)),
+        (plateau(start=22, end=29), 3, (22, 29)),
+        # a low run flush against a boundary: the hot side is its complement
+        (plateau(start=5, end=29), 3, (5, 29)),
+        (plateau(start=0, end=24), 3, (0, 24)),
+        # the low complement is shorter than min_len, so no twin is searched
+        (plateau(start=2, end=29), 3, (2, 29)),
+        (plateau(start=0, end=27), 3, (0, 27)),
+        # a hot run shorter than min_len: only its low complement is scored
+        (plateau(start=0, end=1), 3, None),
+        (plateau(start=28, end=29), 3, None),
+        ((1.0, 10.0, 10.0, 10.0, 10.0), 4, (1, 4)),
+        ((10.0, 10.0, 10.0, 10.0, 1.0), 4, (0, 3)),
+        ((10.0, 1.0, 1.0, 1.0, 1.0), 4, None),
+    ])
+    def test_boundary_streaks_match_the_scalar_scan(self, impacts, min_len, expected):
+        seq = CareerSequence(impacts)
+        fit = detect_hot_streak(seq, min_len=min_len)
+        assert fit.interval == expected
+        assert same_fit(fit, scalar_detect(seq, min_len=min_len))
+
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+    def test_non_finite_penalty_rejected(self, penalty):
+        seq = CareerSequence(plateau())
+        with pytest.raises(ValueError, match=f"penalty_per_param must be finite, got {penalty}"):
+            detect_hot_streak(seq, penalty_per_param=penalty)
+
+    @pytest.mark.parametrize("n,min_len", [(5, 5), (5, 9), (30, 30)])
+    def test_min_len_leaving_no_work_outside_rejected(self, n, min_len):
+        seq = CareerSequence((1.0,) * n)
+        with pytest.raises(ValueError, match=f"n - 1 = {n - 1} .* {n} works, got {min_len}"):
+            detect_hot_streak(seq, min_len=min_len)
 
     def test_custom_penalty_can_veto_a_weak_streak(self):
         seq, _ = generate_career(30, 5.0, 2.0, (6, 6), 0.0, seed=2)

@@ -389,6 +389,23 @@ class TestCareerCommand:
         assert captured.out == ""
         assert captured.err == f"error: --streak-len {value!r} is not LO:HI or one integer\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--penalty-per-param", "nan"], "error: penalty_per_param must be finite, got nan\n"),
+        (["--penalty-per-param", "inf"], "error: penalty_per_param must be finite, got inf\n"),
+        (["--min-streak-len", "30"],
+         "error: min_len must be between 1 and n - 1 = 29 for a career of 30 works, got 30\n"),
+        (["--baseline-mean", "nan"], "error: baseline mean must be finite and > 0, got nan\n"),
+        (["--noise-sigma", "nan"], "error: noise sigma must be finite and >= 0, got nan\n"),
+        (["--multiplier", "inf"], "error: streak multiplier must be finite and >= 1, got inf\n"),
+    ], ids=["penalty-nan", "penalty-inf", "min-len", "baseline-nan", "sigma-nan", "multiplier-inf"])
+    def test_bad_number_fails_naming_its_parameter(self, capsys, flags, message):
+        code = main(["career", "--length", "30", "--baseline-mean", "5", "--multiplier", "10",
+                     "--streak-len", "8", "--seed", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestWorkloadCommand:
     def test_single_number_report(self, capsys):
