@@ -17,7 +17,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 HIGHLY_CITED = "highly_cited_papers"
 
@@ -47,20 +47,35 @@ def top_quota(fraction: float, n: int) -> int:
     return math.ceil(round(fraction * n, 9))
 
 
-@dataclass(frozen=True)
-class Publication:
+class _PublicationFields(NamedTuple):
     id: str
     year: int
     category: str
     citations: int
-    doc_type: DocType = DocType.ARTICLE
-    validated: Validation = Validation.INCLUDED
+    doc_type: DocType
+    validated: Validation
 
-    def __post_init__(self) -> None:
-        if self.citations < 0:
-            raise ValueError(
-                f"publication {self.id!r}: citations must be >= 0, got {self.citations}"
-            )
+
+class Publication(_PublicationFields):
+    """One publication: an immutable tuple of its six fields.
+
+    Being a tuple, a Publication compares equal to a plain tuple holding
+    the same fields in the same order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, year: int, category: str, citations: int,
+                doc_type: DocType = DocType.ARTICLE,
+                validated: Validation = Validation.INCLUDED) -> Publication:
+        if citations < 0:
+            raise ValueError(f"publication {id!r}: citations must be >= 0, got {citations}")
+        return tuple.__new__(cls, (id, year, category, citations, doc_type, validated))
+
+    @classmethod
+    def _make(cls, iterable) -> Publication:
+        # _replace builds through _make; this keeps it behind the check above
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -109,14 +124,22 @@ class ReferenceCorpus:
     """
 
     def __init__(self, publications: Iterable[Publication]):
-        self.publications = tuple(
-            pub for pub in publications if pub.validated is not Validation.EXCLUDED)
-        self._citations: dict[tuple[str, int], list[int]] = {}
-        for pub in self.publications:
-            self._citations.setdefault((pub.category, pub.year), []).append(pub.citations)
+        kept: list[Publication] = []
+        groups: dict[tuple[str, int], list[int]] = {}
+        for pub in publications:
+            if pub.validated is not Validation.EXCLUDED:
+                kept.append(pub)
+                key = (pub.category, pub.year)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [pub.citations]
+                else:
+                    group.append(pub.citations)
         # ascending citation counts per group, for O(log n) rank queries
-        for citations in self._citations.values():
+        for citations in groups.values():
             citations.sort()
+        self.publications = tuple(kept)
+        self._citations = groups
 
     def group_keys(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self._citations))
@@ -149,7 +172,7 @@ def finalize_publication_list(
             raise ValueError(f"decision for {pub_id!r} must be included or excluded")
         resolved[pub_id] = value
     finalized = tuple(
-        replace(pub, validated=resolved.get(pub.id, Validation.INCLUDED))
+        pub._replace(validated=resolved.get(pub.id, Validation.INCLUDED))
         for pub in profile.publications
     )
     return replace(profile, publications=finalized)

@@ -3,7 +3,8 @@
 All readers are strict: every malformed row is reported with the physical
 line it starts on and nothing is silently dropped. Blank lines are skipped;
 every other row must have exactly as many fields as the header. Column
-names are part of the file contract.
+names are part of the file contract. Files are UTF-8: a leading byte-order
+mark is skipped, and a byte that is not UTF-8 is reported with its line.
 
   corpus:      id, year, category, citations, doc_type
   candidates:  id, year, category, citations, doc_type, candidate_id, validated
@@ -46,40 +47,45 @@ class _RowError(ValueError):
 
 
 def _read_rows(path: str | Path, required: tuple[str, ...],
-               convert: Callable[[dict[str, str]], object], unique: str | None = None) -> Iterator:
-    """Yield convert(row) for every data row of a CSV file.
+               converter: Callable[[list[str]], Callable[[list[str]], object]],
+               unique: str | None = None) -> Iterator:
+    """Yield convert(fields) for every data row of a CSV file.
 
-    A row maps each header column to its field. With `unique` naming a
-    column, convert returns a tuple led by that column's value, and no two
-    rows may share it. Every problem is collected, and after the last row
-    they are raised together as one TableError.
+    convert is made once, by converter(header), and takes a row's fields in
+    header order. With `unique` naming a column, convert returns a tuple led
+    by that column's value, and no two rows may share it. Every problem is
+    collected, and after the last row they are raised together as one
+    TableError.
     """
     path = Path(path)
     problems: list[str] = []
     first_line: dict = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise TableError(f"{path}: file is empty (expected a header row)")
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
-        repeated = sorted({col for col in header if header.count(col) > 1})
-        if repeated:
-            raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
-        end = reader.line_num
+        end = 0
         try:
+            header = next(reader, None)
+            if header is None:
+                raise TableError(f"{path}: file is empty (expected a header row)")
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
+            repeated = sorted({col for col in header if header.count(col) > 1})
+            if repeated:
+                raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
+            convert = converter(header)
+            width = len(header)
+            end = reader.line_num
             for fields in reader:
                 # a quoted newline makes one row span several physical lines
                 line, end = end + 1, reader.line_num
                 if not fields:
                     continue
-                if len(fields) != len(header):
-                    problems.append(f"line {line}: {len(fields)} fields, header has {len(header)}")
+                if len(fields) != width:
+                    problems.append(f"line {line}: {len(fields)} fields, header has {width}")
                     continue
                 try:
-                    value = convert(dict(zip(header, fields)))
+                    value = convert(fields)
                 except _RowError as exc:
                     problems.append(f"line {line}: {exc}")
                     continue
@@ -91,13 +97,29 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
                 yield value
         except csv.Error as exc:
             problems.append(f"line {end + 1}: {exc}")
+        except UnicodeDecodeError:
+            problems.append(_undecodable(path))
     if problems:
         raise TableError(f"{path}: " + "; ".join(problems))
 
 
-def _number(row: dict[str, str], column: str, kind: type = float):
+def _undecodable(path: Path) -> str:
+    """Where the file's first byte that is not UTF-8 sits. The decoder's
+    error gives a position within its chunk, so the file is read again."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+    else:
+        return "the file changed while it was read"
+    # csv counts a line at every \r\n, \r or \n
+    breaks = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+    return f"line {breaks + 1}: byte 0x{data[at]:02x} is not valid UTF-8"
+
+
+def _number(text: str, column: str, kind: type = float):
     """The field as an int, or as a finite float; fields become numbers only here."""
-    text = row[column]
     try:
         value = kind(text)
     except ValueError:
@@ -109,43 +131,57 @@ def _number(row: dict[str, str], column: str, kind: type = float):
     return value
 
 
-def _member(row: dict[str, str], column: str, kind: type[enum.Enum]):
+_DOC_TYPES = {member.value: member for member in DocType}
+_VALIDATIONS = {member.value: member for member in Validation}
+
+
+def _member(text: str, column: str, members: dict[str, enum.Enum]):
     try:
-        return kind(row[column])
-    except ValueError:
-        known = ", ".join(member.value for member in kind)
-        raise _RowError(f"{column} {row[column]!r} is not one of {known}") from None
+        return members[text]
+    except KeyError:
+        raise _RowError(f"{column} {text!r} is not one of {', '.join(members)}") from None
 
 
-def _publication(row: dict[str, str], validated: Validation = Validation.INCLUDED) -> Publication:
-    year = _number(row, "year", int)
-    citations = _number(row, "citations", int)
-    if citations < 0:
-        raise _RowError(f"citations must be >= 0, got {citations}")
-    return Publication(
-        id=row["id"],
-        year=year,
-        category=row["category"],
-        citations=citations,
-        doc_type=_member(row, "doc_type", DocType),
-        validated=validated,
-    )
+def _publication_converter(header: list[str]) -> Callable[[list[str]], Publication]:
+    i_id, i_year, i_category, i_citations, i_doc_type = map(header.index, CORPUS_COLUMNS)
+
+    def publication(fields: list[str], validated: Validation = Validation.INCLUDED) -> Publication:
+        year = _number(fields[i_year], "year", int)
+        citations = _number(fields[i_citations], "citations", int)
+        if citations < 0:
+            raise _RowError(f"citations must be >= 0, got {citations}")
+        return Publication(fields[i_id], year, fields[i_category], citations,
+                           _member(fields[i_doc_type], "doc_type", _DOC_TYPES), validated)
+
+    return publication
 
 
 def read_corpus(path: str | Path) -> ReferenceCorpus:
     # a list, not the row generator: ReferenceCorpus then only builds, so
     # reading and building can be timed apart
-    return ReferenceCorpus(list(_read_rows(path, CORPUS_COLUMNS, _publication)))
+    return ReferenceCorpus(list(_read_rows(path, CORPUS_COLUMNS, _publication_converter)))
 
 
-def _candidate_row(row: dict[str, str]) -> tuple[str, Publication]:
-    return row["candidate_id"], _publication(row, _member(row, "validated", Validation))
+def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple[str, Publication]]:
+    publication = _publication_converter(header)
+    i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
+
+    def candidate_row(fields: list[str]) -> tuple[str, Publication]:
+        return fields[i_candidate], publication(
+            fields, _member(fields[i_validated], "validated", _VALIDATIONS))
+
+    return candidate_row
+
+
+def _candidate_key_converter(header: list[str]) -> Callable[[list[str]], tuple]:
+    i_candidate, i_id = map(header.index, ("candidate_id", "id"))
+    return lambda fields: ((fields[i_candidate], fields[i_id]),)
 
 
 def read_candidates(path: str | Path) -> list[CandidateProfile]:
     """Candidate publication rows grouped into profiles by candidate_id."""
     grouped: dict[str, list[Publication]] = {}
-    for candidate_id, pub in _read_rows(path, CANDIDATE_COLUMNS, _candidate_row):
+    for candidate_id, pub in _read_rows(path, CANDIDATE_COLUMNS, _candidate_converter):
         grouped.setdefault(candidate_id, []).append(pub)
     try:
         return [
@@ -155,21 +191,36 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
     except ValueError:
         # a publication id repeats within a candidate: only now key the rows,
         # in a second read, to name the lines
-        list(_read_rows(path, CANDIDATE_COLUMNS, lambda row: ((row["candidate_id"], row["id"]),),
+        list(_read_rows(path, CANDIDATE_COLUMNS, _candidate_key_converter,
                         unique="(candidate_id, id)"))
         raise
 
 
-def _read_value_rows(path: str | Path, required: tuple[str, ...], convert, what: str) -> list:
+def _read_value_rows(path: str | Path, required: tuple[str, ...], converter, what: str) -> list:
     """Rows of a profiles or environment table: one id each, the values last."""
-    rows = list(_read_rows(path, required, convert, unique="id"))
+    rows = list(_read_rows(path, required, converter, unique="id"))
     if rows and not rows[0][-1]:
         raise TableError(f"{path}: {what} has no value columns")
     return rows
 
 
-def _values(row: dict[str, str]) -> dict[str, float]:
-    return {column: _number(row, column) for column in row if column not in KEY_COLUMNS}
+def _value_columns(header: list[str]) -> list[tuple[int, str]]:
+    return [(i, column) for i, column in enumerate(header) if column not in KEY_COLUMNS]
+
+
+def _values(fields: list[str], columns: list[tuple[int, str]]) -> dict[str, float]:
+    return {column: _number(fields[i], column) for i, column in columns}
+
+
+def _profile_converter(header: list[str]) -> Callable[[list[str]], tuple]:
+    i_id, columns = header.index("id"), _value_columns(header)
+    return lambda fields: (fields[i_id], _values(fields, columns))
+
+
+def _environment_converter(header: list[str]) -> Callable[[list[str]], tuple]:
+    (i_id, i_criterion), columns = map(header.index, KEY_COLUMNS), _value_columns(header)
+    return lambda fields: (fields[i_id], _number(fields[i_criterion], "criterion"),
+                           _values(fields, columns))
 
 
 def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
@@ -177,18 +228,13 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
     indicator. A criterion column, if present, is ground truth rather than
     a cue and is not loaded as an indicator.
     """
-    rows = _read_value_rows(path, ("id",), lambda row: (row["id"], _values(row)), "profiles table")
+    rows = _read_value_rows(path, ("id",), _profile_converter, "profiles table")
     return [CandidateProfile(id=pid, indicators=indicators) for pid, indicators in rows]
 
 
 def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
-    rows = _read_value_rows(
-        path,
-        KEY_COLUMNS,
-        lambda row: (row["id"], _number(row, "criterion"), _values(row)),
-        "environment file",
-    )
+    rows = _read_value_rows(path, KEY_COLUMNS, _environment_converter, "environment file")
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
     ids, criterion, cues = zip(*rows)
@@ -205,16 +251,21 @@ def write_environment(env: Environment, path: str | Path) -> None:
             writer.writerow([pid, repr(criterion), *map(repr, cues)])
 
 
-def _career_row(row: dict[str, str]) -> tuple[int, float]:
-    position = _number(row, "position", int)
-    impact = _number(row, "impact")
-    if impact < 0:
-        raise _RowError(f"impact must be >= 0, got {impact!r}")
-    return position, impact
+def _career_converter(header: list[str]) -> Callable[[list[str]], tuple[int, float]]:
+    i_position, i_impact = map(header.index, CAREER_COLUMNS)
+
+    def career_row(fields: list[str]) -> tuple[int, float]:
+        position = _number(fields[i_position], "position", int)
+        impact = _number(fields[i_impact], "impact")
+        if impact < 0:
+            raise _RowError(f"impact must be >= 0, got {impact!r}")
+        return position, impact
+
+    return career_row
 
 
 def read_career(path: str | Path) -> CareerSequence:
-    rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_row, unique="position"))
+    rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_converter, unique="position"))
     if not rows:
         raise TableError(f"{path}: career file contains no works")
     return CareerSequence(tuple(impact for _, impact in rows))

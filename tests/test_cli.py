@@ -19,6 +19,12 @@ from frugaleval.tables import (
     write_environment,
 )
 
+# `screen --quota 0.25` on the screen_inputs fixture, both report formats
+SCREEN_REPORT_SHA256 = {
+    "report.txt": "66f7aedf4f96a6eacca5fd9b169ff475f01455029cf0eed152d85a221bd1d54d",
+    "report.txt.json": "28d699ab41512a66a69222a848cad454b0b50ebafde8fb8e0dc09b3c3a46dc6c",
+}
+
 CORPUS_HEADER = "id,year,category,citations,doc_type\n"
 CANDIDATE_HEADER = "id,year,category,citations,doc_type,candidate_id,validated\n"
 
@@ -167,6 +173,18 @@ class TestScreenCommand:
         capsys.readouterr()
         after = [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in (corpus, cands)]
         assert digests == after
+
+    def test_report_bytes_pinned(self, screen_inputs, tmp_path, monkeypatch, capsys):
+        # relative paths, as the report's config echoes them
+        monkeypatch.chdir(tmp_path)
+        code = main(["screen", "--corpus", screen_inputs.corpus.name,
+                     "--candidates", screen_inputs.candidates.name,
+                     "--quota", "0.25", "--out", "report.txt"])
+        capsys.readouterr()
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("report.txt", "report.txt.json")}
+        assert digests == SCREEN_REPORT_SHA256
 
     def test_missing_file_fails_with_diagnostic(self, tmp_path, capsys):
         code = main([

@@ -209,6 +209,52 @@ class TestFinalizePublicationList:
         assert all(p.validated is Validation.PENDING for p in profile.publications)
 
 
+class TestPublicationValue:
+    def test_attributes_cannot_be_assigned(self):
+        pub = Publication("x", 2020, "phys", 3)
+        with pytest.raises(AttributeError):
+            pub.citations = 4
+        with pytest.raises(AttributeError):
+            pub.note = "new"
+        assert pub.citations == 3
+
+    def test_negative_citations_message(self):
+        with pytest.raises(ValueError) as err:
+            Publication("x", 2020, "phys", -1)
+        assert str(err.value) == "publication 'x': citations must be >= 0, got -1"
+        with pytest.raises(ValueError, match="citations must be >= 0, got -2"):
+            Publication("x", 2020, "phys", 3)._replace(citations=-2)
+
+    def test_defaults(self):
+        pub = Publication("x", 2020, "phys", 3)
+        assert pub.doc_type is DocType.ARTICLE
+        assert pub.validated is Validation.INCLUDED
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = Publication(id="x", year=2020, category="phys", citations=3,
+                                 doc_type=DocType.REVIEW, validated=Validation.PENDING)
+        by_position = Publication("x", 2020, "phys", 3, DocType.REVIEW, Validation.PENDING)
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert by_keyword._fields == ("id", "year", "category", "citations", "doc_type",
+                                      "validated")
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        pub = Publication("x", 2020, "phys", 3)
+        assert pub == ("x", 2020, "phys", 3, DocType.ARTICLE, Validation.INCLUDED)
+
+    def test_finalize_returns_publications_with_resolved_status(self):
+        pubs = tuple(Publication(f"p{i}", 2020, "phys", i, validated=Validation.PENDING)
+                     for i in (1, 2))
+        out = finalize_publication_list(CandidateProfile("cand", publications=pubs),
+                                        {"p2": "excluded"})
+        assert all(type(pub) is Publication for pub in out.publications)
+        assert out.publications == (
+            Publication("p1", 2020, "phys", 1, validated=Validation.INCLUDED),
+            Publication("p2", 2020, "phys", 2, validated=Validation.EXCLUDED),
+        )
+
+
 class TestDomainTypes:
     def test_negative_citations_rejected(self):
         with pytest.raises(ValueError, match="citations"):

@@ -118,6 +118,31 @@ class TestEveryReader:
         with pytest.raises(TableError, match=f"repeated header columns: {header[1]}$"):
             reader(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = table(tmp_path, header, [good(0), good(1)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded, _ = LOADED[name]
+        assert loaded(reader(marked)) == loaded(reader(path))
+
+    @pytest.mark.parametrize("rows_before", [0, 3, 2000])
+    def test_undecodable_byte_names_its_line(self, tmp_path, name, rows_before):
+        # 2000 rows put the byte past the decoder's first chunk
+        reader, header, good = READERS[name]
+        rows = [good(k) for k in range(rows_before)]
+        text = "".join(record(r) for r in [header, *rows])
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode("utf-8") + b"\xe9" + record(good(rows_before)).encode())
+        # csv.writer ends records with \r\n, one line break each
+        assert problems(reader, path) == [(rows_before + 2, "byte 0xe9 is not valid UTF-8")]
+
+    def test_undecodable_header_names_line_one(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"\xff" + record(header).encode() + record(good(0)).encode())
+        assert problems(reader, path) == [(1, "byte 0xff is not valid UTF-8")]
+
 
 @pytest.mark.parametrize("name, first, again", [
     ("candidates", "(candidate_id, id)", "('alice', 'p0')"),
@@ -161,6 +186,13 @@ def test_unparsable_record_names_its_line(tmp_path):
     path = table(tmp_path, ["position", "impact"], [["0", "1"], ["1", "9" * 200_000]])
     [(line, text)] = problems(read_career, path)
     assert line == 3
+    assert "field limit" in text
+
+
+def test_unparsable_header_names_line_one(tmp_path):
+    path = table(tmp_path, ["position", "impact" * 30_000], [["0", "1"]])
+    [(line, text)] = problems(read_career, path)
+    assert line == 1
     assert "field limit" in text
 
 
