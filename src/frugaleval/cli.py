@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import __version__
-from .careers import detect_hot_streak, generate_career, streak_adjusted_summary
+from .careers import MIN_STREAK_LEN, detect_hot_streak, generate_career, streak_adjusted_summary
 from .ecology import (
     STRATEGY_FACTORIES,
     SplitConfig,
@@ -96,10 +96,13 @@ def _parse_name_values(text: str, what: str) -> dict[str, float]:
         if "=" not in part:
             raise ValueError(f"{what} entry {part!r} must look like name=value")
         name, _, raw = part.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"{what} entry {name!r} is given more than once")
         try:
-            out[name.strip()] = float(raw)
+            out[name] = float(raw)
         except ValueError:
-            raise ValueError(f"{what} value for {name.strip()!r} is not a number: {raw!r}") from None
+            raise ValueError(f"{what} value for {name!r} is not a number: {raw!r}") from None
     if not out:
         raise ValueError(f"{what} specification is empty")
     return out
@@ -130,7 +133,8 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
     corpus = read_corpus(p["corpus"])
     try:
         return [
-            prof.with_indicator(HIGHLY_CITED, float(count_highly_cited(prof, corpus, p["p"])))
+            CandidateProfile(prof.id, indicators={
+                HIGHLY_CITED: float(count_highly_cited(prof, corpus, p["p"]))})
             for prof in read_candidates(p["candidates"])
         ]
     except (PendingPublicationsError, MissingGroupError) as exc:
@@ -163,6 +167,8 @@ def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
 
 def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     _require(p, "cue_order")
+    if (p["a"] is None) != (p["b"] is None):
+        _require(p, "a", "b", message="choose takes both --a and --b, or neither; missing {}")
     if p["profiles"]:
         profiles = read_profiles_table(p["profiles"])
     elif p["corpus"] and p["candidates"]:
@@ -172,7 +178,7 @@ def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
         raise ValueError("choose needs --profiles FILE, or --corpus plus --candidates")
     by_id = {prof.id: prof for prof in profiles}
     a_id, b_id = p["a"], p["b"]
-    if a_id is None or b_id is None:
+    if a_id is None and b_id is None:
         if len(profiles) != 2:
             raise ValueError(
                 f"--a/--b are required unless the profiles table has exactly two rows "
@@ -211,9 +217,11 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
     if p["environment"]:
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
+        _require(p, "weights", message="--gen binary needs {}")
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
         env = generate_binary_environment(weights, p["n_objects"], seed)
     elif p["gen"] == "gaussian":
+        _require(p, "targets", message="--gen gaussian needs {}")
         targets = _parse_name_values(p["targets"], "targets")
         env = generate_gaussian_environment(targets, p["n_objects"], seed)
     else:
@@ -465,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="planted streak length, LO:HI or a single value")
     career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
                         help="log-domain noise sigma for generated impacts (default: 0)")
-    career.add_argument("--min-streak-len", dest="min_streak_len", type=int, default=3,
-                        help="shortest interval detection may report (default: 3)")
+    career.add_argument("--min-streak-len", dest="min_streak_len", type=int,
+                        default=MIN_STREAK_LEN,
+                        help="shortest interval detection may report (default: %(default)s)")
     career.add_argument("--penalty-per-param", dest="penalty_per_param", type=float, default=None,
                         help="score penalty per extra model parameter (default: 2*ln(n))")
     career.add_argument("--save-career", dest="save_career", default=None,

@@ -96,19 +96,31 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class DecisionTrace:
-    """Ordered record of the cues a pairwise choice actually inspected."""
+    """Ordered record of the cues a pairwise choice actually inspected; the
+    stopping reason and the decision are read off the last step."""
 
     steps: tuple[TraceStep, ...]
-    stopping_reason: StoppingReason
-    decision: Decision
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
         if any(step.discriminated for step in self.steps[:-1]):
             raise ValueError("only the last inspected cue may discriminate")
-        last_hit = bool(self.steps) and self.steps[-1].discriminated
-        if last_hit != (self.stopping_reason is StoppingReason.DISCRIMINATED):
-            raise ValueError("stopping reason is inconsistent with the recorded steps")
+        if self.stopping_reason is StoppingReason.DISCRIMINATED:
+            last = self.steps[-1]
+            if not (last.score_a > last.score_b or last.score_b > last.score_a):
+                raise ValueError("the discriminating cue must score one side higher")
+
+    @property
+    def stopping_reason(self) -> StoppingReason:
+        hit = bool(self.steps) and self.steps[-1].discriminated
+        return StoppingReason.DISCRIMINATED if hit else StoppingReason.CUES_EXHAUSTED
+
+    @property
+    def decision(self) -> Decision:
+        if self.stopping_reason is StoppingReason.CUES_EXHAUSTED:
+            return Decision.UNDECIDED
+        last = self.steps[-1]
+        return Decision.CHOOSE_A if last.score_a > last.score_b else Decision.CHOOSE_B
 
     def record(self) -> str:
         """Serialize to text, one line per inspected cue."""
@@ -150,13 +162,6 @@ class ConsiderationSet:
     quota: float
 
 
-def _checked_score(profile: CandidateProfile, cue: str) -> float:
-    score = profile.indicator(cue)
-    if not math.isfinite(score):
-        raise ValueError(f"profile {profile.id!r}: cue {cue!r} has non-finite score {score!r}")
-    return score
-
-
 def one_cue_select(
     profiles: Sequence[CandidateProfile],
     cue: str,
@@ -173,7 +178,7 @@ def one_cue_select(
         raise ValueError("at least one profile is required")
     if not 0.0 < quota <= 1.0:
         raise ValueError(f"quota must be in (0, 1], got {quota}")
-    scored = [(p.id, _checked_score(p, cue)) for p in profiles]
+    scored = [(p.id, p.indicator(cue)) for p in profiles]
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
     kept = top_quota(quota, len(ranked))
     cutoff = ranked[kept - 1][1]
@@ -195,19 +200,15 @@ def one_reason_choose(
     """
     if rule is None:
         rule = DiscriminationRule()
-    scores = [(cue, _checked_score(a, cue), _checked_score(b, cue)) for cue in order.cues]
+    scores = [(cue, a.indicator(cue), b.indicator(cue)) for cue in order.cues]
     steps: list[TraceStep] = []
-    decision = Decision.UNDECIDED
-    reason = StoppingReason.CUES_EXHAUSTED
     for cue, score_a, score_b in scores:
         hit = bool(rule.discriminates(score_a, score_b))
         steps.append(TraceStep(cue, score_a, score_b, hit))
         if hit:
-            decision = Decision.CHOOSE_A if score_a > score_b else Decision.CHOOSE_B
-            reason = StoppingReason.DISCRIMINATED
             break
-    trace = DecisionTrace(steps=tuple(steps), stopping_reason=reason, decision=decision)
-    return decision, trace
+    trace = DecisionTrace(tuple(steps))
+    return trace.decision, trace
 
 
 def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
@@ -246,8 +247,8 @@ def tallying_choose(
     votes_a = 0
     votes_b = 0
     for cue in cues:
-        score_a = _checked_score(a, cue)
-        score_b = _checked_score(b, cue)
+        score_a = a.indicator(cue)
+        score_b = b.indicator(cue)
         if score_a == score_b:
             continue
         if score_a > score_b:
@@ -268,8 +269,8 @@ def weighted_linear_choose(
     sum_a = 0.0
     sum_b = 0.0
     for cue in w.names:
-        sum_a += w[cue] * _checked_score(a, cue)
-        sum_b += w[cue] * _checked_score(b, cue)
+        sum_a += w[cue] * a.indicator(cue)
+        sum_b += w[cue] * b.indicator(cue)
     if sum_a > sum_b:
         return Decision.CHOOSE_A
     if sum_b > sum_a:

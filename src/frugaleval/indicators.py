@@ -17,6 +17,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 HIGHLY_CITED = "highly_cited_papers"
@@ -88,7 +89,8 @@ class CandidateProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "publications", tuple(self.publications))
-        object.__setattr__(self, "indicators", dict(self.indicators))
+        # read-only, so the finite-score check below holds for the profile's life
+        object.__setattr__(self, "indicators", MappingProxyType(dict(self.indicators)))
         seen: set[str] = set()
         for pub in self.publications:
             if pub.id in seen:
@@ -105,10 +107,6 @@ class CandidateProfile:
             return self.indicators[name]
         except KeyError:
             raise ValueError(f"profile {self.id!r} is missing indicator {name!r}") from None
-
-    def with_indicator(self, name: str, score: float) -> CandidateProfile:
-        """Return a copy with one indicator score set (profiles are immutable)."""
-        return replace(self, indicators={**self.indicators, name: score})
 
     def pending_publications(self) -> tuple[Publication, ...]:
         return tuple(p for p in self.publications if p.validated is Validation.PENDING)
@@ -209,8 +207,8 @@ def count_highly_cited(
 ) -> int:
     """Number of included article/review publications that are highly cited.
 
-    The profile must be finalized first; callers typically write the result
-    back with ``profile.with_indicator(HIGHLY_CITED, count)``.
+    The profile must be finalized first; callers typically record the result
+    as a new profile's score, ``CandidateProfile(id, indicators={HIGHLY_CITED: count})``.
     """
     _check_share(p)
     pending = profile.pending_publications()

@@ -306,6 +306,17 @@ class TestChooseCommand:
         assert captured.out == ""
         assert "line 3: id 'A' repeats line 2" in captured.err
 
+    @pytest.mark.parametrize("given, missing", [("--a", "--b"), ("--b", "--a")])
+    def test_half_given_pair_rejected(self, tmp_path, capsys, given, missing):
+        # the pair was once completed from the two-row table, reporting alice
+        # against bianca while the config line recorded a=bianca
+        path = write(tmp_path / "two.csv", "id,h\nalice,1\nbianca,2\n")
+        code = main(["choose", "--profiles", path, given, "bianca", "--cue-order", "h"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: choose takes both --a and --b, or neither; missing {missing}\n"
+
     def test_choose_without_any_input_rejected(self, capsys):
         code = main(["choose", "--cue-order", "hcp"])
         assert code == 1
@@ -325,6 +336,21 @@ class TestBenchCommand:
         names = [s["name"] for s in payload["result"]["strategies"]]
         assert names == ["take_the_best", "linear_regression"]
         assert "per 1000 decisions" in captured.err
+
+    @pytest.mark.parametrize("gen, flag", [("binary", "--weights"), ("gaussian", "--targets")])
+    def test_generator_without_its_flag_rejected(self, capsys, gen, flag):
+        code = main(["bench", "--gen", gen])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: --gen {gen} needs {flag}\n"
+
+    @pytest.mark.parametrize("flag, gen", [("--weights", "binary"), ("--targets", "gaussian")])
+    def test_repeated_generator_name_rejected(self, capsys, flag, gen):
+        # the last value once won silently: a=1,a=2 ran with a=2
+        code = main(["bench", "--gen", gen, flag, "a=0.1,a=0.2,b=0.3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {flag[2:]} entry 'a' is given more than once\n"
 
     @pytest.mark.parametrize("value", [",", " , ", ""])
     def test_empty_strategy_list_rejected(self, capsys, value):

@@ -9,9 +9,11 @@ from frugaleval.ecology import Environment, MinimalistStrategy, TakeTheBestStrat
 from frugaleval.heuristics import (
     CueOrder,
     Decision,
+    DecisionTrace,
     DiscriminationRule,
     RuleMode,
     StoppingReason,
+    TraceStep,
     WeightVector,
     _seeded_bit,
     _seeded_bits,
@@ -509,21 +511,58 @@ class TestRecognitionAccuracy:
 
 class TestDecisionTraceInvariants:
     def test_non_final_discrimination_rejected(self):
-        from frugaleval.heuristics import DecisionTrace, TraceStep
-
         steps = (
             TraceStep("c1", 1.0, 0.0, True),
             TraceStep("c2", 1.0, 1.0, False),
         )
         with pytest.raises(ValueError, match="last"):
-            DecisionTrace(steps, StoppingReason.CUES_EXHAUSTED, Decision.UNDECIDED)
+            DecisionTrace(steps)
 
-    def test_stopping_reason_must_match_steps(self):
-        from frugaleval.heuristics import DecisionTrace, TraceStep
+    @pytest.mark.parametrize("score", [1.0, 0.0, float("nan")])
+    def test_discriminating_step_with_no_higher_side_rejected(self, score):
+        with pytest.raises(ValueError, match="one side higher"):
+            DecisionTrace((TraceStep("c1", 0.5, 0.0, False), TraceStep("c2", score, score, True)))
 
-        steps = (TraceStep("c1", 1.0, 1.0, False),)
-        with pytest.raises(ValueError, match="inconsistent"):
-            DecisionTrace(steps, StoppingReason.DISCRIMINATED, Decision.CHOOSE_A)
+    def test_decision_follows_the_higher_score(self):
+        trace = DecisionTrace((TraceStep("c", 1.0, 2.0, True),))
+        assert trace.decision is Decision.CHOOSE_B
+        assert trace.record().endswith("stop=discriminated\tdecision=choose_b")
+
+    @given(
+        scores=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=0, max_size=5
+        ),
+        last_hit=st.booleans(),
+    )
+    def test_outcome_is_read_off_the_last_step(self, scores, last_hit):
+        last_hit = last_hit and bool(scores) and scores[-1][0] != scores[-1][1]
+        steps = [TraceStep(f"c{i}", sa, sb, False) for i, (sa, sb) in enumerate(scores)]
+        if last_hit:
+            steps[-1] = TraceStep(steps[-1].cue, *scores[-1], True)
+        trace = DecisionTrace(steps)
+        if last_hit:
+            sa, sb = scores[-1]
+            assert trace.stopping_reason is StoppingReason.DISCRIMINATED
+            assert trace.decision is (Decision.CHOOSE_A if sa > sb else Decision.CHOOSE_B)
+        else:
+            assert trace.stopping_reason is StoppingReason.CUES_EXHAUSTED
+            assert trace.decision is Decision.UNDECIDED
+
+    @given(
+        scores=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4
+        ),
+        delta=st.sampled_from([0.0, 0.5, 1.5]),
+        mode=st.sampled_from(list(RuleMode)),
+    )
+    def test_one_reason_choose_returns_its_trace_decision(self, scores, delta, mode):
+        names = [f"c{i}" for i in range(len(scores))]
+        a = profile("a", **{n: sa for n, (sa, _) in zip(names, scores)})
+        b = profile("b", **{n: sb for n, (_, sb) in zip(names, scores)})
+        decision, trace = one_reason_choose(a, b, CueOrder(tuple(names)),
+                                            DiscriminationRule(delta, mode))
+        assert decision is trace.decision
+        assert sum(s.discriminated for s in trace.steps) <= 1
 
     def test_cue_order_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError, match="duplicates"):

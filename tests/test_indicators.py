@@ -264,6 +264,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="non-finite"):
             CandidateProfile("cand", indicators={"hcp": float("nan")})
 
+    def test_indicator_scores_are_read_only(self):
+        scores = {"hcp": 2.0}
+        prof = CandidateProfile("cand", indicators=scores)
+        with pytest.raises(TypeError):
+            prof.indicators["hcp"] = float("nan")
+        with pytest.raises(TypeError):
+            prof.indicators["new"] = 1.0
+        scores["hcp"] = float("nan")  # the caller's dict is copied, not shared
+        assert prof.indicator("hcp") == 2.0
+
     def test_duplicate_publication_ids_rejected(self):
         pub = Publication("same", 2020, "phys", 1)
         with pytest.raises(ValueError, match="duplicate"):
