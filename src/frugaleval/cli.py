@@ -97,6 +97,8 @@ def _parse_name_values(text: str, what: str) -> dict[str, float]:
             raise ValueError(f"{what} entry {part!r} must look like name=value")
         name, _, raw = part.partition("=")
         name = name.strip()
+        if not name:
+            raise ValueError(f"{what} entry {part!r} has an empty name")
         if name in out:
             raise ValueError(f"{what} entry {name!r} is given more than once")
         try:
@@ -154,11 +156,11 @@ def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
             {"id": pid, "score": by_id[pid].indicators[HIGHLY_CITED]} for pid in cset.selected
         ],
         "cutoff_value": cset.cutoff_value,
-        "quota": cset.quota,
+        "quota": p["quota"],
         "candidates_screened": len(scored),
     }
     body = [f"selected {len(cset.selected)} of {len(scored)} candidates "
-            f"(quota {cset.quota:g}, cutoff {cset.cutoff_value:g})"]
+            f"(quota {p['quota']:g}, cutoff {cset.cutoff_value:g})"]
     body.append(f"{'rank':<6}{'candidate':<20}{HIGHLY_CITED}")
     for rank, pid in enumerate(cset.selected, start=1):
         body.append(f"{rank:<6}{pid:<20}{by_id[pid].indicators[HIGHLY_CITED]:g}")
@@ -234,17 +236,17 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
     split = SplitConfig(p["train_fraction"], p["reps"], seed)
     report = run_benchmark(env, strategies, split)
     result = {
-        "n_objects": report.n_objects,
-        "cues": list(report.cue_names),
-        "repetitions": report.repetitions,
-        "train_fraction": report.train_fraction,
+        "n_objects": len(env),
+        "cues": list(env.cue_names),
+        "repetitions": split.repetitions,
+        "train_fraction": split.train_fraction,
         # wall time is a diagnostic: it would break byte-identical report bodies
         "strategies": [{k: v for k, v in asdict(r).items() if k != "wall_time"}
                        for r in report.results],
     }
     body = [
-        f"{report.n_objects} objects, cues: {', '.join(report.cue_names)}, "
-        f"{report.repetitions} repetitions at train fraction {report.train_fraction:g}"
+        f"{len(env)} objects, cues: {', '.join(env.cue_names)}, "
+        f"{split.repetitions} repetitions at train fraction {split.train_fraction:g}"
     ]
     body.append(f"{'strategy':<20}{'accuracy':>10}{'frugality':>11}{'undecided':>11}{'decisions':>11}")
     for r in report.results:

@@ -126,11 +126,6 @@ class StrategyResult:
 @dataclass(frozen=True)
 class BenchmarkReport:
     results: tuple[StrategyResult, ...]
-    repetitions: int
-    train_fraction: float
-    seed: int
-    n_objects: int
-    cue_names: tuple[str, ...]
 
 
 def _object_ids(n_objects: int) -> list[str]:
@@ -181,7 +176,15 @@ def generate_gaussian_environment(
 
 
 class RankDeficientError(ValueError):
-    """The cue matrix does not support a unique least-squares fit."""
+    """The cue matrix does not support a unique least-squares fit.
+
+    `weights` holds the minimum-norm least-squares weights of the same
+    solve, which a caller may use as a fallback fit.
+    """
+
+    def __init__(self, message: str, weights: WeightVector):
+        super().__init__(message)
+        self.weights = weights
 
 
 def fit_linear_weights(env: Environment) -> WeightVector:
@@ -193,23 +196,22 @@ def fit_linear_weights(env: Environment) -> WeightVector:
     any other rank-deficient sample.
     """
     n, m = env.cue_matrix.shape
-    if n < m + 1:
-        raise RankDeficientError(f"need at least {m + 1} objects to fit {m} cue weights, got {n}")
     design = np.column_stack([np.ones(n), env.cue_matrix])
-    if np.linalg.matrix_rank(design) < m + 1:
-        dependent = _dependent_cues(design, env.cue_names)
-        raise RankDeficientError(
-            "cue matrix is rank-deficient; linearly dependent cues: " + ", ".join(dependent)
-        )
-    return _minimum_norm_weights(env)
-
-
-def _minimum_norm_weights(env: Environment) -> WeightVector:
     # lstsq returns the minimum-norm solution (the unique fit at full rank), so
     # redundant cues (e.g. one constant in a small training sample) get weight 0
-    design = np.column_stack([np.ones(len(env)), env.cue_matrix])
-    coef, *_ = np.linalg.lstsq(design, env.criterion_values, rcond=None)
-    return WeightVector(dict(zip(env.cue_names, (float(c) for c in coef[1:]))))
+    coef, _, rank, _ = np.linalg.lstsq(design, env.criterion_values, rcond=None)
+    weights = WeightVector(dict(zip(env.cue_names, (float(c) for c in coef[1:]))))
+    if n < m + 1:
+        raise RankDeficientError(
+            f"need at least {m + 1} objects to fit {m} cue weights, got {n}", weights
+        )
+    if rank < m + 1:
+        dependent = _dependent_cues(design, env.cue_names)
+        raise RankDeficientError(
+            "cue matrix is rank-deficient; linearly dependent cues: " + ", ".join(dependent),
+            weights,
+        )
+    return weights
 
 
 def _dependent_cues(design: np.ndarray, names: Sequence[str]) -> list[str]:
@@ -229,7 +231,9 @@ def train_test_indices(
     n_objects: int, train_fraction: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
     """Seeded shuffle split; each side keeps at least 2 objects."""
-    n_train = int(train_fraction * n_objects)
+    # rounded first, as top_quota does, so float noise below an exact
+    # multiple (0.29 * 100 = 28.999999999999996) does not cost an object
+    n_train = int(round(train_fraction * n_objects, 9))
     for side, size in (("train", n_train), ("test", n_objects - n_train)):
         if size < 2:
             raise ValueError(
@@ -320,8 +324,8 @@ class LinearRegressionStrategy:
     def fit(self, train_env: Environment, seed: int) -> None:
         try:
             self._weights = fit_linear_weights(train_env)
-        except RankDeficientError:
-            self._weights = _minimum_norm_weights(train_env)
+        except RankDeficientError as exc:
+            self._weights = exc.weights
 
     def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
         names = self._weights.names
@@ -358,7 +362,6 @@ def run_benchmark(
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         raise ValueError(f"strategy names must be unique, got {names}")
-    n = len(env)
     rep_seeds = np.random.SeedSequence(split.seed).spawn(split.repetitions)
     accuracies: dict[str, list[float]] = {s.name: [] for s in strategies}
     inspected: dict[str, int] = {s.name: 0 for s in strategies}
@@ -369,7 +372,7 @@ def run_benchmark(
     for rep_seq in rep_seeds:
         children = rep_seq.spawn(1 + len(strategies))
         rng = np.random.default_rng(children[0])
-        train_idx, test_idx = train_test_indices(n, split.train_fraction, rng)
+        train_idx, test_idx = train_test_indices(len(env), split.train_fraction, rng)
         train_env = env.subset(train_idx)
         test_env = env.subset(test_idx)
         i, j = np.triu_indices(len(test_env), k=1)
@@ -397,14 +400,7 @@ def run_benchmark(
         )
         for s in strategies
     )
-    return BenchmarkReport(
-        results=results,
-        repetitions=split.repetitions,
-        train_fraction=split.train_fraction,
-        seed=split.seed,
-        n_objects=n,
-        cue_names=env.cue_names,
-    )
+    return BenchmarkReport(results)
 
 
 def less_is_more_curve(
@@ -426,7 +422,9 @@ def less_is_more_curve(
         rng = np.random.default_rng(seeds[n])
         p_one = 2.0 * n * (N - n) / total_pairs
         p_both = n * (n - 1) / total_pairs
-        pair_type = rng.choice(3, size=trials, p=[1.0 - p_one - p_both, p_one, p_both])
+        # at n = N - 1 the remainder can round to -1e-16 instead of 0
+        p_neither = max(0.0, 1.0 - p_one - p_both)
+        pair_type = rng.choice(3, size=trials, p=[p_neither, p_one, p_both])
         recognized_is_better = rng.random(trials) < alpha
         knowledge_is_right = rng.random(trials) < beta
         guess_seeds = rng.integers(0, 2**63, size=trials)

@@ -159,7 +159,6 @@ class ConsiderationSet:
 
     selected: tuple[str, ...]
     cutoff_value: float
-    quota: float
 
 
 def one_cue_select(
@@ -183,7 +182,7 @@ def one_cue_select(
     kept = top_quota(quota, len(ranked))
     cutoff = ranked[kept - 1][1]
     selected = tuple(pid for pid, score in ranked if score >= cutoff)
-    return ConsiderationSet(selected=selected, cutoff_value=cutoff, quota=quota)
+    return ConsiderationSet(selected=selected, cutoff_value=cutoff)
 
 
 def one_reason_choose(

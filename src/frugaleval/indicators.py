@@ -44,8 +44,9 @@ class MissingGroupError(ValueError):
 
 
 def top_quota(fraction: float, n: int) -> int:
-    """ceil(fraction * n), guarded against float noise on exact multiples."""
-    return math.ceil(round(fraction * n, 9))
+    """ceil(fraction * n), guarded against float noise on exact multiples;
+    at least 1 of n >= 1, however small the fraction."""
+    return max(math.ceil(round(fraction * n, 9)), min(n, 1))
 
 
 class _PublicationFields(NamedTuple):

@@ -64,7 +64,7 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
         reader = csv.reader(handle)
         end = 0
         try:
-            header = next(reader, None)
+            header = next((row for row in reader if row), None)
             if header is None:
                 raise TableError(f"{path}: file is empty (expected a header row)")
             missing = [col for col in required if col not in header]

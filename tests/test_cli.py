@@ -352,6 +352,13 @@ class TestBenchCommand:
         assert code == 1
         assert err == f"error: {flag[2:]} entry 'a' is given more than once\n"
 
+    @pytest.mark.parametrize("flag, gen", [("--weights", "binary"), ("--targets", "gaussian")])
+    def test_empty_generator_name_rejected(self, capsys, flag, gen):
+        code = main(["bench", "--gen", gen, flag, " =0.1,b=0.3", "--n-objects", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {flag[2:]} entry '=0.1' has an empty name\n"
+
     @pytest.mark.parametrize("value", [",", " , ", ""])
     def test_empty_strategy_list_rejected(self, capsys, value):
         code = main(["bench", "--gen", "binary", "--weights", "c1=1", "--strategies", value])

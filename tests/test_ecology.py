@@ -155,6 +155,28 @@ class TestGenerateGaussianEnvironment:
             generate_gaussian_environment({"c": 1.5}, 10, seed=0)
 
 
+@st.composite
+def linear_designs(draw):
+    """Small environments whose design is often rank-deficient: binary cues,
+    one of them a copy of another or constant, and as few as 2 objects."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 6))
+    cues = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=float)
+    kind = draw(st.sampled_from(["binary", "duplicated", "constant"]))
+    k = draw(st.integers(0, m - 1))
+    if kind == "duplicated":
+        cues[:, k] = cues[:, (k + 1) % m]
+    elif kind == "constant":
+        cues[:, k] = draw(st.integers(0, 3))
+    criterion = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return env_of(criterion, cues, [f"c{j}" for j in range(m)])
+
+
+def design_of(env):
+    return np.column_stack([np.ones(len(env)), env.cue_matrix])
+
+
 class TestFitLinearWeights:
     def test_exact_noiseless_recovery(self):
         cues = np.array([(0, 1), (1, 3), (2, 0), (3, 2), (4, 4), (5, 1)], dtype=float)
@@ -194,6 +216,39 @@ class TestFitLinearWeights:
             fit_linear_weights(env_of([1.0, 2.0], [[1.0, 2.0], [2.0, 1.0]], ["c1", "c2"]))
 
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(linear_designs())
+    def test_raises_exactly_when_the_design_is_rank_deficient(self, env):
+        # oracle: the rank of the design with its intercept column
+        deficient = np.linalg.matrix_rank(design_of(env)) < len(env.cue_names) + 1
+        try:
+            fit_linear_weights(env)
+        except RankDeficientError:
+            assert deficient
+        else:
+            assert not deficient
+
+    @pytest.mark.parametrize("criterion, cues", [
+        # a doubled cue and a constant one
+        ([3.0, 1.0, 4.0, 1.5], [[1, 2, 1], [2, 4, 1], [3, 6, 1], [4, 8, 1]]),
+        # fewer objects than cues + 1
+        ([2.0, 7.0], [[1, 0, 3], [0, 2, 5]]),
+    ])
+    def test_error_carries_the_minimum_norm_weights(self, criterion, cues):
+        env = env_of(criterion, cues, ["c1", "c2", "c3"])
+        coef = np.linalg.lstsq(design_of(env), env.criterion_values, rcond=None)[0]
+        with pytest.raises(RankDeficientError) as err:
+            fit_linear_weights(env)
+        weights = err.value.weights
+        assert weights == WeightVector(dict(zip(env.cue_names, coef[1:].tolist())))
+        # the minimum-norm solution is the pseudo-inverse's
+        minimum_norm = np.linalg.pinv(design_of(env)) @ env.criterion_values
+        assert [weights[c] for c in env.cue_names] == pytest.approx(minimum_norm[1:], abs=1e-9)
+        strategy = LinearRegressionStrategy()
+        strategy.fit(env, seed=0)
+        assert strategy._weights == weights
+
+
 class TestRunBenchmark:
     def _noncompensatory_env(self, n=20, seed=17):
         return generate_binary_environment(NC_WEIGHTS, n, seed=seed)
@@ -216,6 +271,12 @@ class TestRunBenchmark:
         env = self._noncompensatory_env(n=4)
         with pytest.raises(ValueError, match="test split"):
             run_benchmark(env, [TallyingStrategy()], SplitConfig(0.9, 1, seed=0))
+
+    @pytest.mark.parametrize("fraction, n_train", [(0.29, 29), (0.57, 57), (0.5, 50)])
+    def test_train_size_ignores_float_noise(self, fraction, n_train):
+        # in floats 0.29 * 100 is 28.999999999999996 and 0.57 * 100 is 56.99999999999999
+        train, test = train_test_indices(100, fraction, np.random.default_rng(0))
+        assert (len(train), len(test)) == (n_train, 100 - n_train)
 
     def test_no_strategies_rejected(self):
         env = self._noncompensatory_env()
@@ -432,6 +493,12 @@ class TestLessIsMoreCurve:
         # a change of the random stream must show here
         rows = less_is_more_curve(*args)
         assert hashlib.sha256(json.dumps([list(r) for r in rows]).encode()).hexdigest() == digest
+
+    def test_population_where_no_pair_is_unrecognized_rounds_below_zero(self):
+        # at n = N - 1 = 10 the share of pairs with neither object recognized
+        # computes as 1 - p_one - p_both = -1.1e-16, not 0
+        rows = less_is_more_curve(11, 0.8, 0.6, 100, 1)
+        assert [n for n, _, _ in rows] == list(range(12))
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):

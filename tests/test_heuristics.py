@@ -73,6 +73,13 @@ class TestOneCueSelect:
         cset = one_cue_select([profile("A", hcp=9), profile("B", hcp=0)], "hcp", 0.5)
         assert cset.selected == ("A",)
 
+    def test_tiny_quota_keeps_the_top_candidate(self):
+        # ceil(1e-11 * 3) is 1, though 3e-11 rounds to 0 at 9 decimal places
+        profiles = [profile("A", hcp=4), profile("B", hcp=3), profile("C", hcp=1)]
+        cset = one_cue_select(profiles, "hcp", 1e-11)
+        assert cset.selected == ("A",)
+        assert cset.cutoff_value == 4.0
+
     def test_missing_cue_names_profile_and_cue(self):
         with pytest.raises(ValueError) as err:
             one_cue_select([profile("A", hcp=1), CandidateProfile("B")], "hcp", 0.5)

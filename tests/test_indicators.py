@@ -55,6 +55,11 @@ class TestIsHighlyCited:
         corpus = ReferenceCorpus([pub])
         assert is_highly_cited(pub, corpus, 0.10) is True
 
+    def test_tiny_share_keeps_the_group_maximum(self):
+        corpus = ReferenceCorpus(make_group(range(10)))
+        assert is_highly_cited(Publication("x", 2020, "phys", 9), corpus, 1e-11) is True
+        assert is_highly_cited(Publication("y", 2020, "phys", 8), corpus, 1e-11) is False
+
     @given(
         citations=st.lists(st.integers(0, 30), min_size=1, max_size=40),
         p=st.floats(0.01, 0.99),

@@ -112,6 +112,23 @@ class TestEveryReader:
         path = table(tmp_path, header, [None, spread_over_lines(good(0)), None, good(1), None])
         reader(path)
 
+    def test_blank_lines_before_header_skipped(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        path = tmp_path / "table.csv"
+        path.write_text("\n\n" + "".join(record(r) for r in [header, good(0), bad(good(1))]),
+                        encoding="utf-8")
+        # line numbers stay physical: the header is on line 3
+        [(line, text)] = problems(reader, path)
+        assert line == 5
+        assert text.startswith(f"{header[1]} 'x' is not")
+
+    def test_only_blank_lines_is_empty(self, tmp_path, name):
+        reader, _, _ = READERS[name]
+        path = tmp_path / "table.csv"
+        path.write_text("\n\r\n\n", encoding="utf-8")
+        with pytest.raises(TableError, match="file is empty"):
+            reader(path)
+
     def test_repeated_header_column_rejected(self, tmp_path, name):
         reader, header, good = READERS[name]
         path = table(tmp_path, [*header, header[1]], [good(0) + ["1"]])
