@@ -99,11 +99,14 @@ def generate_career(
     if not (math.isfinite(baseline_mean) and baseline_mean > 0.0):
         raise ValueError(f"baseline mean must be finite and > 0, got {baseline_mean}")
     rng = np.random.default_rng(seed)
-    impacts = np.exp(rng.normal(math.log(baseline_mean), noise_sigma, size=length))
+    log_impacts = rng.normal(math.log(baseline_mean), noise_sigma, size=length)
     streak_len = int(rng.integers(lo, hi + 1))
     start = int(rng.integers(0, length - streak_len + 1))
     end = start + streak_len - 1
-    impacts[start : end + 1] *= streak_multiplier
+    # an impact that overflows becomes inf, which CareerSequence rejects
+    with np.errstate(over="ignore"):
+        impacts = np.exp(log_impacts)
+        impacts[start : end + 1] *= streak_multiplier
     return CareerSequence(tuple(impacts)), (start, end)
 
 
@@ -218,10 +221,12 @@ def streak_adjusted_summary(
     performance.
     """
     impacts = np.asarray(seq.impacts)
-    overall = float(np.mean(impacts))
-    if fit.interval is None:
-        return overall, overall, None
-    start, end = fit.interval
-    inside = impacts[start : end + 1]
-    outside = np.concatenate([impacts[:start], impacts[end + 1 :]])
-    return overall, float(np.mean(outside)), float(np.mean(inside))
+    # a sum that overflows gives an inf mean, which no report accepts
+    with np.errstate(over="ignore"):
+        overall = float(np.mean(impacts))
+        if fit.interval is None:
+            return overall, overall, None
+        start, end = fit.interval
+        inside = impacts[start : end + 1]
+        outside = np.concatenate([impacts[:start], impacts[end + 1 :]])
+        return overall, float(np.mean(outside)), float(np.mean(inside))

@@ -74,9 +74,12 @@ class WorkloadQuery:
 
 def workload(query: WorkloadQuery) -> float:
     """Reviews each panel member must complete per working day."""
-    return (query.papers * query.reviews_per_paper) / (
-        query.panel_size * query.working_days
-    )
+    try:
+        return (query.papers * query.reviews_per_paper) / (
+            query.panel_size * query.working_days
+        )
+    except OverflowError:
+        raise ValueError("reviews per member per day is too large for a float") from None
 
 
 def _require(params: Mapping[str, object], *names: str,
@@ -120,6 +123,16 @@ def _parse_cues(text: str) -> tuple[str, ...]:
         # argparse shows an ArgumentTypeError's own message; a ValueError's it hides
         raise argparse.ArgumentTypeError("cue order is empty")
     return cues
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_streak_len(text: str) -> tuple[int, int]:
@@ -349,7 +362,11 @@ def run(args: argparse.Namespace) -> int:
         "config": params,
         "result": result,
     }
-    machine = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        machine = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        # JSON has no nan or infinity; a result that overflowed is not a report
+        raise ValueError(f"{args.command} result is not finite; no report written") from None
     header = [
         f"# frugaleval {__version__}",
         f"# command: {args.command}",
@@ -384,7 +401,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master seed; all randomness derives from it")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed; all randomness derives from it")
     sub.add_argument("--out", default=None, help="report file (companion written in the other format)")
     sub.add_argument("--format", choices=("table", "machine"), default="table",
                      help="primary report format (default: table)")

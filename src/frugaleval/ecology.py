@@ -146,7 +146,10 @@ def generate_binary_environment(
     rng = np.random.default_rng(seed)
     cue_matrix = rng.integers(0, 2, size=(n_objects, len(names)))
     w = np.array([weights[name] for name in names], dtype=float)
-    return Environment(_object_ids(n_objects), cue_matrix @ w, cue_matrix, names)
+    # a criterion that overflows becomes inf, which Environment rejects
+    with np.errstate(over="ignore"):
+        criterion = cue_matrix @ w
+    return Environment(_object_ids(n_objects), criterion, cue_matrix, names)
 
 
 def generate_gaussian_environment(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -140,7 +141,8 @@ class WeightVector:
     weights: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", dict(self.weights))
+        # read-only, so the finite check below holds for the vector's life
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         for name, w in self.weights.items():
             if not math.isfinite(w):
                 raise ValueError(f"weight for {name!r} is not finite: {w!r}")

@@ -13,7 +13,6 @@ so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -27,6 +26,10 @@ class DocType(enum.Enum):
     ARTICLE = "article"
     REVIEW = "review"
     OTHER = "other"
+
+
+# the document types that are ranked; every other type is never highly cited
+_RANKED = (DocType.ARTICLE, DocType.REVIEW)
 
 
 class Validation(enum.Enum):
@@ -134,7 +137,7 @@ class ReferenceCorpus:
                     groups[key] = [pub.citations]
                 else:
                     group.append(pub.citations)
-        # ascending citation counts per group, for O(log n) rank queries
+        # ascending citation counts per group: the q-th largest is group[-q]
         for citations in groups.values():
             citations.sort()
         self.publications = tuple(kept)
@@ -182,6 +185,11 @@ def _check_share(p: float) -> None:
         raise ValueError(f"p must be in (0, 1), got {p}")
 
 
+def _at_least_top_quota(citations: int, group: list[int], p: float) -> bool:
+    """Fewer than q = ceil(p * N) group members cite more: the q-th largest reached."""
+    return citations >= group[-top_quota(p, len(group))]
+
+
 def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) -> bool:
     """True when fewer than ceil(p * N) publications in the publication's own
     (category, year) group cite strictly more than it does.
@@ -192,15 +200,12 @@ def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) 
     _check_share(p)
     if pub.validated is not Validation.INCLUDED:
         raise ValueError(f"publication {pub.id!r} is not included (status: {pub.validated.value})")
-    if pub.doc_type not in (DocType.ARTICLE, DocType.REVIEW):
+    if pub.doc_type not in _RANKED:
         raise ValueError(
             f"publication {pub.id!r} has doc_type {pub.doc_type.value!r}; "
             "only articles and reviews are ranked"
         )
-    citations = corpus.group_citations(pub.category, pub.year)
-    n = len(citations)
-    strictly_greater = n - bisect.bisect_right(citations, pub.citations)
-    return strictly_greater < top_quota(p, n)
+    return _at_least_top_quota(pub.citations, corpus.group_citations(pub.category, pub.year), p)
 
 
 def count_highly_cited(
@@ -218,14 +223,12 @@ def count_highly_cited(
         raise PendingPublicationsError(f"profile {profile.id!r} has pending publications: {ids}")
     count = 0
     for pub in profile.publications:
-        if pub.validated is not Validation.INCLUDED:
-            continue
-        if pub.doc_type not in (DocType.ARTICLE, DocType.REVIEW):
+        if pub.validated is not Validation.INCLUDED or pub.doc_type not in _RANKED:
             continue
         try:
-            if is_highly_cited(pub, corpus, p):
-                count += 1
+            group = corpus.group_citations(pub.category, pub.year)
         except MissingGroupError as exc:
             raise MissingGroupError(
                 f"profile {profile.id!r}, publication {pub.id!r}: {exc}") from None
+        count += _at_least_top_quota(pub.citations, group, p)
     return count

@@ -42,18 +42,16 @@ class TableError(ValueError):
     """A tabular input violated the file contract."""
 
 
-class _RowError(ValueError):
-    """One row violated the file contract; the reader adds file and line."""
-
-
 def _read_rows(path: str | Path, required: tuple[str, ...],
                converter: Callable[[list[str]], Callable[[list[str]], object]],
                unique: str | None = None) -> Iterator:
     """Yield convert(fields) for every data row of a CSV file.
 
     convert is made once, by converter(header), and takes a row's fields in
-    header order. With `unique` naming a column, convert returns a tuple led
-    by that column's value, and no two rows may share it. Every problem is
+    header order. A ValueError from converter(header) is the header's
+    problem; one from convert(fields) is the row's, reported with its line.
+    With `unique` naming a column, convert returns a tuple led by that
+    column's value, and no two rows may share it. Every row problem is
     collected, and after the last row they are raised together as one
     TableError.
     """
@@ -73,7 +71,10 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
             repeated = sorted({col for col in header if header.count(col) > 1})
             if repeated:
                 raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
-            convert = converter(header)
+            try:
+                convert = converter(header)
+            except ValueError as exc:
+                raise TableError(f"{path}: {exc}") from None
             width = len(header)
             end = reader.line_num
             for fields in reader:
@@ -86,7 +87,7 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
                     continue
                 try:
                     value = convert(fields)
-                except _RowError as exc:
+                except ValueError as exc:
                     problems.append(f"line {line}: {exc}")
                     continue
                 if unique is not None:
@@ -123,11 +124,11 @@ def _number(text: str, column: str, kind: type = float):
     try:
         value = kind(text)
     except ValueError:
-        raise _RowError(
+        raise ValueError(
             f"{column} {text!r} is not {'an integer' if kind is int else 'a number'}"
         ) from None
     if kind is float and not math.isfinite(value):
-        raise _RowError(f"{column} {text!r} is not a finite number")
+        raise ValueError(f"{column} {text!r} is not a finite number")
     return value
 
 
@@ -139,18 +140,15 @@ def _member(text: str, column: str, members: dict[str, enum.Enum]):
     try:
         return members[text]
     except KeyError:
-        raise _RowError(f"{column} {text!r} is not one of {', '.join(members)}") from None
+        raise ValueError(f"{column} {text!r} is not one of {', '.join(members)}") from None
 
 
 def _publication_converter(header: list[str]) -> Callable[[list[str]], Publication]:
     i_id, i_year, i_category, i_citations, i_doc_type = map(header.index, CORPUS_COLUMNS)
 
     def publication(fields: list[str], validated: Validation = Validation.INCLUDED) -> Publication:
-        year = _number(fields[i_year], "year", int)
-        citations = _number(fields[i_citations], "citations", int)
-        if citations < 0:
-            raise _RowError(f"citations must be >= 0, got {citations}")
-        return Publication(fields[i_id], year, fields[i_category], citations,
+        return Publication(fields[i_id], _number(fields[i_year], "year", int), fields[i_category],
+                           _number(fields[i_citations], "citations", int),
                            _member(fields[i_doc_type], "doc_type", _DOC_TYPES), validated)
 
     return publication
@@ -196,16 +194,11 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
         raise
 
 
-def _read_value_rows(path: str | Path, required: tuple[str, ...], converter, what: str) -> list:
-    """Rows of a profiles or environment table: one id each, the values last."""
-    rows = list(_read_rows(path, required, converter, unique="id"))
-    if rows and not rows[0][-1]:
-        raise TableError(f"{path}: {what} has no value columns")
-    return rows
-
-
-def _value_columns(header: list[str]) -> list[tuple[int, str]]:
-    return [(i, column) for i, column in enumerate(header) if column not in KEY_COLUMNS]
+def _value_columns(header: list[str], what: str) -> list[tuple[int, str]]:
+    columns = [(i, column) for i, column in enumerate(header) if column not in KEY_COLUMNS]
+    if not columns:
+        raise ValueError(f"{what} has no value columns")
+    return columns
 
 
 def _values(fields: list[str], columns: list[tuple[int, str]]) -> dict[str, float]:
@@ -213,12 +206,13 @@ def _values(fields: list[str], columns: list[tuple[int, str]]) -> dict[str, floa
 
 
 def _profile_converter(header: list[str]) -> Callable[[list[str]], tuple]:
-    i_id, columns = header.index("id"), _value_columns(header)
+    i_id, columns = header.index("id"), _value_columns(header, "profiles table")
     return lambda fields: (fields[i_id], _values(fields, columns))
 
 
 def _environment_converter(header: list[str]) -> Callable[[list[str]], tuple]:
-    (i_id, i_criterion), columns = map(header.index, KEY_COLUMNS), _value_columns(header)
+    i_id, i_criterion = map(header.index, KEY_COLUMNS)
+    columns = _value_columns(header, "environment file")
     return lambda fields: (fields[i_id], _number(fields[i_criterion], "criterion"),
                            _values(fields, columns))
 
@@ -228,13 +222,13 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
     indicator. A criterion column, if present, is ground truth rather than
     a cue and is not loaded as an indicator.
     """
-    rows = _read_value_rows(path, ("id",), _profile_converter, "profiles table")
+    rows = _read_rows(path, ("id",), _profile_converter, unique="id")
     return [CandidateProfile(id=pid, indicators=indicators) for pid, indicators in rows]
 
 
 def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
-    rows = _read_value_rows(path, KEY_COLUMNS, _environment_converter, "environment file")
+    rows = list(_read_rows(path, KEY_COLUMNS, _environment_converter, unique="id"))
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
     ids, criterion, cues = zip(*rows)
@@ -258,7 +252,7 @@ def _career_converter(header: list[str]) -> Callable[[list[str]], tuple[int, flo
         position = _number(fields[i_position], "position", int)
         impact = _number(fields[i_impact], "impact")
         if impact < 0:
-            raise _RowError(f"impact must be >= 0, got {impact!r}")
+            raise ValueError(f"impact must be >= 0, got {impact!r}")
         return position, impact
 
     return career_row

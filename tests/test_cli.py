@@ -254,6 +254,16 @@ class TestScreenCommand:
                                 "corpus has no group for category='chem', year=2019\n")
 
 
+    def test_header_only_candidates_has_nothing_to_screen(self, tmp_path, capsys):
+        cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER)
+        code = main(["screen", "--corpus", corpus_file(tmp_path), "--candidates", cands,
+                     "--quota", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {cands}: no candidate rows to screen\n"
+
+
 class TestChooseCommand:
     def test_identical_profiles_undecided(self, tmp_path, capsys):
         path = write(tmp_path / "p.csv", "id,hcp,collab\nA,3,5\nB,3,5\n")
@@ -322,6 +332,22 @@ class TestChooseCommand:
         assert code == 1
         assert "--profiles" in capsys.readouterr().err
 
+    def test_pair_required_unless_the_table_has_two_rows(self, tmp_path, capsys):
+        path = write(tmp_path / "p.csv", "id,hcp\nA,3\nB,2\nC,1\n")
+        code = main(["choose", "--profiles", path, "--cue-order", "hcp"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --a/--b are required unless the profiles table has exactly two rows "
+            "(got 3)\n")
+
+    @pytest.mark.parametrize("text", ["id\n", "id,criterion\n", "id,criterion\nA,1\nB,2\n"],
+                             ids=["header-only", "criterion-only", "with-rows"])
+    def test_profiles_without_value_columns_fail_on_the_header(self, tmp_path, capsys, text):
+        path = write(tmp_path / "p.csv", text)
+        code = main(["choose", "--profiles", path, "--cue-order", "hcp"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: profiles table has no value columns\n"
+
 
 class TestBenchCommand:
     def test_generated_benchmark_runs(self, capsys):
@@ -343,6 +369,52 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: --gen {gen} needs {flag}\n"
+
+    def test_gaussian_generator_end_to_end(self, tmp_path, capsys):
+        args = ["bench", "--gen", "gaussian", "--targets", "a=0.9,b=0.3", "--n-objects", "12",
+                "--reps", "3", "--seed", "2"]
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main([*args, "--format", "machine", "--out", str(out1)]) == 0
+        assert main([*args, "--format", "machine", "--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+        result = json.loads(out1.read_text())["result"]
+        assert result["cues"] == ["a", "b"]
+        # 3 repetitions of a 6-object test split: 3 * 15 pairs
+        assert [(s["name"], s["decisions"]) for s in result["strategies"]] == [
+            ("take_the_best", 45), ("minimalist", 45), ("tallying", 45),
+            ("linear_regression", 45)]
+        assert (tmp_path / "r1.json.txt").read_text().splitlines()[4] == (
+            "12 objects, cues: a, b, 3 repetitions at train fraction 0.5")
+
+    def test_no_environment_source_rejected(self, capsys):
+        code = main(["bench"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bench needs --environment FILE or --gen binary|gaussian\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("a=1,b", "weights entry 'b' must look like name=value"),
+        ("a=1,b=x", "weights value for 'b' is not a number: 'x'"),
+        (" , ", "weights specification is empty"),
+    ])
+    def test_malformed_weights_named(self, capsys, value, message):
+        code = main(["bench", "--gen", "binary", "--weights", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,criterion\n", "environment file has no value columns"),
+        ("id,criterion\no0,1\no1,2\n", "environment file has no value columns"),
+        ("id,criterion,c1\no0,1,0\n", "environment needs at least 2 objects, got 1"),
+    ], ids=["header-only", "no-value-columns", "one-object"])
+    def test_unusable_environment_file_rejected(self, tmp_path, capsys, text, message):
+        path = write(tmp_path / "env.csv", text)
+        code = main(["bench", "--environment", path])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("flag, gen", [("--weights", "binary"), ("--targets", "gaussian")])
     def test_repeated_generator_name_rejected(self, capsys, flag, gen):
@@ -425,6 +497,22 @@ class TestCareerCommand:
         assert detect_code == 0
         detected = json.loads(captured.out)
         assert detected["result"]["detected_interval"] == payload["result"]["planted_interval"]
+
+    def test_table_report_without_a_streak(self, tmp_path, capsys):
+        career = write(tmp_path / "flat.csv", "position,impact\n" + "".join(
+            f"{i},2\n" for i in range(6)))
+        assert main(["career", "--impacts", career]) == 0
+        assert capsys.readouterr().out.splitlines()[4:] == [
+            "career of 6 works",
+            "no hot streak detected",
+            "mean impact: overall 2.0000",
+        ]
+
+    def test_career_file_without_works_rejected(self, tmp_path, capsys):
+        career = write(tmp_path / "empty.csv", "position,impact\n")
+        code = main(["career", "--impacts", career])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {career}: career file contains no works\n"
 
     def test_detect_without_inputs_rejected(self, capsys):
         code = main(["career"])
@@ -549,6 +637,13 @@ class TestConfigFile:
         assert code == 1
         assert f"line 3: unknown configuration key '{key}'" in capsys.readouterr().err
 
+    def test_line_without_equals_names_its_line(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", "papers = 100\npanel-size 10\n")
+        code = main(["workload", "--config", cfg, "--working-days", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: expected key = value, got 'panel-size 10'\n")
+
     def test_value_with_leading_dash_reaches_the_rule_check(self, tmp_path, capsys):
         profiles = write(tmp_path / "p.csv", "id,hcp\n-x,9\ny,1\n")
         cfg = write(tmp_path / "run.cfg", "a = -x\nb = y\ndelta = -1\n")
@@ -642,3 +737,64 @@ class TestReportPlumbing:
         captured = capsys.readouterr()
         assert code == 2
         assert "usage" in captured.err
+
+
+COMMANDS = ["screen", "choose", "bench", "career", "workload"]
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command):
+        cfg = write(tmp_path / "run.cfg", "seed = -3\n")
+        for argv, seed in (([command, "--seed", "-1"], -1), ([command, "--seed=-2"], -2),
+                           ([command, "--config", cfg], -3)):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"frugaleval {command}: error: argument --seed: "
+                f"must be a non-negative integer, got {seed}")
+
+    def test_non_integer_seed_keeps_its_message(self, capsys):
+        assert main(["workload", "--seed", "1.5"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --seed: invalid int value: '1.5'")
+
+
+class TestOverflow:
+    """Inputs whose results overflow a float fail with a message: no numpy
+    warning (the suite turns a RuntimeWarning into an error), no traceback
+    and no report holding a non-JSON Infinity."""
+
+    def test_infinite_career_mean_writes_no_report(self, tmp_path, capsys):
+        career = write(tmp_path / "huge.csv", "position,impact\n" + "".join(
+            f"{i},1e308\n" for i in range(10)))
+        out = tmp_path / "report.json"
+        code = main(["career", "--impacts", career, "--format", "machine", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: career result is not finite; no report written\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv"]
+
+    def test_overflowing_binary_criterion(self, capsys):
+        code = main(["bench", "--gen", "binary", "--weights", "a=1e308,b=1e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: object ")
+        assert captured.err.endswith(" has non-finite criterion inf\n")
+
+    def test_overflowing_generated_career(self, capsys):
+        code = main(["career", "--length", "50", "--baseline-mean", "1e308", "--multiplier", "3",
+                     "--streak-len", "5:8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: impact at position ")
+        assert captured.err.endswith(" must be finite and >= 0, got inf\n")
+
+    def test_workload_rate_too_large_for_a_float(self, capsys):
+        code = main(["workload", "--papers", str(10 ** 400), "--panel-size", "1",
+                     "--working-days", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: reviews per member per day is too large for a float\n"

@@ -360,6 +360,16 @@ class TestWeightedLinear:
         b = profile("b", c1=0, c2=1, c3=1)
         assert weighted_linear_choose(a, b, w) is Decision.CHOOSE_A
 
+    def test_weights_are_read_only(self):
+        weights = {"a": 1.0}
+        w = WeightVector(weights)
+        with pytest.raises(TypeError):
+            w.weights["a"] = float("nan")
+        with pytest.raises(TypeError):
+            w.weights["b"] = 1.0
+        weights["a"] = float("nan")  # the caller's dict is copied, not shared
+        assert w["a"] == 1.0
+
     def test_zero_weights_always_undecided(self):
         w = WeightVector({"c1": 0, "c2": 0})
         a = profile("a", c1=9, c2=9)

@@ -163,6 +163,23 @@ class TestCountHighlyCited:
         with pytest.raises(ValueError, match="pending"):
             count_highly_cited(profile, corpus, 0.10)
 
+    @given(
+        group=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        pubs=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(DocType),
+                                st.sampled_from([Validation.INCLUDED, Validation.EXCLUDED])),
+                      max_size=8),
+        # binary fractions, so the oracle's ceil(p * n) carries no float noise
+        p=st.sampled_from([k / 64 for k in range(1, 64)]),
+    )
+    def test_matches_rank_oracle(self, group, pubs, p):
+        corpus = ReferenceCorpus(make_group(group))
+        profile = CandidateProfile("cand", publications=tuple(
+            Publication(f"x{i}", 2020, "phys", c, doc_type, validated)
+            for i, (c, doc_type, validated) in enumerate(pubs)))
+        expected = sum(brute_force_highly_cited(group, c, p) for c, doc_type, validated in pubs
+                       if validated is Validation.INCLUDED and doc_type is not DocType.OTHER)
+        assert count_highly_cited(profile, corpus, p) == expected
+
     def test_exclusion_monotonicity(self):
         corpus = ReferenceCorpus(make_group(range(10)))
         pubs = tuple(Publication(f"p{i}", 2020, "phys", c) for i, c in enumerate((9, 9, 3)))

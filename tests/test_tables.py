@@ -183,6 +183,26 @@ def test_publication_id_may_repeat_across_candidates(tmp_path):
     assert [line for line, _ in problems(reader, path)] == [4, 5]
 
 
+def test_negative_citations_reported_by_the_publication(tmp_path):
+    reader, header, good = READERS["corpus"]
+    path = table(tmp_path, header, [["p1", "2020", "phys", "-5", "article"], good(2)])
+    assert problems(reader, path) == [(2, "publication 'p1': citations must be >= 0, got -5")]
+
+
+@pytest.mark.parametrize("name, header, what", [
+    ("profiles", ["id"], "profiles table"),
+    ("profiles", ["criterion", "id"], "profiles table"),
+    ("environment", ["id", "criterion"], "environment file"),
+])
+@pytest.mark.parametrize("rows", [0, 2])
+def test_no_value_columns_fails_on_the_header(tmp_path, name, header, what, rows):
+    reader = READERS[name][0]
+    path = table(tmp_path, header, [[f"{k}"] * len(header) for k in range(rows)])
+    with pytest.raises(TableError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: {what} has no value columns"
+
+
 def test_non_finite_profile_value_names_its_line(tmp_path):
     path = table(tmp_path, ["id", "hcp", "collab"], [["A", "1", "2"], ["B", "3", "nan"]])
     assert problems(read_profiles_table, path) == [(3, "collab 'nan' is not a finite number")]
