@@ -49,6 +49,7 @@ from .indicators import (
     count_highly_cited,
 )
 from .tables import (
+    _undecodable,
     read_candidates,
     read_career,
     read_corpus,
@@ -87,6 +88,14 @@ def _require(params: Mapping[str, object], *names: str,
     missing = [f"--{name.replace('_', '-')}" for name in names if params.get(name) is None]
     if missing:
         raise ValueError(message.format(", ".join(missing)))
+
+
+def _reject_unused(params: Mapping[str, object], *names: str, message: str) -> None:
+    """Fail naming the flags (all default None) that were given but that this
+    mode of the command does not use, so none is dropped silently."""
+    unused = [f"--{name.replace('_', '-')}" for name in names if params.get(name) is not None]
+    if unused:
+        raise ValueError(message.format(", ".join(unused)))
 
 
 def _parse_name_values(text: str, what: str) -> dict[str, float]:
@@ -185,6 +194,7 @@ def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
     if (p["a"] is None) != (p["b"] is None):
         _require(p, "a", "b", message="choose takes both --a and --b, or neither; missing {}")
     if p["profiles"]:
+        _reject_unused(p, "corpus", "candidates", message="choose --profiles does not use {}")
         profiles = read_profiles_table(p["profiles"])
     elif p["corpus"] and p["candidates"]:
         # raw publication files only carry the highly-cited indicator
@@ -230,13 +240,17 @@ def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
 
 def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     if p["environment"]:
+        _reject_unused(p, "gen", "weights", "targets",
+                       message="bench --environment does not use {}")
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
         _require(p, "weights", message="--gen binary needs {}")
+        _reject_unused(p, "targets", message="--gen binary does not use {}")
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
         env = generate_binary_environment(weights, p["n_objects"], seed)
     elif p["gen"] == "gaussian":
         _require(p, "targets", message="--gen gaussian needs {}")
+        _reject_unused(p, "weights", message="--gen gaussian does not use {}")
         targets = _parse_name_values(p["targets"], "targets")
         env = generate_gaussian_environment(targets, p["n_objects"], seed)
     else:
@@ -277,6 +291,8 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
 def _cmd_career(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     planted = None
     if p["impacts"]:
+        _reject_unused(p, "length", "baseline_mean", "multiplier", "streak_len", "save_career",
+                       message="career --impacts detects only and does not use {}")
         seq = read_career(p["impacts"])
     else:
         _require(p, "length", "baseline_mean", "multiplier", "streak_len",
@@ -517,8 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_flags(path: str, known: set[str]) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags; a key
     is a flag name with dashes or underscores, and must be in `known`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {_undecodable(Path(path))}") from None
     flags = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

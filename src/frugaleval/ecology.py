@@ -430,13 +430,13 @@ def less_is_more_curve(
         pair_type = rng.choice(3, size=trials, p=[p_neither, p_one, p_both])
         recognized_is_better = rng.random(trials) < alpha
         knowledge_is_right = rng.random(trials) < beta
-        guess_seeds = rng.integers(0, 2**63, size=trials)
+        guesses_a = rng.random(trials) < 0.5
         one, both = pair_type == 1, pair_type == 2
         codes = recognition_choose_pairs(
             both | (one & recognized_is_better),
             both | (one & ~recognized_is_better),
             knowledge_is_right,
-            seeds=guess_seeds,
+            guesses_a=guesses_a,
         )
         correct = np.count_nonzero(codes == 1)
         rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))

@@ -10,7 +10,7 @@ single-cue screening that prunes a candidate pool down to a consideration
 set.
 
 Everything is a pure function over immutable inputs; randomness is always
-passed in as an explicit seed.
+passed in as an explicit seed or draw.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .indicators import CandidateProfile, top_quota
 
 if TYPE_CHECKING:
     from .ecology import Environment
-
-_MASK64 = (1 << 64) - 1
 
 
 class Decision(enum.Enum):
@@ -279,36 +277,18 @@ def weighted_linear_choose(
     return Decision.UNDECIDED
 
 
-# splitmix64 (Steele, Lea & Flood 2014): the increment and the two finalizer
-# multipliers; the algorithm works modulo 2**64, as uint64 array arithmetic does
-_SPLITMIX_STEP = np.uint64(0x9E3779B97F4A7C15)
-_SPLITMIX_MUL = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-
-
-def _seeded_bits(seeds: np.ndarray) -> np.ndarray:
-    """One well-mixed bit (0 or 1) per uint64 seed: the low bit of the
-    splitmix64 finalizer, for a whole array of seeds at once."""
-    z = np.asarray(seeds, dtype=np.uint64) + _SPLITMIX_STEP
-    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MUL[0]
-    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL[1]
-    return (z ^ (z >> np.uint64(31))) & np.uint64(1)
-
-
-def _seeded_bit(seed: int) -> int:
-    # a 1-element array, not a numpy scalar: scalar uint64 overflow warns
-    return int(_seeded_bits(np.array([seed & _MASK64], dtype=np.uint64))[0])
-
-
 def recognition_choose(
     a_id: str,
     b_id: str,
     recognized: frozenset[str] | set[str],
     knowledge: Callable[[str, str], Decision] | None = None,
-    seed: int = 0,
+    *,
+    guess_a: bool,
 ) -> Decision:
     """If exactly one of two objects is recognized, choose it. Both
     recognized delegates to the knowledge comparator; neither recognized
-    falls back to a seeded uniform guess. Total: never raises on its own.
+    (or both, without knowledge) is a guess: the caller's coin, guess_a,
+    picks a. Total: never raises on its own.
     """
     a_known = a_id in recognized
     b_known = b_id in recognized
@@ -318,7 +298,7 @@ def recognition_choose(
         return Decision.CHOOSE_B
     if a_known and b_known and knowledge is not None:
         return knowledge(a_id, b_id)
-    return Decision.CHOOSE_A if _seeded_bit(seed) else Decision.CHOOSE_B
+    return Decision.CHOOSE_A if guess_a else Decision.CHOOSE_B
 
 
 def recognition_choose_pairs(
@@ -326,18 +306,18 @@ def recognition_choose_pairs(
     b_known: np.ndarray,
     knowledge_picks_a: np.ndarray | None = None,
     *,
-    seeds: np.ndarray,
+    guesses_a: np.ndarray,
 ) -> np.ndarray:
     """recognition_choose for many pairs at once: +1 chooses a, -1 chooses b.
 
     Pair k recognizes a when a_known[k] and b when b_known[k]; when both are
     recognized, knowledge_picks_a[k] is the knowledge comparator's answer
-    (None: no knowledge, guess). Guesses are the seeded bits of seeds[k]
-    (uint64), exactly as recognition_choose draws them for seed=seeds[k].
+    (None: no knowledge, guess). A guess picks a when guesses_a[k], as
+    recognition_choose does for guess_a=guesses_a[k].
     """
     a_known = np.asarray(a_known, dtype=bool)
     b_known = np.asarray(b_known, dtype=bool)
-    picks_a = _seeded_bits(seeds) == 1
+    picks_a = np.asarray(guesses_a, dtype=bool)
     if knowledge_picks_a is not None:
         picks_a = np.where(a_known & b_known, knowledge_picks_a, picks_a)
     # exactly one recognized: choose it

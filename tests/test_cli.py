@@ -327,6 +327,19 @@ class TestChooseCommand:
         assert captured.out == ""
         assert captured.err == f"error: choose takes both --a and --b, or neither; missing {missing}\n"
 
+    @pytest.mark.parametrize("flags, unused", [
+        (["--corpus", "c.csv"], "--corpus"),
+        (["--candidates", "d.csv"], "--candidates"),
+        (["--corpus", "c.csv", "--candidates", "d.csv"], "--corpus, --candidates"),
+    ])
+    def test_profiles_with_publication_files_rejected(self, tmp_path, capsys, flags, unused):
+        path = write(tmp_path / "two.csv", "id,h\nalice,1\nbianca,2\n")
+        code = main(["choose", "--profiles", path, "--cue-order", "h", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: choose --profiles does not use {unused}\n"
+
     def test_choose_without_any_input_rejected(self, capsys):
         code = main(["choose", "--cue-order", "hcp"])
         assert code == 1
@@ -387,6 +400,29 @@ class TestBenchCommand:
         assert (tmp_path / "r1.json.txt").read_text().splitlines()[4] == (
             "12 objects, cues: a, b, 3 repetitions at train fraction 0.5")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--gen", "binary"], "bench --environment does not use --gen"),
+        (["--weights", "a=1"], "bench --environment does not use --weights"),
+        (["--gen", "gaussian", "--targets", "a=0.5"],
+         "bench --environment does not use --gen, --targets"),
+    ])
+    def test_environment_with_generator_flags_rejected(self, tmp_path, capsys, flags, message):
+        env = tmp_path / "env.csv"
+        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1), env)
+        code = main(["bench", "--environment", str(env), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("gen, flag", [("binary", "--targets"), ("gaussian", "--weights")])
+    def test_the_other_generators_flag_rejected(self, capsys, gen, flag):
+        code = main(["bench", "--gen", gen, "--weights", "a=1", "--targets", "a=0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --gen {gen} does not use {flag}\n"
+
     def test_no_environment_source_rejected(self, capsys):
         code = main(["bench"])
         assert code == 1
@@ -397,6 +433,7 @@ class TestBenchCommand:
         ("a=1,b", "weights entry 'b' must look like name=value"),
         ("a=1,b=x", "weights value for 'b' is not a number: 'x'"),
         (" , ", "weights specification is empty"),
+        ("a=inf", "weight for 'a' is not finite: inf"),
     ])
     def test_malformed_weights_named(self, capsys, value, message):
         code = main(["bench", "--gen", "binary", "--weights", value])
@@ -437,6 +474,23 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: strategy list is empty: {value!r}\n"
+
+    def test_repeated_strategy_rejected(self, capsys):
+        code = main(["bench", "--gen", "binary", "--weights", "c1=1",
+                     "--strategies", "take_the_best,take_the_best"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: strategy names must be unique, got ['take_the_best', 'take_the_best']\n")
+
+    def test_zero_repetitions_rejected(self, capsys):
+        code = main(["bench", "--gen", "binary", "--weights", "c1=1", "--reps", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: repetitions must be >= 1, got 0\n"
+
+    def test_one_generated_object_rejected(self, capsys):
+        code = main(["bench", "--gen", "gaussian", "--targets", "a=0.5", "--n-objects", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least 2 objects, got 1\n"
 
     def test_unknown_strategy_rejected(self, capsys):
         code = main([
@@ -514,6 +568,31 @@ class TestCareerCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {career}: career file contains no works\n"
 
+    @pytest.mark.parametrize("flags, unused", [
+        (["--save-career", "saved.csv"], "--save-career"),
+        (["--length", "30", "--baseline-mean", "5", "--multiplier", "10", "--streak-len", "4"],
+         "--length, --baseline-mean, --multiplier, --streak-len"),
+    ], ids=["save-career", "generator"])
+    def test_impacts_with_generation_flags_rejected(self, tmp_path, monkeypatch, capsys, flags,
+                                                    unused):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "c.csv", "position,impact\n" + "".join(f"{i},2\n" for i in range(6)))
+        code = main(["career", "--impacts", "c.csv", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: career --impacts detects only and does not use {unused}\n"
+        assert not (tmp_path / "saved.csv").exists()
+
+    def test_impacts_with_a_configured_generation_flag_rejected(self, tmp_path, capsys):
+        career = write(tmp_path / "c.csv", "position,impact\n" + "".join(
+            f"{i},2\n" for i in range(6)))
+        cfg = write(tmp_path / "run.cfg", "length = 30\n")
+        code = main(["career", "--config", cfg, "--impacts", career])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: career --impacts detects only and does not use --length\n")
+
     def test_detect_without_inputs_rejected(self, capsys):
         code = main(["career"])
         assert code == 1
@@ -536,7 +615,9 @@ class TestCareerCommand:
         (["--baseline-mean", "nan"], "error: baseline mean must be finite and > 0, got nan\n"),
         (["--noise-sigma", "nan"], "error: noise sigma must be finite and >= 0, got nan\n"),
         (["--multiplier", "inf"], "error: streak multiplier must be finite and >= 1, got inf\n"),
-    ], ids=["penalty-nan", "penalty-inf", "min-len", "baseline-nan", "sigma-nan", "multiplier-inf"])
+        (["--streak-len", "5:3"], "error: invalid streak length range (5, 3)\n"),
+    ], ids=["penalty-nan", "penalty-inf", "min-len", "baseline-nan", "sigma-nan", "multiplier-inf",
+            "streak-len-reversed"])
     def test_bad_number_fails_naming_its_parameter(self, capsys, flags, message):
         code = main(["career", "--length", "30", "--baseline-mean", "5", "--multiplier", "10",
                      "--streak-len", "8", "--seed", "4", *flags])
@@ -563,7 +644,8 @@ WORKLOAD_FLAGS = ["--papers", "100", "--reviews-per-paper", "1", "--panel-size",
 
 
 def every_option(tmp_path):
-    """Per command, a value other than the default for every option but the run options."""
+    """Per command, one option set per input mode, together giving a value
+    other than the default for every option but the run options."""
     corpus = corpus_file(tmp_path)
     cands = candidates_file(tmp_path, {"alice": 3, "bob": 1})
     profiles = write(tmp_path / "p.csv", "id,hcp,collab\nalice,3,5\nbob,3,2\n")
@@ -571,20 +653,30 @@ def every_option(tmp_path):
     write_environment(generate_binary_environment(WeightVector({"c1": 4.0, "c2": 2.0}), 12, 1), env)
     career = tmp_path / "career.csv"
     write_career(CareerSequence((1.0, 1.5, 9.0, 9.5, 8.0, 1.0, 1.5)), career)
+    rule = {"delta": "0.5", "mode": "relative"}
+    split = {"n_objects": "30", "strategies": "tallying,take_the_best", "train_fraction": "0.6",
+             "reps": "3", **rule}
+    detect = {"min_streak_len": "2", "penalty_per_param": "1.5"}
     return {
-        "screen": {"corpus": corpus, "candidates": cands, "p": "0.2", "quota": "0.5"},
-        "choose": {"profiles": profiles, "corpus": corpus, "candidates": cands, "p": "0.2",
-                   "a": "bob", "b": "alice", "cue_order": "hcp,collab", "delta": "0.5",
-                   "mode": "relative"},
-        "bench": {"environment": str(env), "gen": "gaussian", "weights": "c1=4",
-                  "targets": "c1=0.5", "n_objects": "30", "strategies": "tallying,take_the_best",
-                  "train_fraction": "0.6", "reps": "3", "delta": "0.5", "mode": "relative"},
-        "career": {"impacts": str(career), "length": "30", "baseline_mean": "5",
-                   "multiplier": "10", "streak_len": "4:6", "noise_sigma": "0.1",
-                   "min_streak_len": "2", "penalty_per_param": "1.5",
-                   "save_career": str(tmp_path / "unused.csv")},
-        "workload": {"papers": "100", "reviews_per_paper": "3", "panel_size": "10",
-                     "working_days": "5"},
+        "screen": [{"corpus": corpus, "candidates": cands, "p": "0.2", "quota": "0.5"}],
+        "choose": [
+            {"profiles": profiles, "p": "0.2", "a": "bob", "b": "alice",
+             "cue_order": "hcp,collab", **rule},
+            {"corpus": corpus, "candidates": cands, "p": "0.2", "a": "bob", "b": "alice",
+             "cue_order": "highly_cited_papers", **rule},
+        ],
+        "bench": [
+            {"environment": str(env), **split},
+            {"gen": "gaussian", "targets": "c1=0.5", **split},
+            {"gen": "binary", "weights": "c1=4", **split},
+        ],
+        "career": [
+            {"impacts": str(career), "noise_sigma": "0.1", **detect},
+            {"length": "30", "baseline_mean": "5", "multiplier": "10", "streak_len": "4:6",
+             "noise_sigma": "0.1", "save_career": str(tmp_path / "saved.csv"), **detect},
+        ],
+        "workload": [{"papers": "100", "reviews_per_paper": "3", "panel_size": "10",
+                      "working_days": "5"}],
     }
 
 
@@ -593,19 +685,23 @@ class TestConfigFile:
     @pytest.mark.parametrize("spell", [lambda key: key.replace("_", "-"), lambda key: key],
                              ids=["dashes", "underscores"])
     def test_every_option_from_config_matches_the_typed_flag(self, tmp_path, capsys, command, spell):
-        options = {**every_option(tmp_path)[command], "seed": "3", "format": "machine"}
-        typed, from_config = tmp_path / "typed.json", tmp_path / "config.json"
-        flags = itertools.chain.from_iterable((f"--{k.replace('_', '-')}", v) for k, v in options.items())
-        assert main([command, *flags, "--out", str(typed)]) == 0
-        lines = [f"{spell(key)} = {value}\n" for key, value in options.items()]
-        cfg = write(tmp_path / "run.cfg", "".join(lines) + f"out = {from_config}\n")
-        assert main([command, "--config", cfg]) == 0
-        capsys.readouterr()
-        assert from_config.read_bytes() == typed.read_bytes()
-        assert (tmp_path / "config.json.txt").read_bytes() == (tmp_path / "typed.json.txt").read_bytes()
+        modes = every_option(tmp_path)[command]
+        for mode in modes:
+            options = {**mode, "seed": "3", "format": "machine"}
+            typed, from_config = tmp_path / "typed.json", tmp_path / "config.json"
+            flags = itertools.chain.from_iterable(
+                (f"--{k.replace('_', '-')}", v) for k, v in options.items())
+            assert main([command, *flags, "--out", str(typed)]) == 0
+            lines = [f"{spell(key)} = {value}\n" for key, value in options.items()]
+            cfg = write(tmp_path / "run.cfg", "".join(lines) + f"out = {from_config}\n")
+            assert main([command, "--config", cfg]) == 0
+            capsys.readouterr()
+            assert from_config.read_bytes() == typed.read_bytes()
+            assert ((tmp_path / "config.json.txt").read_bytes()
+                    == (tmp_path / "typed.json.txt").read_bytes())
         # the report echoes every option except the run options, so none was left out
         echoed = json.loads(typed.read_text())["config"]
-        assert set(echoed) == set(options) - {"seed", "format"}
+        assert set(echoed) == set().union(*modes)
 
     @pytest.mark.parametrize("command, line, flag", [
         (["workload", "--panel-size", "10", "--working-days", "10"], "papers = x", "--papers"),
@@ -643,6 +739,22 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: line 2: expected key = value, got 'panel-size 10'\n")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfpapers = 100\npanel-size = 10\n")
+        code = main(["workload", "--config", str(cfg), "--working-days", "10",
+                     "--format", "machine"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["papers"] == 100
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"papers = 100\n# caf\xe9\npanel-size = 10\n")
+        code = main(["workload", "--config", str(cfg), "--working-days", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: byte 0xe9 is not valid UTF-8\n")
 
     def test_value_with_leading_dash_reaches_the_rule_check(self, tmp_path, capsys):
         profiles = write(tmp_path / "p.csv", "id,hcp\n-x,9\ny,1\n")

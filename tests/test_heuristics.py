@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from frugaleval.heuristics import (
     StoppingReason,
     TraceStep,
     WeightVector,
-    _seeded_bit,
-    _seeded_bits,
     cue_validity,
     one_cue_select,
     one_reason_choose,
@@ -28,14 +25,6 @@ from frugaleval.heuristics import (
     weighted_linear_choose,
 )
 from frugaleval.indicators import CandidateProfile
-
-
-def splitmix64(seed):
-    """One splitmix64 output from the state `seed` (any int, taken mod 2**64)."""
-    z = (seed + 0x9E3779B97F4A7C15) % 2**64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-    return z ^ (z >> 31)
 
 
 def profile(pid, **scores):
@@ -79,6 +68,10 @@ class TestOneCueSelect:
         cset = one_cue_select(profiles, "hcp", 1e-11)
         assert cset.selected == ("A",)
         assert cset.cutoff_value == 4.0
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="^at least one profile is required$"):
+            one_cue_select([], "x", 0.5)
 
     def test_missing_cue_names_profile_and_cue(self):
         with pytest.raises(ValueError) as err:
@@ -405,86 +398,58 @@ class TestWeightedLinear:
 
 class TestRecognition:
     def test_single_recognized_object_chosen(self):
-        assert recognition_choose("a", "b", {"a"}) is Decision.CHOOSE_A
-        assert recognition_choose("a", "b", {"b"}) is Decision.CHOOSE_B
+        # whichever way the coin fell
+        for guess_a in (False, True):
+            assert recognition_choose("a", "b", {"a"}, guess_a=guess_a) is Decision.CHOOSE_A
+            assert recognition_choose("a", "b", {"b"}, guess_a=guess_a) is Decision.CHOOSE_B
 
     def test_unrecognized_pair_guesses_reproducibly(self):
-        first = recognition_choose("a", "b", set(), seed=123)
-        assert first in (Decision.CHOOSE_A, Decision.CHOOSE_B)
-        assert recognition_choose("a", "b", set(), seed=123) is first
-        # different seeds reach both outcomes
-        outcomes = {recognition_choose("a", "b", set(), seed=s) for s in range(64)}
-        assert outcomes == {Decision.CHOOSE_A, Decision.CHOOSE_B}
+        # the guess follows the caller's coin, both ways
+        assert recognition_choose("a", "b", set(), guess_a=True) is Decision.CHOOSE_A
+        assert recognition_choose("a", "b", set(), guess_a=False) is Decision.CHOOSE_B
 
     def test_both_recognized_delegates_to_knowledge(self):
         always_a = lambda a, b: Decision.CHOOSE_A
-        assert recognition_choose("a", "b", {"a", "b"}, always_a) is Decision.CHOOSE_A
+        assert recognition_choose("a", "b", {"a", "b"}, always_a, guess_a=False) is Decision.CHOOSE_A
 
     def test_both_recognized_without_knowledge_guesses(self):
-        assert recognition_choose("a", "b", {"a", "b"}, None, seed=5) is recognition_choose(
-            "a", "b", {"a", "b"}, None, seed=5
-        )
-
-    def test_seeded_bits_match_pure_python_splitmix64(self):
-        # published splitmix64 outputs anchor the reference itself
-        assert splitmix64(0) == 0xE220A8397B1DCDAF
-        assert splitmix64(1234567) == 6457827717110365317
-        seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, *range(2, 200), *(3**k for k in range(41))]
-        bits = _seeded_bits(np.array(seeds, dtype=np.uint64))
-        assert bits.tolist() == [splitmix64(s) & 1 for s in seeds]
-        assert [_seeded_bit(s) for s in seeds] == [splitmix64(s) & 1 for s in seeds]
-
-    @pytest.mark.parametrize("seed", [-1, -2, -(2**63), -(2**64) - 5, 2**64, 2**64 + 7, 2**70 + 3,
-                                      2**128])
-    def test_seed_outside_uint64_is_reduced_mod_2_64(self, seed):
-        # (seed + step) is taken mod 2**64, so any Python int is a seed
-        expected = Decision.CHOOSE_A if splitmix64(seed) & 1 else Decision.CHOOSE_B
-        assert recognition_choose("a", "b", set(), seed=seed) is expected
-
-    def test_no_overflow_warning_at_the_uint64_edges(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for seed in (0, 2**63 - 1, 2**64 - 1, -1, 2**64):
-                recognition_choose("a", "b", set(), seed=seed)
-            _seeded_bits(np.array([0, 2**63 - 1, 2**64 - 1], dtype=np.uint64))
-            recognition_choose_pairs([False], [False], seeds=np.array([2**64 - 1], dtype=np.uint64))
+        for guess_a, expected in ((True, Decision.CHOOSE_A), (False, Decision.CHOOSE_B)):
+            assert recognition_choose("a", "b", {"a", "b"}, None, guess_a=guess_a) is expected
 
     @staticmethod
     def scalar_codes(cases, with_knowledge):
         """The recognition_choose decision of each (a_known, b_known,
-        knowledge_picks_a, seed) case, as a +1/-1 code."""
+        knowledge_picks_a, guess_a) case, as a +1/-1 code."""
         codes = []
-        for a_known, b_known, picks_a, seed in cases:
+        for a_known, b_known, picks_a, guess_a in cases:
             recognized = {name for name, known in (("a", a_known), ("b", b_known)) if known}
             knowledge = None
             if with_knowledge:
                 knowledge = lambda a, b, picks_a=picks_a: (
                     Decision.CHOOSE_A if picks_a else Decision.CHOOSE_B
                 )
-            decision = recognition_choose("a", "b", recognized, knowledge, seed=seed)
+            decision = recognition_choose("a", "b", recognized, knowledge, guess_a=guess_a)
             codes.append(1 if decision is Decision.CHOOSE_A else -1)
         return codes
 
     @staticmethod
     def array_codes(cases, with_knowledge):
-        a_known, b_known, picks_a, seeds = zip(*cases)
+        a_known, b_known, picks_a, guesses_a = zip(*cases)
         codes = recognition_choose_pairs(
             np.array(a_known), np.array(b_known), np.array(picks_a) if with_knowledge else None,
-            seeds=np.array(seeds, dtype=np.uint64),
+            guesses_a=np.array(guesses_a),
         )
         return codes.tolist()
 
     @pytest.mark.parametrize("with_knowledge", [False, True])
     def test_pairs_cover_every_case_like_recognition_choose(self, with_knowledge):
-        seeds = range(16)
-        assert {_seeded_bit(s) for s in seeds} == {0, 1}
-        cases = list(itertools.product((False, True), (False, True), (False, True), seeds))
+        cases = list(itertools.product((False, True), repeat=4))
         assert self.array_codes(cases, with_knowledge) == self.scalar_codes(cases, with_knowledge)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         cases=st.lists(
-            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**63 - 1)),
+            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
             min_size=1, max_size=40,
         ),
         with_knowledge=st.booleans(),

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from frugaleval.indicators import (
     CandidateProfile,
@@ -22,7 +23,9 @@ def make_group(citations, category="phys", year=2020, prefix="g"):
 
 
 def brute_force_highly_cited(group_citations, citations, p):
-    """Independent oracle: competition rank over the descending-sorted group."""
+    """Independent oracle: competition rank over the descending-sorted group,
+    against the documented quota ceil(p * n), with p * n in exact arithmetic
+    rounded to 9 decimal places."""
     ranked = sorted(group_citations, reverse=True)
     rank = 1
     for value in ranked:
@@ -30,7 +33,7 @@ def brute_force_highly_cited(group_citations, citations, p):
             rank += 1
         else:
             break
-    return rank <= math.ceil(p * len(ranked))
+    return rank <= math.ceil(round(Fraction(p) * len(ranked), 9))
 
 
 class TestIsHighlyCited:
@@ -65,6 +68,9 @@ class TestIsHighlyCited:
         p=st.floats(0.01, 0.99),
         probe=st.integers(0, 30),
     )
+    # p * 25 computes as 7.000000000000001 and 14.000000000000002: the quota is 7 and 14
+    @example(citations=list(range(25)), p=0.28, probe=17)
+    @example(citations=list(range(25)), p=0.56, probe=10)
     def test_matches_rank_oracle(self, citations, p, probe):
         corpus = ReferenceCorpus(make_group(citations))
         pub = Publication("probe", 2020, "phys", probe)
