@@ -25,14 +25,11 @@ from .heuristics import (
     StoppingReason,
     TraceStep,
     WeightVector,
-    cue_validity,
     one_cue_select,
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
-    recognition_choose_pairs,
     tallying_choose,
-    validity_order,
     weighted_linear_choose,
 )
 from .ecology import (
@@ -41,11 +38,14 @@ from .ecology import (
     RankDeficientError,
     SplitConfig,
     StrategyResult,
+    cue_validity,
     fit_linear_weights,
     generate_binary_environment,
     generate_gaussian_environment,
     less_is_more_curve,
+    recognition_choose_pairs,
     run_benchmark,
+    validity_order,
 )
 from .careers import (
     CareerSequence,

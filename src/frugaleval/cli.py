@@ -90,10 +90,21 @@ def _require(params: Mapping[str, object], *names: str,
         raise ValueError(message.format(", ".join(missing)))
 
 
+class _DefaultFloat(float):
+    """A flag's default number, marked so that _reject_unused can tell it from
+    a given value; it prints and serializes as the plain number. A typed or
+    configured value goes through the flag's type= and is never marked."""
+
+
+class _DefaultInt(int):
+    """An int flag default, marked as _DefaultFloat marks a float one."""
+
+
 def _reject_unused(params: Mapping[str, object], *names: str, message: str) -> None:
-    """Fail naming the flags (all default None) that were given but that this
-    mode of the command does not use, so none is dropped silently."""
-    unused = [f"--{name.replace('_', '-')}" for name in names if params.get(name) is not None]
+    """Fail naming the flags that were given but that this mode of the command
+    does not use, so none is dropped silently."""
+    unused = [f"--{name.replace('_', '-')}" for name in names
+              if not isinstance(params.get(name), (type(None), _DefaultFloat, _DefaultInt))]
     if unused:
         raise ValueError(message.format(", ".join(unused)))
 
@@ -194,7 +205,8 @@ def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
     if (p["a"] is None) != (p["b"] is None):
         _require(p, "a", "b", message="choose takes both --a and --b, or neither; missing {}")
     if p["profiles"]:
-        _reject_unused(p, "corpus", "candidates", message="choose --profiles does not use {}")
+        _reject_unused(p, "corpus", "candidates", "p",
+                       message="choose --profiles does not use {}")
         profiles = read_profiles_table(p["profiles"])
     elif p["corpus"] and p["candidates"]:
         # raw publication files only carry the highly-cited indicator
@@ -240,7 +252,7 @@ def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
 
 def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     if p["environment"]:
-        _reject_unused(p, "gen", "weights", "targets",
+        _reject_unused(p, "gen", "weights", "targets", "n_objects",
                        message="bench --environment does not use {}")
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
@@ -291,8 +303,8 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
 def _cmd_career(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     planted = None
     if p["impacts"]:
-        _reject_unused(p, "length", "baseline_mean", "multiplier", "streak_len", "save_career",
-                       message="career --impacts detects only and does not use {}")
+        _reject_unused(p, "length", "baseline_mean", "multiplier", "streak_len", "noise_sigma",
+                       "save_career", message="career --impacts detects only and does not use {}")
         seq = read_career(p["impacts"])
     else:
         _require(p, "length", "baseline_mean", "multiplier", "streak_len",
@@ -430,7 +442,7 @@ def _add_publication_inputs(sub: argparse.ArgumentParser) -> None:
                      help="reference corpus CSV: id, year, category, citations, doc_type")
     sub.add_argument("--candidates", default=None,
                      help="candidate publications CSV: corpus columns plus candidate_id, validated")
-    sub.add_argument("--p", type=float, default=0.10,
+    sub.add_argument("--p", type=float, default=_DefaultFloat(0.10),
                      help="highly-cited share within (category, year) group (default: 0.10)")
 
 
@@ -483,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary generator weights, e.g. cue_a=4,cue_b=2,cue_c=1")
     bench.add_argument("--targets", default=None,
                        help="gaussian generator cue-criterion correlations, e.g. cue_a=0.9,cue_b=0.5")
-    bench.add_argument("--n-objects", dest="n_objects", type=int, default=20,
+    bench.add_argument("--n-objects", dest="n_objects", type=int, default=_DefaultInt(20),
                        help="generated environment size (default: 20)")
     bench.add_argument("--strategies", default="take_the_best,minimalist,tallying,linear",
                        help="comma-separated strategy names")
@@ -506,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="impact multiplier inside the planted streak (>= 1)")
     career.add_argument("--streak-len", dest="streak_len", default=None,
                         help="planted streak length, LO:HI or a single value")
-    career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
+    career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=_DefaultFloat(0.0),
                         help="log-domain noise sigma for generated impacts (default: 0)")
     career.add_argument("--min-streak-len", dest="min_streak_len", type=int,
                         default=MIN_STREAK_LEN,

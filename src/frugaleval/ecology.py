@@ -2,12 +2,15 @@
 
 A task environment is object ids, a criterion vector and one cue matrix
 (`Environment`), read from a file or generated. The benchmark fits cue
-orders and linear weights on a training split only, and scores every
-strategy on all unordered test pairs, decided in one array pass per
-strategy -- accuracy, frugality (mean cues inspected) and wall time. The
-scalar functions in heuristics are the reference each array pass is
-tested against. Splits and generators are fully seeded; identical seeds
-reproduce reports bit for bit apart from wall time.
+orders (by cue validity) and linear weights on a training split only, and
+scores every strategy on all unordered test pairs, decided in one array
+pass per strategy -- accuracy, frugality (mean cues inspected) and wall
+time. This module holds every array pass over object pairs: cue
+validities, the strategies' decisions and the recognition pair pass of
+the less-is-more curve. Each reads the order of a pair from `_compare`
+alone, and each is tested against a scalar reference in heuristics.
+Splits and generators are fully seeded; identical seeds reproduce reports
+bit for bit apart from wall time.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .heuristics import (
-    DiscriminationRule,
-    WeightVector,
-    recognition_accuracy,
-    recognition_choose_pairs,
-    validity_order,
-)
+from .heuristics import CueOrder, DiscriminationRule, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
 from .heuristics import (  # noqa: F401
     one_reason_choose,
@@ -58,6 +55,8 @@ class Environment:
             raise ValueError(f"environment needs at least 2 objects, got {len(ids)}")
         if not names or len(set(names)) != len(names):
             raise ValueError(f"environment needs distinct cue names, got {list(names)}")
+        if not all(name.strip() for name in names):
+            raise ValueError(f"environment cue names must not be blank, got {list(names)}")
         if len(set(ids)) != len(ids):
             duplicate = next(pid for k, pid in enumerate(ids) if pid in ids[:k])
             raise ValueError(f"duplicate object id {duplicate!r}")
@@ -83,9 +82,6 @@ class Environment:
             if name not in self.cue_names:
                 raise ValueError(f"environment has no cue named {name!r}")
         return [self.cue_names.index(name) for name in names]
-
-    def cue_values(self, name: str) -> np.ndarray:
-        return self.cue_matrix[:, self.columns([name])[0]]
 
     def subset(self, indices: Sequence[int]) -> Environment:
         rows = np.asarray(indices, dtype=np.intp)
@@ -271,6 +267,31 @@ def _lexicographic(signs: np.ndarray) -> Codes:
     return signs[pairs, first], np.where(hit[pairs, first], first + 1, signs.shape[1])
 
 
+def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
+    """cue_validity of every column of an n x m cue matrix, over one pairing."""
+    i, j = np.triu_indices(len(criterion), k=1)
+    signs = _compare(cues[i], cues[j])
+    truth = _compare(criterion[i], criterion[j])
+    discriminates = signs != 0
+    totals = np.count_nonzero(discriminates, axis=0).tolist()
+    corrects = np.count_nonzero((signs == truth[:, None]) & discriminates, axis=0).tolist()
+    return [correct / total if total else 0.5 for correct, total in zip(corrects, totals)]
+
+
+def cue_validity(env: Environment, cue: str) -> float:
+    """Share of cue-discriminating object pairs where the higher-cue object
+    also has the higher criterion; 0.5 when no pair discriminates.
+    """
+    return _validities(env.cue_matrix[:, env.columns([cue])], env.criterion_values)[0]
+
+
+def validity_order(env: Environment) -> CueOrder:
+    """Cues ranked by validity, best first; ties broken by name."""
+    validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
+    ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
+    return CueOrder(tuple(ranked))
+
+
 class TakeTheBestStrategy:
     """Lexicographic choice with the cue order learned from training data."""
 
@@ -404,6 +425,30 @@ def run_benchmark(
         for s in strategies
     )
     return BenchmarkReport(results)
+
+
+def recognition_choose_pairs(
+    a_known: np.ndarray,
+    b_known: np.ndarray,
+    knowledge_picks_a: np.ndarray | None = None,
+    *,
+    guesses_a: np.ndarray,
+) -> np.ndarray:
+    """recognition_choose for many pairs at once: +1 chooses a, -1 chooses b.
+
+    Pair k recognizes a when a_known[k] and b when b_known[k]; when both are
+    recognized, knowledge_picks_a[k] is the knowledge comparator's answer
+    (None: no knowledge, guess). A guess picks a when guesses_a[k], as
+    recognition_choose does for guess_a=guesses_a[k].
+    """
+    a_known = np.asarray(a_known, dtype=bool)
+    b_known = np.asarray(b_known, dtype=bool)
+    picks_a = np.asarray(guesses_a, dtype=bool)
+    if knowledge_picks_a is not None:
+        picks_a = np.where(a_known & b_known, knowledge_picks_a, picks_a)
+    # exactly one recognized: choose it
+    picks_a = np.where(a_known != b_known, a_known, picks_a)
+    return np.where(picks_a, 1, -1)
 
 
 def less_is_more_curve(

@@ -1,13 +1,14 @@
-"""Fast-and-frugal decision strategies over named indicator scores.
+"""Fast-and-frugal decision strategies over named indicator scores: the
+scalar reference layer, one pair of candidates at a time.
 
 One-reason choice inspects cues one at a time in a given order and stops
 at the first cue that discriminates; it returns the decision together
-with an audit trace of every cue inspected. Take-the-best is one-reason
-choice over `validity_order`; minimalist, over a random order, is a
-benchmark strategy in ecology. Compensatory baselines (tallying, weighted
-linear) and the recognition heuristic are included for comparison, plus
-single-cue screening that prunes a candidate pool down to a consideration
-set.
+with an audit trace of every cue inspected. Compensatory baselines
+(tallying, weighted linear) and the recognition heuristic are included
+for comparison, plus single-cue screening that prunes a candidate pool
+down to a consideration set. Every array pass over object pairs (cue
+validities, the benchmark strategies, the recognition pair pass) lives in
+ecology and is tested against these functions.
 
 Everything is a pure function over immutable inputs; randomness is always
 passed in as an explicit seed or draw.
@@ -19,14 +20,11 @@ import enum
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .indicators import CandidateProfile, top_quota
-
-if TYPE_CHECKING:
-    from .ecology import Environment
 
 
 class Decision(enum.Enum):
@@ -210,31 +208,6 @@ def one_reason_choose(
     return trace.decision, trace
 
 
-def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
-    """cue_validity of every column of an n x m cue matrix, over one pairing."""
-    i, j = np.triu_indices(len(criterion), k=1)
-    cue_diff = cues[i] - cues[j]
-    crit_diff = criterion[i] - criterion[j]
-    totals = np.count_nonzero(cue_diff != 0.0, axis=0).tolist()
-    # a pair the cue does not discriminate has a zero product, never counted
-    corrects = np.count_nonzero(cue_diff * crit_diff[:, None] > 0.0, axis=0).tolist()
-    return [correct / total if total else 0.5 for correct, total in zip(corrects, totals)]
-
-
-def cue_validity(env: "Environment", cue: str) -> float:
-    """Share of cue-discriminating object pairs where the higher-cue object
-    also has the higher criterion; 0.5 when no pair discriminates.
-    """
-    return _validities(env.cue_values(cue)[:, None], env.criterion_values)[0]
-
-
-def validity_order(env: "Environment") -> CueOrder:
-    """Cues ranked by validity, best first; ties broken by name."""
-    validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
-    ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
-    return CueOrder(tuple(ranked))
-
-
 def tallying_choose(
     a: CandidateProfile,
     b: CandidateProfile,
@@ -299,30 +272,6 @@ def recognition_choose(
     if a_known and b_known and knowledge is not None:
         return knowledge(a_id, b_id)
     return Decision.CHOOSE_A if guess_a else Decision.CHOOSE_B
-
-
-def recognition_choose_pairs(
-    a_known: np.ndarray,
-    b_known: np.ndarray,
-    knowledge_picks_a: np.ndarray | None = None,
-    *,
-    guesses_a: np.ndarray,
-) -> np.ndarray:
-    """recognition_choose for many pairs at once: +1 chooses a, -1 chooses b.
-
-    Pair k recognizes a when a_known[k] and b when b_known[k]; when both are
-    recognized, knowledge_picks_a[k] is the knowledge comparator's answer
-    (None: no knowledge, guess). A guess picks a when guesses_a[k], as
-    recognition_choose does for guess_a=guesses_a[k].
-    """
-    a_known = np.asarray(a_known, dtype=bool)
-    b_known = np.asarray(b_known, dtype=bool)
-    picks_a = np.asarray(guesses_a, dtype=bool)
-    if knowledge_picks_a is not None:
-        picks_a = np.where(a_known & b_known, knowledge_picks_a, picks_a)
-    # exactly one recognized: choose it
-    picks_a = np.where(a_known != b_known, a_known, picks_a)
-    return np.where(picks_a, 1, -1)
 
 
 def recognition_accuracy(N: int, n: int, alpha: float, beta: float) -> float:

@@ -196,6 +196,9 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
 
 def _value_columns(header: list[str], what: str) -> list[tuple[int, str]]:
     columns = [(i, column) for i, column in enumerate(header) if column not in KEY_COLUMNS]
+    for i, column in columns:
+        if not column.strip():
+            raise ValueError(f"{what} header column {i + 1} has no name")
     if not columns:
         raise ValueError(f"{what} has no value columns")
     return columns

@@ -21,6 +21,7 @@ from frugaleval.ecology import (
     generate_binary_environment,
     less_is_more_curve,
     run_benchmark,
+    validity_order,
 )
 from frugaleval.heuristics import (
     CueOrder,
@@ -30,7 +31,6 @@ from frugaleval.heuristics import (
     one_reason_choose,
     recognition_accuracy,
     tallying_choose,
-    validity_order,
     weighted_linear_choose,
 )
 from frugaleval.indicators import (

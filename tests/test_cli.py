@@ -660,18 +660,18 @@ def every_option(tmp_path):
     return {
         "screen": [{"corpus": corpus, "candidates": cands, "p": "0.2", "quota": "0.5"}],
         "choose": [
-            {"profiles": profiles, "p": "0.2", "a": "bob", "b": "alice",
+            {"profiles": profiles, "a": "bob", "b": "alice",
              "cue_order": "hcp,collab", **rule},
             {"corpus": corpus, "candidates": cands, "p": "0.2", "a": "bob", "b": "alice",
              "cue_order": "highly_cited_papers", **rule},
         ],
         "bench": [
-            {"environment": str(env), **split},
+            {"environment": str(env), **{k: v for k, v in split.items() if k != "n_objects"}},
             {"gen": "gaussian", "targets": "c1=0.5", **split},
             {"gen": "binary", "weights": "c1=4", **split},
         ],
         "career": [
-            {"impacts": str(career), "noise_sigma": "0.1", **detect},
+            {"impacts": str(career), **detect},
             {"length": "30", "baseline_mean": "5", "multiplier": "10", "streak_len": "4:6",
              "noise_sigma": "0.1", "save_career": str(tmp_path / "saved.csv"), **detect},
         ],
@@ -702,6 +702,31 @@ class TestConfigFile:
         # the report echoes every option except the run options, so none was left out
         echoed = json.loads(typed.read_text())["config"]
         assert set(echoed) == set().union(*modes)
+
+    @pytest.mark.parametrize("given", ["typed", "config"])
+    @pytest.mark.parametrize("command, flag, value", [
+        # the first value of each flag is its default, given all the same
+        ("choose", "p", "0.1"), ("choose", "p", "0.2"),
+        ("bench", "n_objects", "20"), ("bench", "n_objects", "30"),
+        ("career", "noise_sigma", "0.0"), ("career", "noise_sigma", "0.1"),
+    ])
+    def test_unused_flag_with_a_default_rejected(self, tmp_path, capsys, command, flag, value,
+                                                 given):
+        message = {"choose": "choose --profiles does not use --p",
+                   "bench": "bench --environment does not use --n-objects",
+                   "career": "career --impacts detects only and does not use --noise-sigma"}[command]
+        mode = every_option(tmp_path)[command][0]
+        flags = list(itertools.chain.from_iterable(
+            (f"--{k.replace('_', '-')}", v) for k, v in mode.items()))
+        if given == "typed":
+            extra = [f"--{flag.replace('_', '-')}", value]
+        else:
+            extra = ["--config", write(tmp_path / "run.cfg", f"{flag} = {value}\n")]
+        code = main([command, *flags, *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, line, flag", [
         (["workload", "--panel-size", "10", "--working-days", "10"], "papers = x", "--papers"),

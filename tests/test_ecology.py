@@ -15,22 +15,22 @@ from frugaleval.ecology import (
     SplitConfig,
     TakeTheBestStrategy,
     TallyingStrategy,
+    cue_validity,
     fit_linear_weights,
     generate_binary_environment,
     generate_gaussian_environment,
     less_is_more_curve,
     run_benchmark,
     train_test_indices,
+    validity_order,
 )
 from frugaleval.heuristics import (
     Decision,
     DiscriminationRule,
     RuleMode,
     WeightVector,
-    cue_validity,
     one_reason_choose,
     tallying_choose,
-    validity_order,
     weighted_linear_choose,
 )
 
@@ -144,7 +144,7 @@ class TestGenerateGaussianEnvironment:
         env = generate_gaussian_environment(targets, 2000, seed=6)
         criterion = env.criterion_values
         corr = {
-            name: float(np.corrcoef(env.cue_values(name), criterion)[0, 1])
+            name: float(np.corrcoef(env.cue_matrix[:, env.cue_names.index(name)], criterion)[0, 1])
             for name in targets
         }
         assert corr["strong"] > corr["medium"] > corr["weak"]
@@ -518,6 +518,11 @@ class TestEnvironmentType:
     def test_requires_distinct_cue_names(self):
         with pytest.raises(ValueError, match="distinct cue names"):
             Environment(["a", "b"], [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["c", "c"])
+
+    @pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
+    def test_rejects_blank_cue_name(self, name):
+        with pytest.raises(ValueError, match="must not be blank"):
+            Environment(["a", "b"], [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["c", name])
 
     def test_columns_are_stored_in_name_order(self):
         env = Environment(["a", "b"], [1.0, 2.0], [[1.0, 10.0], [2.0, 20.0]], ["z", "y"])

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugaleval.ecology import Environment, MinimalistStrategy, TakeTheBestStrategy
+from frugaleval.ecology import (
+    Environment,
+    MinimalistStrategy,
+    TakeTheBestStrategy,
+    cue_validity,
+    recognition_choose_pairs,
+    validity_order,
+)
 from frugaleval.heuristics import (
     CueOrder,
     Decision,
@@ -14,14 +21,11 @@ from frugaleval.heuristics import (
     StoppingReason,
     TraceStep,
     WeightVector,
-    cue_validity,
     one_cue_select,
     one_reason_choose,
     recognition_accuracy,
     recognition_choose,
-    recognition_choose_pairs,
     tallying_choose,
-    validity_order,
     weighted_linear_choose,
 )
 from frugaleval.indicators import CandidateProfile
@@ -232,6 +236,11 @@ class TestCueValidity:
         with pytest.raises(ValueError, match="zz"):
             cue_validity(env, "zz")
 
+    def test_differences_whose_product_underflows_still_count(self):
+        # (1e-200 - 0) * (1e-200 - 0) underflows to 0.0; the signs agree
+        env = Environment(["a", "b"], [0, 1e-200], [[0], [1e-200]], ["c"])
+        assert cue_validity(env, "c") == 1.0
+
 
 class TestTakeTheBest:
     def _env(self):
@@ -255,7 +264,11 @@ class TestTakeTheBest:
     def test_validity_order_matches_per_pair_count(self, data):
         names = data.draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
         n = data.draw(st.integers(2, 8))
-        rows = [(data.draw(st.integers(0, 5)), {name: data.draw(st.integers(0, 3)) for name in names})
+        # tiny values too, so that a product of two differences can underflow
+        tiny = st.integers(0, 3).map(lambda k: k * 1e-200)
+        crits = st.one_of(st.integers(0, 5), tiny)
+        values = st.one_of(st.integers(0, 3), tiny)
+        rows = [(data.draw(crits), {name: data.draw(values) for name in names})
                 for _ in range(n)]
         env = make_env([crit for crit, _ in rows],
                        [[cues[name] for name in names] for _, cues in rows], names)
@@ -266,7 +279,7 @@ class TestTakeTheBest:
             for (ca, a), (cb, b) in itertools.combinations(rows, 2):
                 if a[cue] != b[cue]:
                     total += 1
-                    right += (a[cue] - b[cue]) * (ca - cb) > 0
+                    right += ca != cb and (a[cue] > b[cue]) == (ca > cb)
             return right / total if total else 0.5
 
         validities = {name: cue_validity(env, name) for name in names}

@@ -203,6 +203,21 @@ def test_no_value_columns_fails_on_the_header(tmp_path, name, header, what, rows
     assert str(err.value) == f"{path}: {what} has no value columns"
 
 
+@pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
+@pytest.mark.parametrize("reader, header, row, what", [
+    (read_profiles_table, ["id", "hcp"], ["a", "1", "5"], "profiles table header column 3"),
+    (read_environment, ["id", "criterion", "c1"], ["a", "1", "2", "5"],
+     "environment file header column 4"),
+], ids=["profiles", "environment"])
+def test_value_column_without_a_name_fails_on_the_header(tmp_path, reader, header, row, what,
+                                                         name):
+    path = table(tmp_path, [*header, name], [row, [f"b{k}" if k == 0 else v
+                                                    for k, v in enumerate(row)]])
+    with pytest.raises(TableError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: {what} has no name"
+
+
 def test_non_finite_profile_value_names_its_line(tmp_path):
     path = table(tmp_path, ["id", "hcp", "collab"], [["A", "1", "2"], ["B", "3", "nan"]])
     assert problems(read_profiles_table, path) == [(3, "collab 'nan' is not a finite number")]
@@ -247,8 +262,10 @@ texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 @given(data=st.data())
 def test_environment_round_trip(tmp_path_factory, data):
     n = data.draw(st.integers(2, 6))
+    # Environment rejects a blank cue name
     names = data.draw(st.lists(
-        texts.filter(lambda t: t not in ("id", "criterion")), min_size=1, max_size=3, unique=True
+        texts.filter(lambda t: t.strip() and t not in ("id", "criterion")),
+        min_size=1, max_size=3, unique=True
     ))
     env = Environment(
         data.draw(st.lists(texts, min_size=n, max_size=n, unique=True)),
