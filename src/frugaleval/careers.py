@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 MIN_STREAK_LEN = 3
 _RSS_FLOOR = 1e-300  # keeps ln(RSS) finite on exactly piecewise-constant input

@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .heuristics import CueOrder, DiscriminationRule, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
 from .heuristics import (  # noqa: F401
@@ -35,7 +34,8 @@ from .indicators import CandidateProfile
 # A strategy's decide_pairs(env, i, j) decides every pair (i[k], j[k]) at once,
 # exactly as the scalar functions in heuristics would. It returns a code per
 # pair (+1 first object, -1 second, 0 undecided) and the cues each inspected.
-Codes = tuple[np.ndarray, np.ndarray]
+# A string, so that importing this module reads nothing of numpy (see _numpy).
+Codes = "tuple[np.ndarray, np.ndarray]"
 
 
 class Environment:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .indicators import CandidateProfile, top_quota
 
 

@@ -8,7 +8,9 @@ share; the alternative (dropping an arbitrary subset of tied papers)
 would make the classification depend on input order.
 
 All types are immutable values and all operations are pure functions,
-so everything here is safe to call concurrently.
+so everything here is safe to call concurrently. The one cache, a
+corpus's thresholds per share, is filled with values that depend on the
+share alone, so two threads filling it at once store the same values.
 """
 
 from __future__ import annotations
@@ -142,6 +144,8 @@ class ReferenceCorpus:
             citations.sort()
         self.publications = tuple(kept)
         self._citations = groups
+        # share p -> {group: threshold}, filled by threshold() once per p
+        self._thresholds: dict[float, dict[tuple[str, int], int]] = {}
 
     def group_keys(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self._citations))
@@ -150,9 +154,31 @@ class ReferenceCorpus:
         try:
             return self._citations[(category, year)]
         except KeyError:
-            raise MissingGroupError(
-                f"reference corpus has no group for category={category!r}, year={year}"
-            ) from None
+            raise _missing_group(category, year) from None
+
+    def threshold(self, category: str, year: int, p: float) -> int:
+        """The q-th largest citation count of the group, q = ceil(p * N):
+        a publication of the group is in its top share p exactly when it
+        has at least this many citations (fewer than q members cite more).
+
+        The thresholds of every group are computed on the first query of a
+        share p and kept for later queries of the same p.
+        """
+        thresholds = self._thresholds.get(p)
+        if thresholds is None:
+            _check_share(p)
+            thresholds = self._thresholds[p] = {
+                key: group[-top_quota(p, len(group))] for key, group in self._citations.items()
+            }
+        try:
+            return thresholds[(category, year)]
+        except KeyError:
+            raise _missing_group(category, year) from None
+
+
+def _missing_group(category: str, year: int) -> MissingGroupError:
+    return MissingGroupError(
+        f"reference corpus has no group for category={category!r}, year={year}")
 
 
 def finalize_publication_list(
@@ -185,11 +211,6 @@ def _check_share(p: float) -> None:
         raise ValueError(f"p must be in (0, 1), got {p}")
 
 
-def _at_least_top_quota(citations: int, group: list[int], p: float) -> bool:
-    """Fewer than q = ceil(p * N) group members cite more: the q-th largest reached."""
-    return citations >= group[-top_quota(p, len(group))]
-
-
 def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) -> bool:
     """True when fewer than ceil(p * N) publications in the publication's own
     (category, year) group cite strictly more than it does.
@@ -205,7 +226,7 @@ def is_highly_cited(pub: Publication, corpus: ReferenceCorpus, p: float = 0.10) 
             f"publication {pub.id!r} has doc_type {pub.doc_type.value!r}; "
             "only articles and reviews are ranked"
         )
-    return _at_least_top_quota(pub.citations, corpus.group_citations(pub.category, pub.year), p)
+    return pub.citations >= corpus.threshold(pub.category, pub.year, p)
 
 
 def count_highly_cited(
@@ -226,9 +247,9 @@ def count_highly_cited(
         if pub.validated is not Validation.INCLUDED or pub.doc_type not in _RANKED:
             continue
         try:
-            group = corpus.group_citations(pub.category, pub.year)
+            threshold = corpus.threshold(pub.category, pub.year, p)
         except MissingGroupError as exc:
             raise MissingGroupError(
                 f"profile {profile.id!r}, publication {pub.id!r}: {exc}") from None
-        count += _at_least_top_quota(pub.citations, group, p)
+        count += pub.citations >= threshold
     return count

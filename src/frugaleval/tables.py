@@ -2,9 +2,10 @@
 
 All readers are strict: every malformed row is reported with the physical
 line it starts on and nothing is silently dropped. Blank lines are skipped;
-every other row must have exactly as many fields as the header. Column
-names are part of the file contract. Files are UTF-8: a leading byte-order
-mark is skipped, and a byte that is not UTF-8 is reported with its line.
+every other row must have exactly as many fields as the header. Every
+header column has a name, no name repeats, and the names are part of the
+file contract. Files are UTF-8: a leading byte-order mark is skipped, and
+a byte that is not UTF-8 is reported with its line.
 
   corpus:      id, year, category, citations, doc_type
   candidates:  id, year, category, citations, doc_type, candidate_id, validated
@@ -68,6 +69,9 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
             missing = [col for col in required if col not in header]
             if missing:
                 raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
+            nameless = next((i for i, col in enumerate(header) if not col.strip()), None)
+            if nameless is not None:
+                raise TableError(f"{path}: header column {nameless + 1} has no name")
             repeated = sorted({col for col in header if header.count(col) > 1})
             if repeated:
                 raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
@@ -196,9 +200,6 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
 
 def _value_columns(header: list[str], what: str) -> list[tuple[int, str]]:
     columns = [(i, column) for i, column in enumerate(header) if column not in KEY_COLUMNS]
-    for i, column in columns:
-        if not column.strip():
-            raise ValueError(f"{what} header column {i + 1} has no name")
     if not columns:
         raise ValueError(f"{what} has no value columns")
     return columns

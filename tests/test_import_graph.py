@@ -55,3 +55,30 @@ def test_package_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def numpy_imports(source: str) -> list[int]:
+    """Lines of the source that import numpy, or a numpy submodule, by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_imports_are_seen():
+    source = "import os, numpy as np\nif True:\n    from numpy.linalg import lstsq\nimport numpyx\n"
+    assert numpy_imports(source) == [1, 3]
+
+
+def test_only_the_deferred_loader_imports_numpy():
+    # a direct import would load numpy at start-up for every command (see _numpy)
+    found = {path.name: numpy_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "_numpy.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

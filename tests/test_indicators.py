@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frugaleval.indicators import (
     CandidateProfile,
     DocType,
+    MissingGroupError,
     Publication,
     ReferenceCorpus,
     Validation,
@@ -194,6 +195,68 @@ class TestCountHighlyCited:
         for pub in pubs:
             smaller = finalize_publication_list(profile, {pub.id: "excluded"})
             assert count_highly_cited(smaller, corpus, 0.10) <= base
+
+
+@st.composite
+def corpus_and_shares(draw):
+    """Up to three groups of counts 0..5, so ties at the boundary are common,
+    and several shares to query one corpus with: near 0, near 1, anywhere,
+    and k / n for a group's size n, where p * n is exactly the integer k."""
+    groups = draw(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=40),
+                           min_size=1, max_size=3))
+    multiples = sorted({k / len(g) for g in groups for k in range(1, len(g))})
+    share = st.one_of(
+        # from 1e-9 up, the oracle's exact ceil(p * n) is at least 1, as top_quota's is
+        st.floats(1e-9, 0.02), st.floats(0.98, 1.0, exclude_max=True), st.floats(0.02, 0.98),
+        *([st.sampled_from(multiples)] if multiples else []),
+    )
+    return groups, draw(st.lists(share, min_size=2, max_size=6))
+
+
+class TestGroupThreshold:
+    """count_highly_cited and is_highly_cited read one threshold per group
+    and share p, which the corpus computes once per p and keeps."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(corpus_and_shares())
+    @example(([list(range(25))], [0.28, 0.56, 0.28]))
+    @example(([[3, 3, 3, 2, 1, 1, 0, 0, 0, 0], [5] * 7], [0.1, 1e-9, 0.999999, 0.3, 0.1]))
+    def test_both_functions_match_the_rank_oracle_at_every_share(self, case):
+        groups, shares = case
+        corpus = ReferenceCorpus([pub for g, counts in enumerate(groups)
+                                  for pub in make_group(counts, f"c{g}", prefix=f"r{g}_")])
+        probes = [(g, c) for g in range(len(groups)) for c in range(7)]
+        pubs = [Publication(f"x{g}_{c}", 2020, f"c{g}", c) for g, c in probes]
+        profile = CandidateProfile("cand", publications=pubs)
+        # one corpus, several shares, some repeated: a share never reads another's thresholds
+        for p in shares:
+            expected = [brute_force_highly_cited(groups[g], c, p) for g, c in probes]
+            assert [is_highly_cited(pub, corpus, p) for pub in pubs] == expected
+            assert count_highly_cited(profile, corpus, p) == sum(expected)
+            for g, counts in enumerate(groups):
+                assert corpus.threshold(f"c{g}", 2020, p) == min(
+                    c for c in counts if brute_force_highly_cited(counts, c, p))
+
+    def test_an_invalid_share_is_rejected_on_every_query(self):
+        corpus = ReferenceCorpus(make_group(range(10)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="p must be in"):
+                corpus.threshold("phys", 2020, 1.5)
+        assert corpus.threshold("phys", 2020, 0.1) == 9
+
+    def test_missing_group_messages(self):
+        corpus = ReferenceCorpus(make_group(range(5)))
+        stray = Publication("x", 1999, "chem", 100)
+        message = "reference corpus has no group for category='chem', year=1999"
+        with pytest.raises(MissingGroupError) as err:
+            is_highly_cited(stray, corpus, 0.10)
+        assert str(err.value) == message
+        with pytest.raises(MissingGroupError) as err:
+            count_highly_cited(CandidateProfile("cand", publications=(stray,)), corpus, 0.10)
+        assert str(err.value) == f"profile 'cand', publication 'x': {message}"
+        with pytest.raises(MissingGroupError) as err:
+            corpus.group_citations("chem", 1999)
+        assert str(err.value) == message
 
 
 class TestFinalizePublicationList:

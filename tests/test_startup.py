@@ -1,0 +1,98 @@
+"""Commands that do no array work never run numpy's body.
+
+Each command runs in a fresh interpreter as `python -X importtime -m
+frugaleval.cli ...`, whose import log names every module the run loads
+into sys.modules. numpy itself may be there as the deferred module of
+frugaleval._numpy, which the log does not list; a `numpy.` submodule in
+the log means numpy's body ran.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL, timeout=60)
+
+
+def numpy_modules_loaded(argv, cwd):
+    proc = run_python(["-X", "importtime", "-m", "frugaleval.cli", *argv], cwd)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "frugaleval.tables" in imported  # the log is there to read
+    return [name for name in imported if name == "numpy" or name.startswith("numpy.")]
+
+
+@pytest.fixture
+def profiles(tmp_path):
+    path = tmp_path / "profiles.csv"
+    path.write_text("id,hcp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
+    return path
+
+
+# choose --mode relative compares through np.maximum, so it may load numpy;
+# bench, career and the less-is-more curve do array work and load it too
+@pytest.mark.parametrize("command", ["screen", "choose --profiles", "choose --corpus",
+                                     "workload"])
+def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
+    argv = {
+        "screen": ["screen", "--corpus", screen_inputs.corpus,
+                   "--candidates", screen_inputs.candidates, "--quota", "0.25"],
+        "choose --profiles": ["choose", "--profiles", profiles, "--cue-order", "hcp,collab"],
+        "choose --corpus": ["choose", "--corpus", screen_inputs.corpus,
+                            "--candidates", screen_inputs.candidates,
+                            "--cue-order", "highly_cited_papers", "--a", "cand00",
+                            "--b", "cand01"],
+        "workload": ["workload", "--papers", "100", "--panel-size", "10",
+                     "--working-days", "20"],
+    }[command]
+    argv = [str(arg) for arg in argv] + ["--out", str(tmp_path / "report.txt")]
+    assert numpy_modules_loaded(argv, tmp_path) == []
+    assert (tmp_path / "report.txt").is_file()
+
+
+def test_the_log_shows_numpy_when_a_command_uses_it(tmp_path):
+    argv = ["bench", "--gen", "binary", "--weights", "a=2,b=1", "--n-objects", "8",
+            "--out", str(tmp_path / "report.txt")]
+    assert any(name.startswith("numpy.") for name in numpy_modules_loaded(argv, tmp_path))
+
+
+def test_deferred_numpy_is_numpy_to_other_code(tmp_path):
+    code = ("import frugaleval, numpy\n"
+            "from frugaleval._numpy import np\n"
+            "assert np is numpy\n"
+            "print(numpy.arange(3).tolist())\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 2]\n"
+
+
+def test_threads_that_read_numpy_first_at_once_all_get_it(tmp_path):
+    # with importlib.util.LazyLoader (Python 3.11) all but the first thread
+    # failed with "module 'numpy' has no attribute 'arange'"
+    code = ("import threading\n"
+            "from frugaleval._numpy import np\n"
+            "start, errors = threading.Barrier(4), []\n"
+            "def use():\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        np.arange(3).sum()\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=use) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=30)\n"
+            "print(sum(t.is_alive() for t in threads), errors)\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

@@ -135,6 +135,14 @@ class TestEveryReader:
         with pytest.raises(TableError, match=f"repeated header columns: {header[1]}$"):
             reader(path)
 
+    def test_nameless_header_column_rejected(self, tmp_path, name):
+        # two nameless columns used to fail as "repeated header columns: "
+        reader, header, good = READERS[name]
+        path = table(tmp_path, [*header, "", ""], [good(0) + ["1", "1"]])
+        with pytest.raises(TableError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: header column {len(header) + 1} has no name"
+
     def test_byte_order_mark_accepted(self, tmp_path, name):
         reader, header, good = READERS[name]
         path = table(tmp_path, header, [good(0), good(1)])
@@ -205,9 +213,8 @@ def test_no_value_columns_fails_on_the_header(tmp_path, name, header, what, rows
 
 @pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
 @pytest.mark.parametrize("reader, header, row, what", [
-    (read_profiles_table, ["id", "hcp"], ["a", "1", "5"], "profiles table header column 3"),
-    (read_environment, ["id", "criterion", "c1"], ["a", "1", "2", "5"],
-     "environment file header column 4"),
+    (read_profiles_table, ["id", "hcp"], ["a", "1", "5"], "header column 3"),
+    (read_environment, ["id", "criterion", "c1"], ["a", "1", "2", "5"], "header column 4"),
 ], ids=["profiles", "environment"])
 def test_value_column_without_a_name_fails_on_the_header(tmp_path, reader, header, row, what,
                                                          name):
