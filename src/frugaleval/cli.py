@@ -16,6 +16,7 @@ neither.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -49,12 +50,12 @@ from .indicators import (
     count_highly_cited,
 )
 from .tables import (
-    _undecodable,
     read_candidates,
     read_career,
     read_corpus,
     read_environment,
     read_profiles_table,
+    undecodable_byte,
     write_career,
 )
 
@@ -381,7 +382,17 @@ _META_KEYS = ("command", "seed", "out", "format", "config")
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
     params = {k: v for k, v in sorted(vars(args).items()) if k not in _META_KEYS}
-    result, body_lines, diagnostics = _HANDLERS[args.command](params, args.seed)
+    # A command builds tens of thousands of long-lived, GC-tracked objects
+    # (one Publication per screen row) and makes no reference cycles per
+    # row, so the cyclic collector's sweeps over them would find nothing.
+    # It is paused for the command, and the caller's setting comes back.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result, body_lines, diagnostics = _HANDLERS[args.command](params, args.seed)
+    finally:
+        if collecting:
+            gc.enable()
     payload = {
         "tool": "frugaleval",
         "version": __version__,
@@ -548,7 +559,7 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: {_undecodable(Path(path))}") from None
+        raise ValueError(f"{path}: {undecodable_byte(path)}") from None
     flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -76,9 +76,14 @@ class DiscriminationRule:
     def discriminates(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
         diff = abs(a - b)
         if self.mode is RuleMode.RELATIVE:
-            scale = np.maximum(abs(a), abs(b))
             # both scores zero: dividing by 1 keeps the absolute difference
-            diff = diff / np.where(scale > 0.0, scale, 1.0)
+            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                # two numbers need no numpy, which would cost its start-up
+                scale = max(abs(a), abs(b))
+                diff = diff / (scale if scale > 0.0 else 1.0)
+            else:
+                scale = np.maximum(abs(a), abs(b))
+                diff = diff / np.where(scale > 0.0, scale, 1.0)
         return diff > self.delta
 
 

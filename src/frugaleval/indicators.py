@@ -131,14 +131,15 @@ class ReferenceCorpus:
         kept: list[Publication] = []
         groups: dict[tuple[str, int], list[int]] = {}
         for pub in publications:
-            if pub.validated is not Validation.EXCLUDED:
+            _, year, category, citations, _, validated = pub
+            if validated is not Validation.EXCLUDED:
                 kept.append(pub)
-                key = (pub.category, pub.year)
+                key = (category, year)
                 group = groups.get(key)
                 if group is None:
-                    groups[key] = [pub.citations]
+                    groups[key] = [citations]
                 else:
-                    group.append(pub.citations)
+                    group.append(citations)
         # ascending citation counts per group: the q-th largest is group[-q]
         for citations in groups.values():
             citations.sort()
@@ -164,16 +165,20 @@ class ReferenceCorpus:
         The thresholds of every group are computed on the first query of a
         share p and kept for later queries of the same p.
         """
+        try:
+            return self._share_thresholds(p)[(category, year)]
+        except KeyError:
+            raise _missing_group(category, year) from None
+
+    def _share_thresholds(self, p: float) -> dict[tuple[str, int], int]:
+        """{(category, year): threshold} of share p, for every group."""
         thresholds = self._thresholds.get(p)
         if thresholds is None:
             _check_share(p)
             thresholds = self._thresholds[p] = {
                 key: group[-top_quota(p, len(group))] for key, group in self._citations.items()
             }
-        try:
-            return thresholds[(category, year)]
-        except KeyError:
-            raise _missing_group(category, year) from None
+        return thresholds
 
 
 def _missing_group(category: str, year: int) -> MissingGroupError:
@@ -242,14 +247,15 @@ def count_highly_cited(
     if pending:
         ids = ", ".join(repr(p.id) for p in pending)
         raise PendingPublicationsError(f"profile {profile.id!r} has pending publications: {ids}")
+    thresholds = corpus._share_thresholds(p)
     count = 0
-    for pub in profile.publications:
-        if pub.validated is not Validation.INCLUDED or pub.doc_type not in _RANKED:
+    for pub_id, year, category, citations, doc_type, validated in profile.publications:
+        if validated is not Validation.INCLUDED or doc_type not in _RANKED:
             continue
-        try:
-            threshold = corpus.threshold(pub.category, pub.year, p)
-        except MissingGroupError as exc:
+        threshold = thresholds.get((category, year))
+        if threshold is None:
             raise MissingGroupError(
-                f"profile {profile.id!r}, publication {pub.id!r}: {exc}") from None
-        count += pub.citations >= threshold
+                f"profile {profile.id!r}, publication {pub_id!r}: "
+                f"{_missing_group(category, year)}")
+        count += citations >= threshold
     return count

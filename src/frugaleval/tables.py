@@ -103,15 +103,16 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
         except csv.Error as exc:
             problems.append(f"line {end + 1}: {exc}")
         except UnicodeDecodeError:
-            problems.append(_undecodable(path))
+            problems.append(undecodable_byte(path))
     if problems:
         raise TableError(f"{path}: " + "; ".join(problems))
 
 
-def _undecodable(path: Path) -> str:
-    """Where the file's first byte that is not UTF-8 sits. The decoder's
-    error gives a position within its chunk, so the file is read again."""
-    data = path.read_bytes()
+def undecodable_byte(path: str | Path) -> str:
+    """Where the file's first byte that is not UTF-8 sits, as `line N: byte
+    0x.. is not valid UTF-8`. The decoder's error gives a position within
+    its chunk, so the file is read again."""
+    data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -151,9 +152,15 @@ def _publication_converter(header: list[str]) -> Callable[[list[str]], Publicati
     i_id, i_year, i_category, i_citations, i_doc_type = map(header.index, CORPUS_COLUMNS)
 
     def publication(fields: list[str], validated: Validation = Validation.INCLUDED) -> Publication:
-        return Publication(fields[i_id], _number(fields[i_year], "year", int), fields[i_category],
-                           _number(fields[i_citations], "citations", int),
-                           _member(fields[i_doc_type], "doc_type", _DOC_TYPES), validated)
+        try:
+            year, citations = int(fields[i_year]), int(fields[i_citations])
+            doc_type = _DOC_TYPES[fields[i_doc_type]]
+        except (ValueError, KeyError):
+            # the checked conversions raise, naming the first bad field
+            year = _number(fields[i_year], "year", int)
+            citations = _number(fields[i_citations], "citations", int)
+            doc_type = _member(fields[i_doc_type], "doc_type", _DOC_TYPES)
+        return Publication(fields[i_id], year, fields[i_category], citations, doc_type, validated)
 
     return publication
 
@@ -169,8 +176,10 @@ def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple[str, 
     i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
 
     def candidate_row(fields: list[str]) -> tuple[str, Publication]:
-        return fields[i_candidate], publication(
-            fields, _member(fields[i_validated], "validated", _VALIDATIONS))
+        validated = _VALIDATIONS.get(fields[i_validated])
+        if validated is None:
+            validated = _member(fields[i_validated], "validated", _VALIDATIONS)
+        return fields[i_candidate], publication(fields, validated)
 
     return candidate_row
 

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 
 import pytest
 
+from frugaleval import cli
 from frugaleval.careers import CareerSequence
 from frugaleval.cli import WorkloadQuery, main, workload
 from frugaleval.ecology import generate_binary_environment
@@ -877,6 +879,46 @@ class TestReportPlumbing:
 
 
 COMMANDS = ["screen", "choose", "bench", "career", "workload"]
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic garbage collector paused, and the
+    caller's setting is back when main returns, however the command ended."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_setting(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def screen(self, tmp_path, candidates):
+        return main(["screen", "--corpus", corpus_file(tmp_path), "--candidates", candidates,
+                     "--quota", "0.5"])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("row, code", [("p0,2020,phys,9,article,A,included", 0),
+                                           ("p0,2020,phys,x,article,A,included", 1)],
+                             ids=["success", "bad-row"])
+    def test_caller_setting_restored(self, tmp_path, capsys, enabled, row, code):
+        (gc.enable if enabled else gc.disable)()
+        candidates = write(tmp_path / "candidates.csv", CANDIDATE_HEADER + row + "\n")
+        assert self.screen(tmp_path, candidates) == code
+        assert capsys.readouterr().err.startswith("error:") == bool(code)
+        assert gc.isenabled() is enabled
+
+    def test_collector_paused_while_the_command_runs(self, tmp_path, capsys, monkeypatch):
+        gc.enable()
+        seen, read = [], cli.read_corpus
+
+        def read_corpus(path):
+            seen.append(gc.isenabled())
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_corpus", read_corpus)
+        assert self.screen(tmp_path, candidates_file(tmp_path, {"A": 1})) == 0
+        capsys.readouterr()
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestSeedFlag:

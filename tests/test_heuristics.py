@@ -104,6 +104,17 @@ class TestOneCueSelect:
         assert before == after
 
 
+# scores for the relative rule: zeros of both signs, subnormals, negatives,
+# huge magnitudes whose difference overflows, and small integer counts
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -1.0,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+    st.integers(-1000, 1000),
+)
+
+
 class TestOneReasonChoose:
     def test_first_cue_discriminates(self):
         a = profile("a", hcp=10, collab=3)
@@ -157,6 +168,21 @@ class TestOneReasonChoose:
         scores_a = np.array([0.04, 0.0, 100.0, 110.0])
         scores_b = np.array([0.05, 0.0, 70.0, 100.0])
         assert rule.discriminates(scores_a, scores_b).tolist() == [True, False, True, False]
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        pairs=st.lists(st.tuples(SCORES, SCORES), min_size=1, max_size=8),
+        delta=st.sampled_from([0.0, 5e-324, 0.2, 1.0, 2.0]) | st.floats(0.0, 3.0),
+    )
+    def test_relative_mode_on_two_numbers_is_the_array_rule(self, pairs, delta):
+        # two numbers take the rule's scalar branch, which runs without numpy
+        rule = DiscriminationRule(delta, RuleMode.RELATIVE)
+        a, b = (np.array(side, dtype=float) for side in zip(*pairs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = rule.discriminates(a, b).tolist()
+            found = [rule.discriminates(x, y) for x, y in pairs]
+        assert found == expected
+        assert all(type(hit) is bool for hit in found)
 
     def test_missing_cue_named(self):
         with pytest.raises(ValueError, match="collab"):

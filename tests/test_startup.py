@@ -40,15 +40,17 @@ def profiles(tmp_path):
     return path
 
 
-# choose --mode relative compares through np.maximum, so it may load numpy;
-# bench, career and the less-is-more curve do array work and load it too
-@pytest.mark.parametrize("command", ["screen", "choose --profiles", "choose --corpus",
-                                     "workload"])
+# choose compares two numbers in either mode; bench, career and the
+# less-is-more curve do array work and load numpy
+@pytest.mark.parametrize("command", ["screen", "choose --profiles", "choose --mode relative",
+                                     "choose --corpus", "workload"])
 def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
     argv = {
         "screen": ["screen", "--corpus", screen_inputs.corpus,
                    "--candidates", screen_inputs.candidates, "--quota", "0.25"],
         "choose --profiles": ["choose", "--profiles", profiles, "--cue-order", "hcp,collab"],
+        "choose --mode relative": ["choose", "--profiles", profiles, "--cue-order", "hcp,collab",
+                                   "--mode", "relative", "--delta", "0.1"],
         "choose --corpus": ["choose", "--corpus", screen_inputs.corpus,
                             "--candidates", screen_inputs.candidates,
                             "--cue-order", "highly_cited_papers", "--a", "cand00",

@@ -197,6 +197,47 @@ def test_negative_citations_reported_by_the_publication(tmp_path):
     assert problems(reader, path) == [(2, "publication 'p1': citations must be >= 0, got -5")]
 
 
+# a spoilt corpus or candidate row names one field: the first bad one in the
+# order validated, year, citations, doc_type; the sign of citations comes last
+SPOILT_PUBLICATION = [
+    ({"year": "20x0"}, "year '20x0' is not an integer"),
+    ({"citations": "3.5"}, "citations '3.5' is not an integer"),
+    ({"doc_type": "poster"}, "doc_type 'poster' is not one of article, review, other"),
+    ({"citations": "-5"}, "publication 'p1': citations must be >= 0, got -5"),
+    ({"year": "x", "citations": "y"}, "year 'x' is not an integer"),
+    ({"year": "x", "doc_type": "poster"}, "year 'x' is not an integer"),
+    ({"citations": "y", "doc_type": "poster"}, "citations 'y' is not an integer"),
+    ({"doc_type": "poster", "citations": "-5"},
+     "doc_type 'poster' is not one of article, review, other"),
+    ({"year": "x", "citations": "-5"}, "year 'x' is not an integer"),
+]
+SPOILT_VALIDATION = [
+    ({"validated": "maybe"}, "validated 'maybe' is not one of pending, included, excluded"),
+    ({"validated": "maybe", "year": "x"},
+     "validated 'maybe' is not one of pending, included, excluded"),
+    ({"doc_type": "poster", "validated": "maybe"},
+     "validated 'maybe' is not one of pending, included, excluded"),
+    ({"validated": "maybe", "citations": "-5"},
+     "validated 'maybe' is not one of pending, included, excluded"),
+]
+
+
+@pytest.mark.parametrize("name, spoilt, message", [
+    *(("corpus", spoilt, message) for spoilt, message in SPOILT_PUBLICATION),
+    *(("candidates", spoilt, message) for spoilt, message in
+      SPOILT_PUBLICATION + SPOILT_VALIDATION),
+])
+def test_spoilt_publication_row_names_its_first_bad_field(tmp_path, name, spoilt, message):
+    reader, header, good = READERS[name]
+    row = good(1)
+    for column, text in spoilt.items():
+        row[header.index(column)] = text
+    path = table(tmp_path, header, [good(0), row, good(2)])
+    with pytest.raises(TableError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: line 3: {message}"
+
+
 @pytest.mark.parametrize("name, header, what", [
     ("profiles", ["id"], "profiles table"),
     ("profiles", ["criterion", "id"], "profiles table"),
