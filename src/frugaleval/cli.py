@@ -84,30 +84,22 @@ def workload(query: WorkloadQuery) -> float:
         raise ValueError("reviews per member per day is too large for a float") from None
 
 
-def _require(params: Mapping[str, object], *names: str,
-             message: str = "missing required options: {}") -> None:
-    missing = [f"--{name.replace('_', '-')}" for name in names if params.get(name) is None]
-    if missing:
-        raise ValueError(message.format(", ".join(missing)))
+# Defaults of the flags that some input mode does not read: argparse leaves them None, so a
+# flag typed or configured at its default value still counts as given. _mode fills them in.
+_DEFAULTS = {"p": 0.10, "n_objects": 20, "noise_sigma": 0.0, "delta": 0.0, "mode": "absolute"}
 
 
-class _DefaultFloat(float):
-    """A flag's default number, marked so that _reject_unused can tell it from
-    a given value; it prints and serializes as the plain number. A typed or
-    configured value goes through the flag's type= and is never marked."""
-
-
-class _DefaultInt(int):
-    """An int flag default, marked as _DefaultFloat marks a float one."""
-
-
-def _reject_unused(params: Mapping[str, object], *names: str, message: str) -> None:
-    """Fail naming the flags that were given but that this mode of the command
-    does not use, so none is dropped silently."""
-    unused = [f"--{name.replace('_', '-')}" for name in names
-              if not isinstance(params.get(name), (type(None), _DefaultFloat, _DefaultInt))]
-    if unused:
-        raise ValueError(message.format(", ".join(unused)))
+def _mode(p: dict[str, object], needs: tuple[str, ...], uses: tuple[str, ...], *,
+          missing: str = "missing required options: {}",
+          unused: str = "this command does not use {}") -> None:
+    """Fail naming the flags a handler's input mode needs that are absent, then
+    every given flag it neither needs nor uses; then fill in the defaults."""
+    absent = [name for name in p if name in needs and p[name] is None]
+    extra = [name for name, value in p.items() if value is not None and name not in needs + uses]
+    for names, message in ((absent, missing), (extra, unused)):
+        if names:
+            raise ValueError(message.format(", ".join(f"--{n.replace('_', '-')}" for n in names)))
+    p.update((name, value) for name, value in _DEFAULTS.items() if name in p and p[name] is None)
 
 
 def _parse_name_values(text: str, what: str) -> dict[str, float]:
@@ -177,8 +169,8 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
         raise ValueError(f"{p['candidates']}: {exc}") from None
 
 
-def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
-    _require(p, "corpus", "candidates", "quota")
+def _cmd_screen(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+    _mode(p, ("corpus", "candidates", "quota"), ("p",))
     scored = _score_highly_cited(p)
     if not scored:
         raise ValueError(f"{p['candidates']}: no candidate rows to screen")
@@ -201,19 +193,19 @@ def _cmd_screen(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
     return result, body, []
 
 
-def _cmd_choose(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
-    _require(p, "cue_order")
-    if (p["a"] is None) != (p["b"] is None):
-        _require(p, "a", "b", message="choose takes both --a and --b, or neither; missing {}")
+def _cmd_choose(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+    common = ("a", "b", "delta", "mode")
     if p["profiles"]:
-        _reject_unused(p, "corpus", "candidates", "p",
-                       message="choose --profiles does not use {}")
-        profiles = read_profiles_table(p["profiles"])
+        _mode(p, ("profiles", "cue_order"), common, unused="choose --profiles does not use {}")
     elif p["corpus"] and p["candidates"]:
-        # raw publication files only carry the highly-cited indicator
-        profiles = _score_highly_cited(p)
+        _mode(p, ("corpus", "candidates", "cue_order"), ("p", *common))
     else:
         raise ValueError("choose needs --profiles FILE, or --corpus plus --candidates")
+    if (p["a"] is None) != (p["b"] is None):
+        raise ValueError("choose takes both --a and --b, or neither; missing "
+                         + ("--a" if p["a"] is None else "--b"))
+    # raw publication files only carry the highly-cited indicator
+    profiles = read_profiles_table(p["profiles"]) if p["profiles"] else _score_highly_cited(p)
     by_id = {prof.id: prof for prof in profiles}
     a_id, b_id = p["a"], p["b"]
     if a_id is None and b_id is None:
@@ -251,25 +243,27 @@ def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
     return strategies
 
 
-def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_bench(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+    names = _names(p["strategies"])
+    # of the strategies, only take-the-best reads the discrimination rule
+    common = ("strategies", "train_fraction", "reps",
+              *(("delta", "mode") if "take_the_best" in names else ()))
     if p["environment"]:
-        _reject_unused(p, "gen", "weights", "targets", "n_objects",
-                       message="bench --environment does not use {}")
+        _mode(p, ("environment",), common, unused="bench --environment does not use {}")
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
-        _require(p, "weights", message="--gen binary needs {}")
-        _reject_unused(p, "targets", message="--gen binary does not use {}")
+        _mode(p, ("gen", "weights"), ("n_objects", *common), missing="--gen binary needs {}",
+              unused="--gen binary does not use {}")
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
         env = generate_binary_environment(weights, p["n_objects"], seed)
     elif p["gen"] == "gaussian":
-        _require(p, "targets", message="--gen gaussian needs {}")
-        _reject_unused(p, "weights", message="--gen gaussian does not use {}")
+        _mode(p, ("gen", "targets"), ("n_objects", *common), missing="--gen gaussian needs {}",
+              unused="--gen gaussian does not use {}")
         targets = _parse_name_values(p["targets"], "targets")
         env = generate_gaussian_environment(targets, p["n_objects"], seed)
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
     rule = DiscriminationRule(p["delta"], RuleMode(p["mode"]))
-    names = _names(p["strategies"])
     if not names:
         raise ValueError(f"strategy list is empty: {p['strategies']!r}")
     strategies = _make_strategies(names, rule)
@@ -301,15 +295,16 @@ def _cmd_bench(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], lis
     return result, body, diagnostics
 
 
-def _cmd_career(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_career(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
     planted = None
+    detect = ("min_streak_len", "penalty_per_param")
     if p["impacts"]:
-        _reject_unused(p, "length", "baseline_mean", "multiplier", "streak_len", "noise_sigma",
-                       "save_career", message="career --impacts detects only and does not use {}")
+        _mode(p, ("impacts",), detect, unused="career --impacts detects only and does not use {}")
         seq = read_career(p["impacts"])
     else:
-        _require(p, "length", "baseline_mean", "multiplier", "streak_len",
-                 message="career generation needs {} (or --impacts FILE to detect)")
+        _mode(p, ("length", "baseline_mean", "multiplier", "streak_len"),
+              ("noise_sigma", "save_career", *detect),
+              missing="career generation needs {} (or --impacts FILE to detect)")
         seq, planted = generate_career(
             length=p["length"],
             baseline_mean=p["baseline_mean"],
@@ -353,8 +348,8 @@ def _cmd_career(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], li
     return result, body, []
 
 
-def _cmd_workload(p: Mapping[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
-    _require(p, "papers", "panel_size", "working_days")
+def _cmd_workload(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+    _mode(p, ("papers", "panel_size", "working_days"), ("reviews_per_paper",))
     query = WorkloadQuery(
         papers=p["papers"],
         reviews_per_paper=p["reviews_per_paper"],
@@ -378,10 +373,36 @@ _HANDLERS = {
 
 _META_KEYS = ("command", "seed", "out", "format", "config")
 
+# the files a command reads, and the career it saves; --out replaces none of them
+_KEPT_FILES = ("corpus", "candidates", "profiles", "environment", "impacts", "config",
+               "save_career")
+
+
+def _same_file(path: Path, other: str) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # one of the two does not exist (yet)
+        return os.path.abspath(path) == os.path.abspath(other)
+
+
+def _check_out(args: argparse.Namespace, out: Path, companion: Path) -> None:
+    """Fail naming both flags when --out or its companion is a kept file."""
+    for target, action in ((out, "overwrite"), (companion, "write its companion over")):
+        for name in _KEPT_FILES:
+            path = getattr(args, name, None)
+            if path and _same_file(target, path):
+                raise ValueError(f"--out {args.out} would {action} "
+                                 f"the --{name.replace('_', '-')} file {path}")
+
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
-    params = {k: v for k, v in sorted(vars(args).items()) if k not in _META_KEYS}
+    # in declaration order, so that a check names flags as --help lists them
+    params = {k: v for k, v in vars(args).items() if k not in _META_KEYS}
+    if args.out:
+        out = Path(args.out)
+        companion_path = out.with_name(out.name + (".txt" if args.format == "machine" else ".json"))
+        _check_out(args, out, companion_path)
     # A command builds tens of thousands of long-lived, GC-tracked objects
     # (one Publication per screen row) and makes no reference cycles per
     # row, so the cyclic collector's sweeps over them would find nothing.
@@ -410,17 +431,13 @@ def run(args: argparse.Namespace) -> int:
         f"# frugaleval {__version__}",
         f"# command: {args.command}",
         f"# seed: {args.seed}",
-        "# config: " + " ".join(f"{k}={v}" for k, v in params.items()),
+        "# config: " + " ".join(f"{k}={v}" for k, v in sorted(params.items())),
     ]
     table = "\n".join(header + body_lines) + "\n"
-    primary, companion, companion_suffix = (
-        (machine, table, ".txt") if args.format == "machine" else (table, machine, ".json")
-    )
+    primary, companion = (machine, table) if args.format == "machine" else (table, machine)
     for line in diagnostics:
         print(line, file=sys.stderr)
     if args.out:
-        out = Path(args.out)
-        companion_path = out.with_name(out.name + companion_suffix)
         # both go to temp files beside their targets first; the companion
         # lands first, so a primary report never stands alone
         temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -453,14 +470,14 @@ def _add_publication_inputs(sub: argparse.ArgumentParser) -> None:
                      help="reference corpus CSV: id, year, category, citations, doc_type")
     sub.add_argument("--candidates", default=None,
                      help="candidate publications CSV: corpus columns plus candidate_id, validated")
-    sub.add_argument("--p", type=float, default=_DefaultFloat(0.10),
+    sub.add_argument("--p", type=float, default=None,
                      help="highly-cited share within (category, year) group (default: 0.10)")
 
 
 def _add_rule(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--delta", type=float, default=0.0,
+    sub.add_argument("--delta", type=float, default=None,
                      help="discrimination threshold (default: 0 = pure lexicographic)")
-    sub.add_argument("--mode", choices=("absolute", "relative"), default="absolute",
+    sub.add_argument("--mode", choices=("absolute", "relative"), default=None,
                      help="how score differences are compared against delta")
 
 
@@ -506,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary generator weights, e.g. cue_a=4,cue_b=2,cue_c=1")
     bench.add_argument("--targets", default=None,
                        help="gaussian generator cue-criterion correlations, e.g. cue_a=0.9,cue_b=0.5")
-    bench.add_argument("--n-objects", dest="n_objects", type=int, default=_DefaultInt(20),
+    bench.add_argument("--n-objects", dest="n_objects", type=int, default=None,
                        help="generated environment size (default: 20)")
     bench.add_argument("--strategies", default="take_the_best,minimalist,tallying,linear",
                        help="comma-separated strategy names")
@@ -529,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="impact multiplier inside the planted streak (>= 1)")
     career.add_argument("--streak-len", dest="streak_len", default=None,
                         help="planted streak length, LO:HI or a single value")
-    career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=_DefaultFloat(0.0),
+    career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None,
                         help="log-domain noise sigma for generated impacts (default: 0)")
     career.add_argument("--min-streak-len", dest="min_streak_len", type=int,
                         default=MIN_STREAK_LEN,
@@ -555,12 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_flags(path: str, known: set[str]) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags; a key
-    is a flag name with dashes or underscores, and must be in `known`."""
+    is a flag name with dashes or underscores, must be in `known` and may
+    appear once."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: {undecodable_byte(path)}") from None
-    flags = []
+    flags, first_line = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -572,6 +590,9 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
         if name not in known or name in ("command", "config"):
             raise ValueError(f"{path}: line {lineno}: unknown configuration key {key!r} "
                              f"for this command")
+        if name in first_line:
+            raise ValueError(f"{path}: line {lineno}: key {key} repeats line {first_line[name]}")
+        first_line[name] = lineno
         flags.append(f"--{name.replace('_', '-')}={value}")
     return flags
 

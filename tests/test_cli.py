@@ -1,7 +1,9 @@
+import argparse
 import gc
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -417,6 +419,45 @@ class TestBenchCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--delta", "0.9", "--mode", "relative"], "--gen binary does not use --delta, --mode"),
+        (["--delta", "0"], "--gen binary does not use --delta"),
+        (["--config", "mode = relative"], "--gen binary does not use --mode"),
+    ], ids=["typed", "at-default", "config"])
+    def test_rule_without_take_the_best_rejected(self, tmp_path, capsys, extra, message):
+        # only take-the-best reads the rule; tallying,linear once ran and echoed delta=0.9
+        if extra[0] == "--config":
+            extra = ["--config", write(tmp_path / "run.cfg", extra[1] + "\n")]
+        out = tmp_path / "report.txt"
+        code = main(["bench", "--gen", "binary", "--weights", "c1=4", "--strategies",
+                     "tallying,linear", *extra, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_rule_from_config_without_take_the_best_on_an_environment_rejected(self, tmp_path,
+                                                                             capsys):
+        env = tmp_path / "env.csv"
+        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1), env)
+        cfg = write(tmp_path / "run.cfg", "strategies = minimalist\nmode = relative\n")
+        code = main(["bench", "--config", cfg, "--environment", str(env)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: bench --environment does not use --mode\n"
+
+    @pytest.mark.parametrize("strategies", ["take_the_best", "tallying, take_the_best"])
+    def test_rule_with_take_the_best_accepted(self, capsys, strategies):
+        code = main(["bench", "--gen", "binary", "--weights", "c1=4,c2=2", "--n-objects", "10",
+                     "--reps", "2", "--strategies", strategies, "--delta", "0.5",
+                     "--mode", "relative", "--format", "machine"])
+        captured = capsys.readouterr()
+        assert code == 0
+        config = json.loads(captured.out)["config"]
+        assert (config["delta"], config["mode"]) == (0.5, "relative")
+
     @pytest.mark.parametrize("gen, flag", [("binary", "--targets"), ("gaussian", "--weights")])
     def test_the_other_generators_flag_rejected(self, capsys, gen, flag):
         code = main(["bench", "--gen", gen, "--weights", "a=1", "--targets", "a=0.5"])
@@ -641,6 +682,8 @@ class TestWorkloadCommand:
         assert payload["result"]["reviews_per_member_per_day"] == pytest.approx(2.14, abs=0.01)
 
 
+COMMANDS = ["screen", "choose", "bench", "career", "workload"]
+
 WORKLOAD_FLAGS = ["--papers", "100", "--reviews-per-paper", "1", "--panel-size", "10",
                   "--working-days", "10"]
 
@@ -671,6 +714,9 @@ def every_option(tmp_path):
             {"environment": str(env), **{k: v for k, v in split.items() if k != "n_objects"}},
             {"gen": "gaussian", "targets": "c1=0.5", **split},
             {"gen": "binary", "weights": "c1=4", **split},
+            # without take-the-best the discrimination rule is not read
+            {"gen": "binary", "weights": "c1=4",
+             **{k: v for k, v in split.items() if k not in rule}, "strategies": "tallying,linear"},
         ],
         "career": [
             {"impacts": str(career), **detect},
@@ -680,6 +726,87 @@ def every_option(tmp_path):
         "workload": [{"papers": "100", "reviews_per_paper": "3", "panel_size": "10",
                       "working_days": "5"}],
     }
+
+
+RUN_OPTIONS = {"seed", "out", "format", "config"}
+
+
+def subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def as_flags(options):
+    return list(itertools.chain.from_iterable(
+        (f"--{k.replace('_', '-')}", v) for k, v in options.items()))
+
+
+class TestInputModes:
+    """Each input mode of a command uses a declared set of flags; any other
+    flag given, typed or configured, fails the run naming it."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_belongs_to_a_mode_or_is_a_run_option(self, tmp_path, command):
+        flags = {a.dest for a in subcommands()[command]._actions if a.dest != "help"}
+        assert flags - RUN_OPTIONS == set().union(*every_option(tmp_path)[command])
+
+    @pytest.mark.parametrize("given", ["typed", "config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_flag_outside_the_mode_rejected(self, tmp_path, capsys, command, given):
+        modes = every_option(tmp_path)[command]
+        values = {k: v for mode in modes for k, v in mode.items()}
+        out = tmp_path / "report.txt"
+        for mode in modes:
+            for flag in values.keys() - mode.keys():
+                if given == "typed":
+                    extra = as_flags({flag: values[flag]})
+                else:
+                    extra = ["--config", write(tmp_path / "run.cfg", f"{flag} = {values[flag]}\n")]
+                code = main([command, *as_flags(mode), *extra, "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == 1, (mode, flag)
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                # where the added flag selects another mode, that mode names the first one's
+                named = set(re.findall(r"--([a-z-]+)", err.partition(" does not use ")[2]))
+                first = {k.replace("_", "-") for k in mode}
+                assert named == {flag.replace("_", "-")} or named and named <= first, err
+                assert not out.exists() and not (tmp_path / "saved.csv").exists()
+
+
+class TestHelpDefaults:
+    """Defaults that some mode does not read are filled in after the mode
+    check, not by argparse; --help must still state them, and state them right."""
+
+    MINIMAL = {
+        "screen": ["--corpus", "{corpus}", "--candidates", "{candidates}", "--quota", "0.5"],
+        "choose": ["--profiles", "{profiles}", "--cue-order", "hcp"],
+        "bench": ["--gen", "binary", "--weights", "c1=4,c2=2"],
+        "career": ["--length", "30", "--baseline-mean", "5", "--multiplier", "10",
+                   "--streak-len", "4"],
+        "workload": ["--papers", "100", "--panel-size", "10", "--working-days", "10"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_shows_no_none(self, command):
+        assert "None" not in subcommands()[command].format_help()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_stated_default_is_the_echoed_value(self, tmp_path, capsys, command):
+        paths = {"corpus": corpus_file(tmp_path),
+                 "candidates": candidates_file(tmp_path, {"A": 1, "B": 0}),
+                 "profiles": write(tmp_path / "p.csv", "id,hcp\nA,9\nB,1\n")}
+        argv = [arg.format(**paths) for arg in self.MINIMAL[command]]
+        assert main([command, *argv, "--format", "machine"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        sub = subcommands()[command]
+        stated = {}
+        for action in sub._actions:
+            text = (action.help or "") % {**vars(action), "prog": sub.prog}
+            match = re.search(r"\(default: (-?\d[\d.]*)[ )]", text)
+            if match:
+                stated[action.dest] = float(match.group(1))
+        assert stated, "no numeric default stated"
+        assert {dest: config[dest] for dest in stated} == stated
 
 
 class TestConfigFile:
@@ -760,6 +887,25 @@ class TestConfigFile:
         assert code == 1
         assert f"line 3: unknown configuration key '{key}'" in capsys.readouterr().err
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        # the last value once won silently: quota 1.0 kept every candidate
+        cfg = write(tmp_path / "run.cfg", "quota = 0.5\nquota = 1.0\n")
+        code = main(["screen", "--config", cfg, "--corpus", corpus_file(tmp_path),
+                     "--candidates", candidates_file(tmp_path, {"A": 1, "B": 0})])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: line 2: key quota repeats line 1\n"
+
+    def test_dash_and_underscore_spellings_are_one_key(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg",
+                    "# panel\npanel-size = 10\npapers = 100\npanel_size = 20\n")
+        code = main(["workload", "--config", cfg, "--working-days", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: line 4: key panel_size repeats line 2\n"
+
     def test_line_without_equals_names_its_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", "papers = 100\npanel-size 10\n")
         code = main(["workload", "--config", cfg, "--working-days", "10"])
@@ -835,6 +981,51 @@ class TestReportPlumbing:
         assert "error:" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt.json"]
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("corpus", ["screen", "--corpus", "corpus.csv", "--candidates", "candidates.csv",
+                        "--quota", "0.5"]),
+        ("candidates", ["screen", "--corpus", "corpus.csv", "--candidates", "candidates.csv",
+                        "--quota", "0.5"]),
+        ("profiles", ["choose", "--profiles", "p.csv", "--cue-order", "hcp"]),
+        ("environment", ["bench", "--environment", "env.csv", "--reps", "2"]),
+        ("impacts", ["career", "--impacts", "career.csv"]),
+        ("config", ["workload", "--config", "run.cfg"]),
+        ("save-career", ["career", "--length", "30", "--baseline-mean", "5", "--multiplier", "10",
+                         "--streak-len", "4", "--save-career", "saved.csv"]),
+    ])
+    def test_out_over_a_kept_file_rejected(self, tmp_path, monkeypatch, capsys, flag, argv):
+        # screen --corpus corpus.csv --out corpus.csv once replaced the corpus with the report
+        monkeypatch.chdir(tmp_path)
+        corpus_file(tmp_path)
+        candidates_file(tmp_path, {"A": 1, "B": 0})
+        write(tmp_path / "p.csv", "id,hcp\nA,9\nB,1\n")
+        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1),
+                          tmp_path / "env.csv")
+        write(tmp_path / "career.csv", "position,impact\n" + "".join(f"{i},2\n" for i in range(6)))
+        write(tmp_path / "run.cfg", "papers = 100\npanel-size = 10\nworking-days = 10\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        target = argv[argv.index(f"--{flag}") + 1]
+        # spelled differently from the input, so only the file system can tell them apart
+        code = main([*argv, "--out", f"./{target}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out ./{target} would overwrite the --{flag} file {target}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_out_companion_over_an_input_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "d.txt", "id,hcp\nA,9\nB,1\n")
+        code = main(["choose", "--profiles", "d.txt", "--cue-order", "hcp", "--format", "machine",
+                     "--out", "d"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --out d would write its companion over the --profiles file d.txt\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt"]
+
     def test_byte_identical_bodies_across_runs(self, tmp_path, capsys):
         args = [
             "bench", "--gen", "binary", "--weights", "c1=4,c2=2,c3=1",
@@ -877,8 +1068,6 @@ class TestReportPlumbing:
         assert code == 2
         assert "usage" in captured.err
 
-
-COMMANDS = ["screen", "choose", "bench", "career", "workload"]
 
 
 class TestCollectorPause:
