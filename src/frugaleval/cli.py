@@ -16,13 +16,14 @@ neither.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import __version__
 from .careers import MIN_STREAK_LEN, detect_hot_streak, generate_career, streak_adjusted_summary
@@ -169,7 +170,12 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
         raise ValueError(f"{p['candidates']}: {exc}") from None
 
 
-def _cmd_screen(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+# a handler's report result, body lines and stderr diagnostics, and the files
+# it saves besides the report: path -> a function that writes that path
+_Outcome = "tuple[dict, list[str], list[str], dict[str, Callable[[Path], object]]]"
+
+
+def _cmd_screen(p: dict[str, object], seed: int) -> _Outcome:
     _mode(p, ("corpus", "candidates", "quota"), ("p",))
     scored = _score_highly_cited(p)
     if not scored:
@@ -190,10 +196,10 @@ def _cmd_screen(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[
     body.append(f"{'rank':<6}{'candidate':<20}{HIGHLY_CITED}")
     for rank, pid in enumerate(cset.selected, start=1):
         body.append(f"{rank:<6}{pid:<20}{by_id[pid].indicators[HIGHLY_CITED]:g}")
-    return result, body, []
+    return result, body, [], {}
 
 
-def _cmd_choose(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_choose(p: dict[str, object], seed: int) -> _Outcome:
     common = ("a", "b", "delta", "mode")
     if p["profiles"]:
         _mode(p, ("profiles", "cue_order"), common, unused="choose --profiles does not use {}")
@@ -229,7 +235,7 @@ def _cmd_choose(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[
         "trace": [asdict(s) for s in trace.steps],
     }
     body = [f"a={a_id} b={b_id}", f"decision: {decision.value}", trace.record()]
-    return result, body, []
+    return result, body, [], {}
 
 
 def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
@@ -243,7 +249,7 @@ def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
     return strategies
 
 
-def _cmd_bench(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
     names = _names(p["strategies"])
     # of the strategies, only take-the-best reads the discrimination rule
     common = ("strategies", "train_fraction", "reps",
@@ -292,10 +298,10 @@ def _cmd_bench(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[s
         f"{r.name}: {1000.0 * r.wall_time / max(r.decisions, 1):.6f} s per 1000 decisions"
         for r in report.results
     ]
-    return result, body, diagnostics
+    return result, body, diagnostics, {}
 
 
-def _cmd_career(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_career(p: dict[str, object], seed: int) -> _Outcome:
     planted = None
     detect = ("min_streak_len", "penalty_per_param")
     if p["impacts"]:
@@ -313,8 +319,6 @@ def _cmd_career(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[
             noise_sigma=p["noise_sigma"],
             seed=seed,
         )
-        if p["save_career"]:
-            write_career(seq, p["save_career"])
     fit = detect_hot_streak(seq, min_len=p["min_streak_len"],
                             penalty_per_param=p["penalty_per_param"])
     overall, baseline_mean, streak_mean = streak_adjusted_summary(seq, fit)
@@ -345,10 +349,11 @@ def _cmd_career(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[
     else:
         body.append("no hot streak detected")
         body.append(f"mean impact: overall {overall:.4f}")
-    return result, body, []
+    saves = {p["save_career"]: lambda temp: write_career(seq, temp)} if p["save_career"] else {}
+    return result, body, [], saves
 
 
-def _cmd_workload(p: dict[str, object], seed: int) -> tuple[dict, list[str], list[str]]:
+def _cmd_workload(p: dict[str, object], seed: int) -> _Outcome:
     _mode(p, ("papers", "panel_size", "working_days"), ("reviews_per_paper",))
     query = WorkloadQuery(
         papers=p["papers"],
@@ -359,7 +364,7 @@ def _cmd_workload(p: dict[str, object], seed: int) -> tuple[dict, list[str], lis
     rate = workload(query)
     result = {**asdict(query), "reviews_per_member_per_day": rate}
     body = [f"reviews per member per day: {rate:.4f}"]
-    return result, body, []
+    return result, body, [], {}
 
 
 _HANDLERS = {
@@ -373,9 +378,8 @@ _HANDLERS = {
 
 _META_KEYS = ("command", "seed", "out", "format", "config")
 
-# the files a command reads, and the career it saves; --out replaces none of them
-_KEPT_FILES = ("corpus", "candidates", "profiles", "environment", "impacts", "config",
-               "save_career")
+# the files a command reads; no file it writes may be one of them or another it writes
+_READ_FILES = ("corpus", "candidates", "profiles", "environment", "impacts", "config")
 
 
 def _same_file(path: Path, other: str) -> bool:
@@ -385,24 +389,47 @@ def _same_file(path: Path, other: str) -> bool:
         return os.path.abspath(path) == os.path.abspath(other)
 
 
-def _check_out(args: argparse.Namespace, out: Path, companion: Path) -> None:
-    """Fail naming both flags when --out or its companion is a kept file."""
-    for target, action in ((out, "overwrite"), (companion, "write its companion over")):
-        for name in _KEPT_FILES:
+def _check_writes(args: argparse.Namespace, companion: Path | None) -> None:
+    """Fail naming both flags when a file the run writes is a file it reads
+    or another file it writes."""
+    save = getattr(args, "save_career", None)
+    kept = (*_READ_FILES, "save_career")
+    writes = ((args.out, f"--out {args.out} would overwrite", kept),
+              (companion, f"--out {args.out} would write its companion over", kept),
+              (save, f"--save-career {save} would overwrite", _READ_FILES))
+    for target, claim, names in writes:
+        for name in names:
             path = getattr(args, name, None)
-            if path and _same_file(target, path):
-                raise ValueError(f"--out {args.out} would {action} "
-                                 f"the --{name.replace('_', '-')} file {path}")
+            if target and path and _same_file(target, path):
+                raise ValueError(f"{claim} the --{name.replace('_', '-')} file {path}")
+
+
+def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
+    """Write each file to a temp file beside it, then move them into place in
+    order, so a failed write leaves none of them behind."""
+    for path in writers:
+        if path.is_dir():  # the one target os.replace refuses once the temps are written
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in writers}
+    try:
+        for path, write in writers.items():
+            write(temps[path])
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
     # in declaration order, so that a check names flags as --help lists them
     params = {k: v for k, v in vars(args).items() if k not in _META_KEYS}
+    out = companion_path = None
     if args.out:
         out = Path(args.out)
         companion_path = out.with_name(out.name + (".txt" if args.format == "machine" else ".json"))
-        _check_out(args, out, companion_path)
+    _check_writes(args, companion_path)
     # A command builds tens of thousands of long-lived, GC-tracked objects
     # (one Publication per screen row) and makes no reference cycles per
     # row, so the cyclic collector's sweeps over them would find nothing.
@@ -410,7 +437,7 @@ def run(args: argparse.Namespace) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        result, body_lines, diagnostics = _HANDLERS[args.command](params, args.seed)
+        result, body_lines, diagnostics, saves = _HANDLERS[args.command](params, args.seed)
     finally:
         if collecting:
             gc.enable()
@@ -437,19 +464,14 @@ def run(args: argparse.Namespace) -> int:
     primary, companion = (machine, table) if args.format == "machine" else (table, machine)
     for line in diagnostics:
         print(line, file=sys.stderr)
-    if args.out:
-        # both go to temp files beside their targets first; the companion
-        # lands first, so a primary report never stands alone
-        temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
-                 for path in (companion_path, out)}
-        try:
-            temps[companion_path].write_text(companion, encoding="utf-8")
-            temps[out].write_text(primary, encoding="utf-8")
-            for path, temp in temps.items():
-                os.replace(temp, path)
-        finally:
-            for temp in temps.values():
-                temp.unlink(missing_ok=True)
+    # files the command saves land once its report has rendered; then the
+    # companion lands before the report, so a primary report never stands alone
+    writers = {Path(path): write for path, write in saves.items()}
+    if out:
+        writers[companion_path] = lambda temp: temp.write_text(companion, encoding="utf-8")
+        writers[out] = lambda temp: temp.write_text(primary, encoding="utf-8")
+    _write_files(writers)
+    if out:
         print(f"report written to {out} (companion: {companion_path})", file=sys.stderr)
     else:
         sys.stdout.write(primary)

@@ -29,6 +29,11 @@ SCREEN_REPORT_SHA256 = {
     "report.txt.json": "28d699ab41512a66a69222a848cad454b0b50ebafde8fb8e0dc09b3c3a46dc6c",
 }
 
+# the career that GENERATE_CAREER (seed 0) saves with --save-career
+SAVED_CAREER_SHA256 = "c2c0c665344dbd9ec9d892e0ad52bae67c898c30759d601e8e54d58112028331"
+GENERATE_CAREER = ["career", "--length", "30", "--baseline-mean", "5", "--multiplier", "10",
+                   "--streak-len", "4"]
+
 CORPUS_HEADER = "id,year,category,citations,doc_type\n"
 CANDIDATE_HEADER = "id,year,category,citations,doc_type,candidate_id,validated\n"
 
@@ -627,6 +632,32 @@ class TestCareerCommand:
         assert captured.err == f"error: career --impacts detects only and does not use {unused}\n"
         assert not (tmp_path / "saved.csv").exists()
 
+    def test_saved_career_is_the_written_career(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*GENERATE_CAREER, "--save-career", "c.csv", "--out", "r.txt"]) == 0
+        capsys.readouterr()
+        saved = (tmp_path / "c.csv").read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == SAVED_CAREER_SHA256
+        write_career(read_career(tmp_path / "c.csv"), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == saved
+        assert saved.startswith(b"position,impact\r\n0,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "again.csv", "c.csv", "r.txt", "r.txt.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-streak-len", "40"],
+         "min_len must be between 1 and n - 1 = 29 for a career of 30 works, got 40"),
+        (["--baseline-mean", "1e307"], "career result is not finite; no report written"),
+    ], ids=["detection-fails", "not-finite"])
+    def test_failed_run_saves_no_career(self, tmp_path, monkeypatch, capsys, flags, message):
+        # the career was once saved before detection ran
+        monkeypatch.chdir(tmp_path)
+        code = main([*GENERATE_CAREER, *flags, "--save-career", "c.csv", "--out", "r.txt"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_impacts_with_a_configured_generation_flag_rejected(self, tmp_path, capsys):
         career = write(tmp_path / "c.csv", "position,impact\n" + "".join(
             f"{i},2\n" for i in range(6)))
@@ -981,6 +1012,15 @@ class TestReportPlumbing:
         assert "error:" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt.json"]
 
+    def test_out_over_a_directory_saves_no_career(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r").mkdir()
+        code = main([*GENERATE_CAREER, "--save-career", "c.csv", "--out", "r"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: [Errno 21] Is a directory: 'r'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
     @pytest.mark.parametrize("flag, argv", [
         ("corpus", ["screen", "--corpus", "corpus.csv", "--candidates", "candidates.csv",
                         "--quota", "0.5"]),
@@ -1013,6 +1053,34 @@ class TestReportPlumbing:
         assert captured.err == (
             f"error: --out ./{target} would overwrite the --{flag} file {target}\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("config, typed", [
+        ("length = 30\n", ["--save-career", "./run.cfg"]),
+        ("length = 30\nsave-career = ./run.cfg\n", []),
+    ], ids=["typed", "configured"])
+    def test_save_career_over_the_config_rejected(self, tmp_path, monkeypatch, capsys, config,
+                                                  typed):
+        # the config file was once replaced with the generated career
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "run.cfg", config)
+        code = main(["career", "--config", "run.cfg", "--baseline-mean", "5", "--multiplier", "10",
+                     "--streak-len", "4", *typed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --save-career ./run.cfg would overwrite the --config file run.cfg\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        assert (tmp_path / "run.cfg").read_text(encoding="utf-8") == config
+
+    def test_save_career_under_the_out_companion_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([*GENERATE_CAREER, "--save-career", "r.json", "--out", "r"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: --out r would write its companion over the --save-career file r.json\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_companion_over_an_input_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,10 +1,9 @@
-"""Commands that do no array work never run numpy's body.
+"""Commands that do no array work never import numpy.
 
 Each command runs in a fresh interpreter as `python -X importtime -m
 frugaleval.cli ...`, whose import log names every module the run loads
-into sys.modules. numpy itself may be there as the deferred module of
-frugaleval._numpy, which the log does not list; a `numpy.` submodule in
-the log means numpy's body ran.
+into sys.modules; `numpy` or a `numpy.` submodule in the log means numpy
+was imported.
 """
 
 import os
@@ -69,14 +68,58 @@ def test_the_log_shows_numpy_when_a_command_uses_it(tmp_path):
     assert any(name.startswith("numpy.") for name in numpy_modules_loaded(argv, tmp_path))
 
 
+def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
+    code = ("import sys\n"
+            "import frugaleval, frugaleval.cli, frugaleval.tables\n"
+            "print('numpy' in sys.modules)\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_deferred_numpy_is_numpy_to_other_code(tmp_path):
     code = ("import frugaleval, numpy\n"
             "from frugaleval._numpy import np\n"
-            "assert np is numpy\n"
-            "print(numpy.arange(3).tolist())\n")
+            "print(np.ndarray is numpy.ndarray, numpy.arange(3).tolist())\n")
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 1, 2]\n"
+    assert proc.stdout == "True [0, 1, 2]\n"
+
+
+def test_a_failed_numpy_import_fails_the_read_and_the_next_read_tries_again(tmp_path):
+    code = ("import sys\n"
+            "class NoNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ModuleNotFoundError(name)\n"
+            "sys.meta_path.insert(0, NoNumpy())\n"
+            "from frugaleval._numpy import np\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        np.arange\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(exc)\n"
+            "sys.meta_path.pop(0)\n"
+            "print(np.arange(3).tolist())\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy\nnumpy\n[0, 1, 2]\n"
+
+
+def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
+    # Hypothesis seeds numpy.random when "numpy" is in sys.modules
+    code = ("import sys\n"
+            "import frugaleval\n"
+            "from hypothesis import given, settings, strategies as st\n"
+            "@settings(max_examples=2, database=None)\n"
+            "@given(st.integers())\n"
+            "def check(x):\n"
+            "    pass\n"
+            "check()\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_threads_that_read_numpy_first_at_once_all_get_it(tmp_path):
