@@ -3,11 +3,14 @@
 A task environment is object ids, a criterion vector and one cue matrix
 (`Environment`), read from a file or generated. The benchmark fits cue
 orders (by cue validity) and linear weights on a training split only, and
-scores every strategy on all unordered test pairs, decided in one array
-pass per strategy -- accuracy, frugality (mean cues inspected) and wall
-time. This module holds every array pass over object pairs: cue
-validities, the strategies' decisions and the recognition pair pass of
-the less-is-more curve. Each reads the order of a pair from `_compare`
+scores every strategy on all unordered test pairs -- accuracy, frugality
+(mean cues inspected) and wall time. Pairs are walked in blocks of at
+most PAIR_BLOCK (`PairBlock`), so memory does not grow with the number of
+pairs; within a block, the strategies that read cue signs under one
+discrimination rule share one sign matrix, and every count adds up over
+the blocks exactly. This module holds every array pass over object pairs:
+cue validities, the strategies' decisions and the recognition pair pass
+of the less-is-more curve. Each reads the order of a pair from `_compare`
 alone, and each is tested against a scalar reference in heuristics.
 Splits and generators are fully seeded; identical seeds reproduce reports
 bit for bit apart from wall time.
@@ -31,11 +34,17 @@ from .heuristics import (  # noqa: F401
 )
 from .indicators import CandidateProfile
 
-# A strategy's decide_pairs(env, i, j) decides every pair (i[k], j[k]) at once,
-# exactly as the scalar functions in heuristics would. It returns a code per
-# pair (+1 first object, -1 second, 0 undecided) and the cues each inspected.
+# A strategy's decide(block) decides every pair (block.i[k], block.j[k]) of a
+# PairBlock at once, exactly as the scalar functions in heuristics would,
+# reading cue signs from block.signs so that strategies under one rule share
+# them. It returns a code per pair (+1 first object, -1 second, 0 undecided)
+# and the cues each inspected.
 # A string, so that importing this module reads nothing of numpy (see _numpy).
 Codes = "tuple[np.ndarray, np.ndarray]"
+
+# Most pairs one block holds: a block's arrays are pairs x cues, so this
+# bounds the pair engine's memory whatever the number of objects.
+PAIR_BLOCK = 2**16
 
 
 class Environment:
@@ -244,38 +253,76 @@ def train_test_indices(
 
 
 def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """+1 where a > b, -1 where a < b, 0 where they are equal."""
-    return np.greater(a, b).astype(int) - np.less(a, b)
+    """+1 where a > b, -1 where a < b, 0 where they are equal (int8)."""
+    return np.greater(a, b).astype(np.int8) - np.less(a, b)
 
 
-def _cue_signs(env: Environment, i: np.ndarray, j: np.ndarray, cues: Sequence[str],
-               rule: DiscriminationRule) -> np.ndarray:
-    """Pairs x cues: the side each cue favors (+1 / -1), 0 where the rule
-    says the two scores do not differ substantially."""
-    columns = env.cue_matrix[:, env.columns(cues)]
-    a, b = columns[i], columns[j]
-    return np.where(rule.discriminates(a, b), _compare(a, b), 0)
+def _pair_blocks(n: int):
+    """The pairs i < j of n objects in np.triu_indices order, as (i, j)
+    index arrays of at most PAIR_BLOCK pairs each, without ever holding
+    all of them."""
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (r, r + 1)
+    total = n * (n - 1) // 2
+    for first in range(0, total, PAIR_BLOCK):
+        last = min(first + PAIR_BLOCK, total)
+        r0, r1 = np.searchsorted(starts, [first, last - 1], side="right") - 1
+        # where each row the block spans begins within the block
+        begins = np.maximum(starts[r0:r1 + 1], first) - first
+        i = np.repeat(rows[r0:r1 + 1], np.diff(begins, append=last - first))
+        yield i, np.arange(first, last) - starts.take(i) + i + 1
+
+
+class PairBlock:
+    """Pairs (i[k], j[k]) of one environment's objects, decided together.
+
+    `signs(rule, cues)` is the pairs x cues matrix of the side each cue
+    favors (+1 / -1), 0 where the rule says the two scores do not differ
+    substantially. It is computed once per rule over all of the
+    environment's cues, and every strategy that asks under that rule reads
+    its columns from the same matrix.
+    """
+
+    def __init__(self, env: Environment, i: np.ndarray, j: np.ndarray):
+        self.env, self.i, self.j = env, i, j
+        self._signs: dict[DiscriminationRule, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def signs(self, rule: DiscriminationRule, cues: Sequence[str]) -> np.ndarray:
+        signs = self._signs.get(rule)
+        if signs is None:
+            matrix = self.env.cue_matrix
+            a, b = matrix.take(self.i, axis=0), matrix.take(self.j, axis=0)
+            signs = self._signs[rule] = _compare(a, b) * rule.discriminates(a, b)
+            signs.setflags(write=False)  # shared by every strategy under this rule
+        columns = self.env.columns(cues)
+        return signs if columns == list(range(signs.shape[1])) else signs[:, columns]
 
 
 def _lexicographic(signs: np.ndarray) -> Codes:
     """Cue columns in inspection order: the first nonzero one decides and
     the search stops there."""
-    hit = signs != 0
-    first = np.argmax(hit, axis=1)
-    pairs = np.arange(len(signs))
+    first = np.argmax(signs != 0, axis=1)
+    codes = np.take_along_axis(signs, first[:, None], axis=1)[:, 0]
     # a row without a hit has argmax 0 and a zero sign there: undecided
-    return signs[pairs, first], np.where(hit[pairs, first], first + 1, signs.shape[1])
+    return codes, np.where(codes != 0, first + 1, signs.shape[1])
 
 
 def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
     """cue_validity of every column of an n x m cue matrix, over one pairing."""
-    i, j = np.triu_indices(len(criterion), k=1)
-    signs = _compare(cues[i], cues[j])
-    truth = _compare(criterion[i], criterion[j])
-    discriminates = signs != 0
-    totals = np.count_nonzero(discriminates, axis=0).tolist()
-    corrects = np.count_nonzero((signs == truth[:, None]) & discriminates, axis=0).tolist()
-    return [correct / total if total else 0.5 for correct, total in zip(corrects, totals)]
+    by_cue = cues.T  # signs as cues x pairs: each cue's counts sum one row
+    totals = np.zeros(len(by_cue), dtype=np.int64)
+    corrects = np.zeros(len(by_cue), dtype=np.int64)
+    for i, j in _pair_blocks(len(criterion)):
+        signs = _compare(by_cue.take(i, axis=1), by_cue.take(j, axis=1))
+        discriminates = signs != 0
+        totals += np.count_nonzero(discriminates, axis=1)
+        truth = _compare(criterion.take(i), criterion.take(j))
+        corrects += np.count_nonzero((signs == truth) & discriminates, axis=1)
+    return [correct / total if total else 0.5
+            for correct, total in zip(corrects.tolist(), totals.tolist())]
 
 
 def cue_validity(env: Environment, cue: str) -> float:
@@ -303,8 +350,8 @@ class TakeTheBestStrategy:
     def fit(self, train_env: Environment, seed: int) -> None:
         self._order = validity_order(train_env).cues
 
-    def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        return _lexicographic(_cue_signs(env, i, j, self._order, self.rule))
+    def decide(self, block: PairBlock) -> Codes:
+        return _lexicographic(block.signs(self.rule, self._order))
 
 
 class MinimalistStrategy:
@@ -316,10 +363,15 @@ class MinimalistStrategy:
         self._rng = np.random.default_rng(seed)
         self._cues = train_env.cue_names
 
-    def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        signs = _cue_signs(env, i, j, self._cues, DiscriminationRule())
-        orders = self._rng.permuted(np.tile(np.arange(len(self._cues)), (len(i), 1)), axis=1)
-        return _lexicographic(np.take_along_axis(signs, orders, axis=1))
+    def decide(self, block: PairBlock) -> Codes:
+        signs = block.signs(DiscriminationRule(), self._cues)
+        # one order per pair, drawn block after block: the same orders as
+        # one call over all pairs
+        m = len(self._cues)
+        orders = np.tile(np.arange(m), (len(block), 1))
+        self._rng.permuted(orders, axis=1, out=orders)
+        orders += np.arange(0, orders.size, m)[:, None]  # flat index into signs
+        return _lexicographic(signs.take(orders))
 
 
 class TallyingStrategy:
@@ -330,9 +382,9 @@ class TallyingStrategy:
     def fit(self, train_env: Environment, seed: int) -> None:
         self._cues = train_env.cue_names
 
-    def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        signs = _cue_signs(env, i, j, self._cues, DiscriminationRule())
-        return np.sign(signs.sum(axis=1)), np.full(len(i), len(self._cues))
+    def decide(self, block: PairBlock) -> Codes:
+        signs = block.signs(DiscriminationRule(), self._cues)
+        return np.sign(signs.sum(axis=1)), np.full(len(block), len(self._cues))
 
 
 class LinearRegressionStrategy:
@@ -351,14 +403,14 @@ class LinearRegressionStrategy:
         except RankDeficientError as exc:
             self._weights = exc.weights
 
-    def decide_pairs(self, env: Environment, i: np.ndarray, j: np.ndarray) -> Codes:
-        names = self._weights.names
+    def decide(self, block: PairBlock) -> Codes:
+        env, names = block.env, self._weights.names
         # summed cue by cue from 0.0 in weight order, as weighted_linear_choose
         # does, so the sums agree bit for bit (a matrix product need not)
         sums = np.zeros(len(env))
         for name, column in zip(names, env.columns(names)):
             sums = sums + self._weights[name] * env.cue_matrix[:, column]
-        return _compare(sums[i], sums[j]), np.full(len(i), len(names))
+        return _compare(sums.take(block.i), sums.take(block.j)), np.full(len(block), len(names))
 
 
 STRATEGY_FACTORIES: dict[str, Callable[[], object]] = {
@@ -379,7 +431,9 @@ def run_benchmark(
     correct when it picks the higher-criterion object; undecided scores 0.5,
     as does any decision on a pair whose criterion values tie (no answer is
     defined there). Accuracy is averaged over repetitions, frugality over
-    all decisions.
+    all decisions. The test pairs are decided block by block (`PairBlock`);
+    a strategy's wall time includes a block's cue signs only when it is the
+    first to ask for them under its rule.
     """
     if not strategies:
         raise ValueError("at least one strategy is required")
@@ -399,19 +453,30 @@ def run_benchmark(
         train_idx, test_idx = train_test_indices(len(env), split.train_fraction, rng)
         train_env = env.subset(train_idx)
         test_env = env.subset(test_idx)
-        i, j = np.triu_indices(len(test_env), k=1)
-        truth = _compare(test_env.criterion_values[i], test_env.criterion_values[j])
-        decisions += len(i)
         for strategy, child in zip(strategies, children[1:]):
             strategy.fit(train_env, int(child.generate_state(2, np.uint64)[0]))
-            start = time.perf_counter()
-            codes, n_inspected = strategy.decide_pairs(test_env, i, j)
-            wall[strategy.name] += time.perf_counter() - start
-            half = (codes == 0) | (truth == 0)
-            score = 0.5 * np.count_nonzero(half) + np.count_nonzero(~half & (codes == truth))
-            accuracies[strategy.name].append(score / len(i))
-            inspected[strategy.name] += int(np.sum(n_inspected))
-            undecided[strategy.name] += int(np.count_nonzero(codes == 0))
+        # pairs scored 0.5 (undecided, or a criterion tie) and pairs decided right
+        half = dict.fromkeys(names, 0)
+        correct = dict.fromkeys(names, 0)
+        pairs = 0
+        criterion = test_env.criterion_values
+        for i, j in _pair_blocks(len(test_env)):
+            block = PairBlock(test_env, i, j)
+            truth = _compare(criterion.take(i), criterion.take(j))
+            pairs += len(block)
+            for strategy in strategies:
+                start = time.perf_counter()
+                codes, n_inspected = strategy.decide(block)
+                wall[strategy.name] += time.perf_counter() - start
+                abstains = codes == 0
+                halves = abstains | (truth == 0)
+                half[strategy.name] += int(np.count_nonzero(halves))
+                correct[strategy.name] += int(np.count_nonzero(~halves & (codes == truth)))
+                inspected[strategy.name] += int(np.sum(n_inspected))
+                undecided[strategy.name] += int(np.count_nonzero(abstains))
+        decisions += pairs
+        for name in names:
+            accuracies[name].append((0.5 * half[name] + correct[name]) / pairs)
 
     results = tuple(
         StrategyResult(

@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frugaleval import ecology
 from frugaleval.ecology import (
     Environment,
     LinearRegressionStrategy,
     MinimalistStrategy,
+    PairBlock,
     RankDeficientError,
     SplitConfig,
     TakeTheBestStrategy,
@@ -36,7 +40,7 @@ from frugaleval.heuristics import (
 
 NC_WEIGHTS = WeightVector({"c1": 4.0, "c2": 2.0, "c3": 1.0})
 
-# decide_pairs codes: +1 chooses the first object of a pair, -1 the second
+# decide codes: +1 chooses the first object of a pair, -1 the second
 DECISION_CODE = {Decision.CHOOSE_A: 1, Decision.CHOOSE_B: -1, Decision.UNDECIDED: 0}
 
 
@@ -60,8 +64,8 @@ class AlwaysUndecidedStrategy:
     def fit(self, train_env, seed):
         pass
 
-    def decide_pairs(self, env, i, j):
-        return np.zeros(len(i), dtype=int), np.zeros(len(i), dtype=int)
+    def decide(self, block):
+        return np.zeros(len(block), dtype=int), np.zeros(len(block), dtype=int)
 
 
 @st.composite
@@ -340,7 +344,7 @@ class TestRunBenchmark:
         env = env_of(4 * a + c, np.column_stack([a, np.ones(4), c]), ["c1", "flat", "c3"])
         strategy = LinearRegressionStrategy()
         strategy.fit(env, seed=0)
-        codes, _ = strategy.decide_pairs(env, np.array([3]), np.array([0]))
+        codes, _ = strategy.decide(PairBlock(env, np.array([3]), np.array([0])))
         assert codes[0] == DECISION_CODE[Decision.CHOOSE_A]
 
     def test_scores_match_the_scalar_functions_pair_by_pair(self):
@@ -400,6 +404,120 @@ class TestRunBenchmark:
         assert 0.0 < report.results[0].undecided_rate < 1.0
 
 
+def without_wall_time(results):
+    return [dataclasses.replace(r, wall_time=0.0) for r in results]
+
+
+def abstainer(name):
+    stub = AlwaysUndecidedStrategy()
+    stub.name = name
+    return stub
+
+
+def tied_environment():
+    """Cues rounded to whole numbers plus a constant one, and a criterion
+    rounded to one decimal: many pairs tie on a cue, on every cue or on the
+    criterion."""
+    base = generate_gaussian_environment({"a": 0.8, "b": 0.5, "c": -0.3}, 40, seed=5)
+    cues = np.column_stack([base.cue_matrix.round(), np.ones(len(base))])
+    return env_of(base.criterion_values.round(1), cues, [*base.cue_names, "flat"])
+
+
+ENVIRONMENTS = {
+    "binary": lambda: generate_binary_environment(NC_WEIGHTS, 40, seed=3),
+    "gaussian": lambda: generate_gaussian_environment({"a": 0.8, "b": 0.5, "c": -0.3}, 40, seed=4),
+    "tied": tied_environment,
+}
+
+
+class TestPairBlocks:
+    """The pair engine walks the pairs in blocks of at most PAIR_BLOCK; the
+    block size changes no report."""
+
+    @pytest.mark.parametrize("size", [1, 7, 13, 2**16])
+    @pytest.mark.parametrize("n", [2, 3, 10, 41])
+    def test_blocks_walk_the_pairs_in_triu_order(self, monkeypatch, n, size):
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", size)
+        blocks = list(ecology._pair_blocks(n))
+        assert all(0 < len(i) == len(j) <= size for i, j in blocks)
+        i, j = np.triu_indices(n, k=1)
+        assert np.array_equal(np.concatenate([i for i, _ in blocks]), i)
+        assert np.array_equal(np.concatenate([j for _, j in blocks]), j)
+
+    @pytest.mark.parametrize("rule", [
+        DiscriminationRule(), DiscriminationRule(0.5), DiscriminationRule(0.3, RuleMode.RELATIVE),
+    ], ids=["absolute", "absolute_delta", "relative_delta"])
+    @pytest.mark.parametrize("env_name", ENVIRONMENTS)
+    def test_blocks_of_seven_report_as_one_block(self, monkeypatch, env_name, rule):
+        env = ENVIRONMENTS[env_name]()
+
+        def results():
+            strategies = [TakeTheBestStrategy(rule), MinimalistStrategy(), TallyingStrategy(),
+                          LinearRegressionStrategy()]
+            return without_wall_time(run_benchmark(env, strategies, SplitConfig(0.5, 3, 9)).results)
+
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 10**9)
+        one_block = results()
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 7)
+        assert results() == one_block
+
+    @pytest.mark.parametrize("env_name", ENVIRONMENTS)
+    def test_validities_in_blocks_of_seven(self, monkeypatch, env_name):
+        env = ENVIRONMENTS[env_name]()
+
+        def validities():
+            return validity_order(env), [cue_validity(env, name) for name in env.cue_names]
+
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 10**9)
+        one_block = validities()
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 7)
+        assert validities() == one_block
+
+    def test_minimalist_stream_is_pinned_across_default_blocks(self):
+        # 400 test objects give 79,800 pairs, two default blocks; the cue
+        # orders drawn block by block must be those of one draw over all pairs
+        base = generate_gaussian_environment({"a": 0.8, "b": 0.5, "c": -0.3, "d": 0.1}, 800, 19)
+        env = Environment(base.ids, base.criterion_values, base.cue_matrix.round(), base.cue_names)
+        report = run_benchmark(env, [MinimalistStrategy()], SplitConfig(0.5, 2, seed=23))
+        rows = [[r.name, r.accuracy, r.frugality, r.decisions, r.undecided_rate]
+                for r in report.results]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "03f8eff5c7d03b3ae8669f2b276039470760f6a63fd6afa16cf62f7633ac5091")
+
+    @pytest.mark.parametrize("first", [True, False], ids=["rule_first", "rule_last"])
+    def test_shared_signs_are_kept_per_rule(self, first):
+        env = tied_environment()
+        split = SplitConfig(0.5, 3, seed=13)
+
+        def strategies():
+            ttb = TakeTheBestStrategy(DiscriminationRule(0.5, RuleMode.RELATIVE))
+            others = [MinimalistStrategy(), TallyingStrategy()]
+            return [ttb, *others] if first else [*others, ttb]
+
+        together = without_wall_time(run_benchmark(env, strategies(), split).results)
+        for k, strategy in enumerate(strategies()):
+            # alone among abstainers, at the same place, so it draws the same seed
+            line_up = [abstainer(f"abstainer{x}") for x in range(3)]
+            line_up[k] = strategy
+            alone = without_wall_time(run_benchmark(env, line_up, split).results)
+            assert alone[k] == together[k]
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # 1000 test objects: 499,500 pairs of 6 cues in eight blocks; one
+        # pairs x cues float array over all of them alone would take 23 MiB
+        targets = {f"c{k}": 0.9 - 0.15 * k for k in range(6)}
+        env = generate_gaussian_environment(targets, 2000, seed=1)
+        strategies = [TakeTheBestStrategy(), MinimalistStrategy(), TallyingStrategy(),
+                      LinearRegressionStrategy()]
+        tracemalloc.start()
+        try:
+            run_benchmark(env, strategies, SplitConfig(0.5, 1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestDecidePairs:
     """The array pass against the scalar free functions, pair by pair."""
 
@@ -411,7 +529,7 @@ class TestDecidePairs:
         order = validity_order(env)
         profiles = env.profiles()
         i, j = all_ordered_pairs(env)
-        codes, inspected = strategy.decide_pairs(env, i, j)
+        codes, inspected = strategy.decide(PairBlock(env, i, j))
         for a, b, code, n_inspected in zip(i, j, codes, inspected):
             decision, trace = one_reason_choose(profiles[a], profiles[b], order, rule)
             assert (code, n_inspected) == (DECISION_CODE[decision], len(trace.steps))
@@ -423,7 +541,7 @@ class TestDecidePairs:
         strategy.fit(env, seed=0)
         profiles = env.profiles()
         i, j = all_ordered_pairs(env)
-        codes, inspected = strategy.decide_pairs(env, i, j)
+        codes, inspected = strategy.decide(PairBlock(env, i, j))
         for a, b, code, n_inspected in zip(i, j, codes, inspected):
             decision = tallying_choose(profiles[a], profiles[b], env.cue_names)
             assert (code, n_inspected) == (DECISION_CODE[decision], len(env.cue_names))
@@ -436,7 +554,7 @@ class TestDecidePairs:
         weights = strategy._weights
         profiles = env.profiles()
         i, j = all_ordered_pairs(env)
-        codes, inspected = strategy.decide_pairs(env, i, j)
+        codes, inspected = strategy.decide(PairBlock(env, i, j))
         for a, b, code, n_inspected in zip(i, j, codes, inspected):
             decision = weighted_linear_choose(profiles[a], profiles[b], weights)
             assert (code, n_inspected) == (DECISION_CODE[decision], len(env.cue_names))
@@ -448,7 +566,7 @@ class TestDecidePairs:
         strategy.fit(env, seed)
         m = len(env.cue_names)
         i, j = all_ordered_pairs(env)
-        codes, inspected = strategy.decide_pairs(env, i, j)
+        codes, inspected = strategy.decide(PairBlock(env, i, j))
         a, b = env.cue_matrix[i], env.cue_matrix[j]
         assert np.array_equal(codes == 0, (a == b).all(axis=1))
         assert ((1 <= inspected) & (inspected <= m)).all()

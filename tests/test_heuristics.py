@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from frugaleval.ecology import (
     Environment,
     MinimalistStrategy,
+    PairBlock,
     TakeTheBestStrategy,
     cue_validity,
     recognition_choose_pairs,
@@ -316,7 +317,7 @@ class TestTakeTheBest:
         strategy = TakeTheBestStrategy()
         strategy.fit(self._env(), seed=0)
         pair = make_env([0.0, 0.0], [[5, 1], [0, 2]], ["c1", "c2"])
-        codes, inspected = strategy.decide_pairs(pair, np.array([0]), np.array([1]))
+        codes, inspected = strategy.decide(PairBlock(pair, np.array([0]), np.array([1])))
         a, b = profile("a", c1=5, c2=1), profile("b", c1=0, c2=2)
         decision, trace = one_reason_choose(a, b, CueOrder(("c2", "c1")))
         # c2, the more valid cue, decides before c1 (which favors a) is seen
@@ -333,7 +334,7 @@ class TestMinimalist:
         env = make_env([0.0, 0.0], [a_cues, b_cues], names)
         strategy = MinimalistStrategy()
         strategy.fit(env, seed)
-        codes, inspected = strategy.decide_pairs(env, np.array([0]), np.array([1]))
+        codes, inspected = strategy.decide(PairBlock(env, np.array([0]), np.array([1])))
         return int(codes[0]), int(inspected[0])
 
     def test_single_discriminating_cue_decides_for_every_seed(self):
@@ -355,7 +356,7 @@ class TestMinimalist:
         for _ in range(2):
             strategy = MinimalistStrategy()
             strategy.fit(env, seed=11)
-            runs.append(strategy.decide_pairs(env, i, j))
+            runs.append(strategy.decide(PairBlock(env, i, j)))
         assert all(np.array_equal(x, y) for x, y in zip(*runs))
 
     def test_all_tied_is_undecided_for_any_seed(self):
