@@ -6,12 +6,11 @@ orders (by cue validity) and linear weights on a training split only, and
 scores every strategy on all unordered test pairs -- accuracy, frugality
 (mean cues inspected) and wall time. Pairs are walked in blocks of at
 most PAIR_BLOCK (`PairBlock`), so memory does not grow with the number of
-pairs; within a block, the strategies that read cue signs under one
-discrimination rule share one sign matrix, and every count adds up over
-the blocks exactly. This module holds every array pass over object pairs:
-cue validities, the strategies' decisions and the recognition pair pass
-of the less-is-more curve. Each reads the order of a pair from `_compare`
-alone, and each is tested against a scalar reference in heuristics.
+pairs, and every count adds up over the blocks exactly. This module
+holds every array pass over object pairs: cue validities and the
+strategies' decisions, which read a block's cue signs and criterion
+order, and the less-is-more curve's recognition pass. Each is tested
+against a scalar reference in heuristics.
 Splits and generators are fully seeded; identical seeds reproduce reports
 bit for bit apart from wall time.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ._numpy import np
-from .heuristics import CueOrder, DiscriminationRule, WeightVector, recognition_accuracy
+from .heuristics import CueOrder, DiscriminationRule, RuleMode, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
 from .heuristics import (  # noqa: F401
     one_reason_choose,
@@ -38,7 +37,8 @@ from .indicators import CandidateProfile
 # PairBlock at once, exactly as the scalar functions in heuristics would,
 # reading cue signs from block.signs so that strategies under one rule share
 # them. It returns a code per pair (+1 first object, -1 second, 0 undecided)
-# and the cues each inspected.
+# and the cues each inspected. Cue names map to columns once, in fit: every
+# Environment sorts its columns by cue name, so the test split's match.
 # A string, so that importing this module reads nothing of numpy (see _numpy).
 Codes = "tuple[np.ndarray, np.ndarray]"
 
@@ -62,6 +62,8 @@ class Environment:
         cue_matrix = np.asarray(cue_matrix, dtype=float).reshape(len(ids), len(names))[:, order]
         if len(ids) < 2:
             raise ValueError(f"environment needs at least 2 objects, got {len(ids)}")
+        if criterion.shape != (len(ids),):
+            raise ValueError(f"criterion needs one value per object, got shape {criterion.shape}")
         if not names or len(set(names)) != len(names):
             raise ValueError(f"environment needs distinct cue names, got {list(names)}")
         if not all(name.strip() for name in names):
@@ -276,29 +278,36 @@ def _pair_blocks(n: int):
 class PairBlock:
     """Pairs (i[k], j[k]) of one environment's objects, decided together.
 
-    `signs(rule, cues)` is the pairs x cues matrix of the side each cue
-    favors (+1 / -1), 0 where the rule says the two scores do not differ
-    substantially. It is computed once per rule over all of the
-    environment's cues, and every strategy that asks under that rule reads
-    its columns from the same matrix.
+    `truth` is the order of each pair's criterion values (+1 / -1 / 0).
+    `signs(rule)`, the array form of DiscriminationRule.discriminates, is
+    the pairs x cues matrix (in column order) of the side each cue favors,
+    0 where the rule says the scores do not differ substantially; it is
+    computed once per rule and shared by every strategy under that rule.
     """
 
     def __init__(self, env: Environment, i: np.ndarray, j: np.ndarray):
         self.env, self.i, self.j = env, i, j
+        self.truth = _compare(env.criterion_values.take(i), env.criterion_values.take(j))
         self._signs: dict[DiscriminationRule, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.i)
 
-    def signs(self, rule: DiscriminationRule, cues: Sequence[str]) -> np.ndarray:
+    def signs(self, rule: DiscriminationRule) -> np.ndarray:
         signs = self._signs.get(rule)
         if signs is None:
             matrix = self.env.cue_matrix
             a, b = matrix.take(self.i, axis=0), matrix.take(self.j, axis=0)
-            signs = self._signs[rule] = _compare(a, b) * rule.discriminates(a, b)
+            signs = _compare(a, b)
+            if rule.delta > 0.0:  # at 0, any difference of finite scores discriminates
+                diff = abs(a - b)
+                if rule.mode is RuleMode.RELATIVE:
+                    scale = np.maximum(abs(a), abs(b))
+                    diff = diff / np.where(scale > 0.0, scale, 1.0)
+                signs = signs * (diff > rule.delta)
             signs.setflags(write=False)  # shared by every strategy under this rule
-        columns = self.env.columns(cues)
-        return signs if columns == list(range(signs.shape[1])) else signs[:, columns]
+            self._signs[rule] = signs
+        return signs
 
 
 def _lexicographic(signs: np.ndarray) -> Codes:
@@ -310,17 +319,16 @@ def _lexicographic(signs: np.ndarray) -> Codes:
     return codes, np.where(codes != 0, first + 1, signs.shape[1])
 
 
-def _validities(cues: np.ndarray, criterion: np.ndarray) -> list[float]:
-    """cue_validity of every column of an n x m cue matrix, over one pairing."""
-    by_cue = cues.T  # signs as cues x pairs: each cue's counts sum one row
-    totals = np.zeros(len(by_cue), dtype=np.int64)
-    corrects = np.zeros(len(by_cue), dtype=np.int64)
-    for i, j in _pair_blocks(len(criterion)):
-        signs = _compare(by_cue.take(i, axis=1), by_cue.take(j, axis=1))
-        discriminates = signs != 0
-        totals += np.count_nonzero(discriminates, axis=1)
-        truth = _compare(criterion.take(i), criterion.take(j))
-        corrects += np.count_nonzero((signs == truth) & discriminates, axis=1)
+def _validities(env: Environment) -> list[float]:
+    """cue_validity of every cue of env, in column order."""
+    totals = np.zeros(len(env.cue_names), dtype=np.int64)
+    corrects = np.zeros(len(env.cue_names), dtype=np.int64)
+    for i, j in _pair_blocks(len(env)):
+        block = PairBlock(env, i, j)
+        signs = block.signs(DiscriminationRule())
+        totals += np.count_nonzero(signs, axis=0)
+        # +1 exactly where the cue discriminates and agrees with the criterion
+        corrects += np.count_nonzero(signs * block.truth[:, None] > 0, axis=0)
     return [correct / total if total else 0.5
             for correct, total in zip(corrects.tolist(), totals.tolist())]
 
@@ -329,12 +337,12 @@ def cue_validity(env: Environment, cue: str) -> float:
     """Share of cue-discriminating object pairs where the higher-cue object
     also has the higher criterion; 0.5 when no pair discriminates.
     """
-    return _validities(env.cue_matrix[:, env.columns([cue])], env.criterion_values)[0]
+    return _validities(env)[env.columns([cue])[0]]
 
 
 def validity_order(env: Environment) -> CueOrder:
     """Cues ranked by validity, best first; ties broken by name."""
-    validities = dict(zip(env.cue_names, _validities(env.cue_matrix, env.criterion_values)))
+    validities = dict(zip(env.cue_names, _validities(env)))
     ranked = sorted(env.cue_names, key=lambda name: (-validities[name], name))
     return CueOrder(tuple(ranked))
 
@@ -348,10 +356,10 @@ class TakeTheBestStrategy:
         self.rule = rule or DiscriminationRule()
 
     def fit(self, train_env: Environment, seed: int) -> None:
-        self._order = validity_order(train_env).cues
+        self._columns = train_env.columns(validity_order(train_env).cues)
 
     def decide(self, block: PairBlock) -> Codes:
-        return _lexicographic(block.signs(self.rule, self._order))
+        return _lexicographic(block.signs(self.rule).take(self._columns, axis=1))
 
 
 class MinimalistStrategy:
@@ -361,13 +369,12 @@ class MinimalistStrategy:
 
     def fit(self, train_env: Environment, seed: int) -> None:
         self._rng = np.random.default_rng(seed)
-        self._cues = train_env.cue_names
 
     def decide(self, block: PairBlock) -> Codes:
-        signs = block.signs(DiscriminationRule(), self._cues)
+        signs = block.signs(DiscriminationRule())
         # one order per pair, drawn block after block: the same orders as
         # one call over all pairs
-        m = len(self._cues)
+        m = signs.shape[1]
         orders = np.tile(np.arange(m), (len(block), 1))
         self._rng.permuted(orders, axis=1, out=orders)
         orders += np.arange(0, orders.size, m)[:, None]  # flat index into signs
@@ -380,11 +387,11 @@ class TallyingStrategy:
     name = "tallying"
 
     def fit(self, train_env: Environment, seed: int) -> None:
-        self._cues = train_env.cue_names
+        pass  # tallying learns nothing
 
     def decide(self, block: PairBlock) -> Codes:
-        signs = block.signs(DiscriminationRule(), self._cues)
-        return np.sign(signs.sum(axis=1)), np.full(len(block), len(self._cues))
+        signs = block.signs(DiscriminationRule())
+        return np.sign(signs.sum(axis=1)), np.full(len(block), signs.shape[1])
 
 
 class LinearRegressionStrategy:
@@ -404,13 +411,15 @@ class LinearRegressionStrategy:
             self._weights = exc.weights
 
     def decide(self, block: PairBlock) -> Codes:
-        env, names = block.env, self._weights.names
-        # summed cue by cue from 0.0 in weight order, as weighted_linear_choose
-        # does, so the sums agree bit for bit (a matrix product need not)
+        env = block.env
+        # weights come keyed by cue_names (fit_linear_weights), so in column
+        # order; summed cue by cue from 0.0, as weighted_linear_choose does,
+        # the sums agree bit for bit (a matrix product need not)
         sums = np.zeros(len(env))
-        for name, column in zip(names, env.columns(names)):
-            sums = sums + self._weights[name] * env.cue_matrix[:, column]
-        return _compare(sums.take(block.i), sums.take(block.j)), np.full(len(block), len(names))
+        for weight, column in zip(self._weights.weights.values(), env.cue_matrix.T):
+            sums = sums + weight * column
+        codes = _compare(sums.take(block.i), sums.take(block.j))
+        return codes, np.full(len(block), len(env.cue_names))
 
 
 STRATEGY_FACTORIES: dict[str, Callable[[], object]] = {
@@ -455,28 +464,22 @@ def run_benchmark(
         test_env = env.subset(test_idx)
         for strategy, child in zip(strategies, children[1:]):
             strategy.fit(train_env, int(child.generate_state(2, np.uint64)[0]))
-        # pairs scored 0.5 (undecided, or a criterion tie) and pairs decided right
-        half = dict.fromkeys(names, 0)
-        correct = dict.fromkeys(names, 0)
-        pairs = 0
-        criterion = test_env.criterion_values
+        # half-points, 1 + code * truth a pair: 2 decided right, 1 undecided
+        # or a criterion tie, 0 decided wrong
+        points = dict.fromkeys(names, 0)
+        pairs = len(test_env) * (len(test_env) - 1) // 2
         for i, j in _pair_blocks(len(test_env)):
             block = PairBlock(test_env, i, j)
-            truth = _compare(criterion.take(i), criterion.take(j))
-            pairs += len(block)
             for strategy in strategies:
                 start = time.perf_counter()
                 codes, n_inspected = strategy.decide(block)
                 wall[strategy.name] += time.perf_counter() - start
-                abstains = codes == 0
-                halves = abstains | (truth == 0)
-                half[strategy.name] += int(np.count_nonzero(halves))
-                correct[strategy.name] += int(np.count_nonzero(~halves & (codes == truth)))
+                points[strategy.name] += len(block) + int(np.sum(codes * block.truth))
                 inspected[strategy.name] += int(np.sum(n_inspected))
-                undecided[strategy.name] += int(np.count_nonzero(abstains))
+                undecided[strategy.name] += int(np.count_nonzero(codes == 0))
         decisions += pairs
         for name in names:
-            accuracies[name].append((0.5 * half[name] + correct[name]) / pairs)
+            accuracies[name].append(points[name] / (2 * pairs))
 
     results = tuple(
         StrategyResult(
@@ -522,8 +525,9 @@ def less_is_more_curve(
     """For each recognized count n in 0..N, pair the closed-form expected
     accuracy with a seeded Monte Carlo estimate in which every simulated
     pair ("better" as a, "worse" as b) is decided by the recognition
-    heuristic. All trials of one n are decided in one array pass
-    (recognition_choose_pairs, tested against recognition_choose).
+    heuristic. The trials of one n are decided in blocks of at most
+    PAIR_BLOCK, one array pass each (recognition_choose_pairs, tested
+    against recognition_choose), so memory does not grow with trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -537,17 +541,20 @@ def less_is_more_curve(
         p_both = n * (n - 1) / total_pairs
         # at n = N - 1 the remainder can round to -1e-16 instead of 0
         p_neither = max(0.0, 1.0 - p_one - p_both)
-        pair_type = rng.choice(3, size=trials, p=[p_neither, p_one, p_both])
-        recognized_is_better = rng.random(trials) < alpha
-        knowledge_is_right = rng.random(trials) < beta
-        guesses_a = rng.random(trials) < 0.5
-        one, both = pair_type == 1, pair_type == 2
-        codes = recognition_choose_pairs(
-            both | (one & recognized_is_better),
-            both | (one & ~recognized_is_better),
-            knowledge_is_right,
-            guesses_a=guesses_a,
-        )
-        correct = np.count_nonzero(codes == 1)
+        correct = 0
+        for first in range(0, trials, PAIR_BLOCK):
+            size = min(PAIR_BLOCK, trials - first)
+            pair_type = rng.choice(3, size=size, p=[p_neither, p_one, p_both])
+            recognized_is_better = rng.random(size) < alpha
+            knowledge_is_right = rng.random(size) < beta
+            guesses_a = rng.random(size) < 0.5
+            one, both = pair_type == 1, pair_type == 2
+            codes = recognition_choose_pairs(
+                both | (one & recognized_is_better),
+                both | (one & ~recognized_is_better),
+                knowledge_is_right,
+                guesses_a=guesses_a,
+            )
+            correct += int(np.count_nonzero(codes == 1))
         rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))
     return rows

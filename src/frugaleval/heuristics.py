@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._numpy import np
 from .indicators import CandidateProfile, top_quota
 
 
@@ -63,7 +62,7 @@ class DiscriminationRule:
     delta = 0 in absolute mode is pure lexicographic choice: any strict
     inequality discriminates. Relative mode compares |a - b| / max(|a|, |b|)
     and falls back to the absolute difference when both scores are zero.
-    Scores may be scalars or numpy arrays (compared elementwise).
+    The array form, over a block of pairs, is `ecology.PairBlock.signs`.
     """
 
     delta: float = 0.0
@@ -73,17 +72,12 @@ class DiscriminationRule:
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be a finite value >= 0, got {self.delta}")
 
-    def discriminates(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
+    def discriminates(self, a: float, b: float) -> bool:
         diff = abs(a - b)
         if self.mode is RuleMode.RELATIVE:
             # both scores zero: dividing by 1 keeps the absolute difference
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                # two numbers need no numpy, which would cost its start-up
-                scale = max(abs(a), abs(b))
-                diff = diff / (scale if scale > 0.0 else 1.0)
-            else:
-                scale = np.maximum(abs(a), abs(b))
-                diff = diff / np.where(scale > 0.0, scale, 1.0)
+            scale = max(abs(a), abs(b))
+            diff = diff / (scale if scale > 0.0 else 1.0)
         return diff > self.delta
 
 

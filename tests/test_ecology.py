@@ -627,6 +627,17 @@ class TestLessIsMoreCurve:
         with pytest.raises(ValueError, match="trials"):
             less_is_more_curve(10, 0.7, 0.55, trials=0, seed=0)
 
+    def test_memory_does_not_grow_with_trials(self):
+        # 1,000,000 trials are sixteen blocks; drawn all at once, their
+        # draws alone would take 35 MiB
+        tracemalloc.start()
+        try:
+            less_is_more_curve(10, 0.8, 0.6, trials=1_000_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestEnvironmentType:
     def test_requires_two_objects(self):
@@ -641,6 +652,13 @@ class TestEnvironmentType:
     def test_rejects_blank_cue_name(self, name):
         with pytest.raises(ValueError, match="must not be blank"):
             Environment(["a", "b"], [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["c", name])
+
+    @pytest.mark.parametrize("criterion", [
+        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]], [[1.0], [2.0], [3.0], [4.0]],
+    ], ids=["short", "long", "column", "long_column"])
+    def test_rejects_a_criterion_of_the_wrong_shape(self, criterion):
+        with pytest.raises(ValueError, match="one value per object"):
+            Environment(["a", "b", "c"], criterion, [[1.0], [2.0], [3.0]], ["c"])
 
     def test_columns_are_stored_in_name_order(self):
         env = Environment(["a", "b"], [1.0, 2.0], [[1.0, 10.0], [2.0, 20.0]], ["z", "y"])

@@ -116,6 +116,18 @@ SCORES = st.one_of(
 )
 
 
+def block_discriminates(pairs, rule):
+    """Whether PairBlock.signs under the rule marks each (a, b) score pair
+    as discriminating: one cue, object 2k scoring a and object 2k + 1 b."""
+    scores = [[score] for pair in pairs for score in pair]
+    env = make_env([0.0] * len(scores), scores, ["c"])
+    firsts = np.arange(0, len(scores), 2)
+    # a difference past the float range is inf, which discriminates
+    with np.errstate(over="ignore"):
+        signs = PairBlock(env, firsts, firsts + 1).signs(rule)
+    return (signs[:, 0] != 0).tolist()
+
+
 class TestOneReasonChoose:
     def test_first_cue_discriminates(self):
         a = profile("a", hcp=10, collab=3)
@@ -165,10 +177,9 @@ class TestOneReasonChoose:
         # |0.04 - 0.05| / 0.05 rounds to just above 0.2, while 0.2 * 0.05
         # rounds to exactly |0.04 - 0.05|: only the ratio form discriminates
         rule = DiscriminationRule(0.2, RuleMode.RELATIVE)
-        assert rule.discriminates(0.04, 0.05)
-        scores_a = np.array([0.04, 0.0, 100.0, 110.0])
-        scores_b = np.array([0.05, 0.0, 70.0, 100.0])
-        assert rule.discriminates(scores_a, scores_b).tolist() == [True, False, True, False]
+        pairs = [(0.04, 0.05), (0.0, 0.0), (100.0, 70.0), (110.0, 100.0)]
+        assert [rule.discriminates(a, b) for a, b in pairs] == [True, False, True, False]
+        assert block_discriminates(pairs, rule) == [True, False, True, False]
 
     @settings(derandomize=True, max_examples=300)
     @given(
@@ -176,13 +187,20 @@ class TestOneReasonChoose:
         delta=st.sampled_from([0.0, 5e-324, 0.2, 1.0, 2.0]) | st.floats(0.0, 3.0),
     )
     def test_relative_mode_on_two_numbers_is_the_array_rule(self, pairs, delta):
-        # two numbers take the rule's scalar branch, which runs without numpy
         rule = DiscriminationRule(delta, RuleMode.RELATIVE)
-        a, b = (np.array(side, dtype=float) for side in zip(*pairs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = rule.discriminates(a, b).tolist()
-            found = [rule.discriminates(x, y) for x, y in pairs]
-        assert found == expected
+        found = [rule.discriminates(x, y) for x, y in pairs]
+        assert found == block_discriminates(pairs, rule)
+        assert all(type(hit) is bool for hit in found)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        pairs=st.lists(st.tuples(SCORES, SCORES), min_size=1, max_size=8),
+        delta=st.sampled_from([0.0, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1e3),
+    )
+    def test_absolute_mode_on_two_numbers_is_the_array_rule(self, pairs, delta):
+        rule = DiscriminationRule(delta)
+        found = [rule.discriminates(x, y) for x, y in pairs]
+        assert found == block_discriminates(pairs, rule)
         assert all(type(hit) is bool for hit in found)
 
     def test_missing_cue_named(self):

@@ -82,3 +82,10 @@ def test_only_the_deferred_loader_imports_numpy():
     found = {path.name: numpy_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "_numpy.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_array_layers_take_numpy():
+    # heuristics is the scalar reference layer; its array forms live in ecology
+    graph = import_graph()
+    assert {module for module, imports in graph.items() if "_numpy" in imports} == {
+        "careers", "ecology"}
