@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 from . import __version__
 from .careers import MIN_STREAK_LEN, detect_hot_streak, generate_career, streak_adjusted_summary
@@ -637,5 +637,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def process_main() -> NoReturn:
+    """Run main() as the whole process, the entry point of `python -m
+    frugaleval.cli` and of the `frugaleval` script: flush stdout and stderr,
+    then end with main's exit status at once, without interpreter teardown.
+
+    Teardown would only free memory the process is about to give back:
+    main() leaves no file open (every output is closed before it moves into
+    place), and neither the package nor numpy registers an atexit callback.
+    A flush that fails after a successful run, for instance into a pipe its
+    reader closed, makes the status 1. An exception that escapes main()
+    unwinds as usual, with its traceback.
+    """
+    code, message = main(), ""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a run that failed has said why already
+            code, message = 1, f"error: {exc}\n"
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -4,9 +4,11 @@ A task environment is object ids, a criterion vector and one cue matrix
 (`Environment`), read from a file or generated. The benchmark fits cue
 orders (by cue validity) and linear weights on a training split only, and
 scores every strategy on all unordered test pairs -- accuracy, frugality
-(mean cues inspected) and wall time. Pairs are walked in blocks of at
-most PAIR_BLOCK (`PairBlock`), so memory does not grow with the number of
-pairs, and every count adds up over the blocks exactly. This module
+(mean cues inspected) and wall time. The pairs are walked in bounded
+blocks (`_pairs.pair_blocks`, the walker the career streak scan shares)
+and each block is decided at once (`PairBlock`), so memory does not grow
+with the number of pairs, and every count adds up over the blocks
+exactly. This module
 holds every array pass over object pairs: cue validities and the
 strategies' decisions, which read a block's cue signs and criterion
 order, and the less-is-more curve's recognition pass. Each is tested
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ._numpy import np
+from ._pairs import PAIR_BLOCK, pair_blocks
 from .heuristics import CueOrder, DiscriminationRule, RuleMode, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
 from .heuristics import (  # noqa: F401
@@ -41,10 +44,6 @@ from .indicators import CandidateProfile
 # Environment sorts its columns by cue name, so the test split's match.
 # A string, so that importing this module reads nothing of numpy (see _numpy).
 Codes = "tuple[np.ndarray, np.ndarray]"
-
-# Most pairs one block holds: a block's arrays are pairs x cues, so this
-# bounds the pair engine's memory whatever the number of objects.
-PAIR_BLOCK = 2**16
 
 
 class Environment:
@@ -259,22 +258,6 @@ def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.greater(a, b).astype(np.int8) - np.less(a, b)
 
 
-def _pair_blocks(n: int):
-    """The pairs i < j of n objects in np.triu_indices order, as (i, j)
-    index arrays of at most PAIR_BLOCK pairs each, without ever holding
-    all of them."""
-    rows = np.arange(n - 1)
-    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (r, r + 1)
-    total = n * (n - 1) // 2
-    for first in range(0, total, PAIR_BLOCK):
-        last = min(first + PAIR_BLOCK, total)
-        r0, r1 = np.searchsorted(starts, [first, last - 1], side="right") - 1
-        # where each row the block spans begins within the block
-        begins = np.maximum(starts[r0:r1 + 1], first) - first
-        i = np.repeat(rows[r0:r1 + 1], np.diff(begins, append=last - first))
-        yield i, np.arange(first, last) - starts.take(i) + i + 1
-
-
 class PairBlock:
     """Pairs (i[k], j[k]) of one environment's objects, decided together.
 
@@ -300,7 +283,10 @@ class PairBlock:
             a, b = matrix.take(self.i, axis=0), matrix.take(self.j, axis=0)
             signs = _compare(a, b)
             if rule.delta > 0.0:  # at 0, any difference of finite scores discriminates
-                diff = abs(a - b)
+                # two finite scores can differ by more than the float range:
+                # that difference is inf, which discriminates, as it should
+                with np.errstate(over="ignore"):
+                    diff = abs(a - b)
                 if rule.mode is RuleMode.RELATIVE:
                     scale = np.maximum(abs(a), abs(b))
                     diff = diff / np.where(scale > 0.0, scale, 1.0)
@@ -323,7 +309,7 @@ def _validities(env: Environment) -> list[float]:
     """cue_validity of every cue of env, in column order."""
     totals = np.zeros(len(env.cue_names), dtype=np.int64)
     corrects = np.zeros(len(env.cue_names), dtype=np.int64)
-    for i, j in _pair_blocks(len(env)):
+    for i, j in pair_blocks(len(env)):
         block = PairBlock(env, i, j)
         signs = block.signs(DiscriminationRule())
         totals += np.count_nonzero(signs, axis=0)
@@ -468,7 +454,7 @@ def run_benchmark(
         # or a criterion tie, 0 decided wrong
         points = dict.fromkeys(names, 0)
         pairs = len(test_env) * (len(test_env) - 1) // 2
-        for i, j in _pair_blocks(len(test_env)):
+        for i, j in pair_blocks(len(test_env)):
             block = PairBlock(test_env, i, j)
             for strategy in strategies:
                 start = time.perf_counter()

@@ -1,11 +1,14 @@
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frugaleval import careers
 from frugaleval.careers import (
     CareerSequence,
     HotStreakFit,
@@ -73,6 +76,56 @@ def scalar_detect(seq, min_len=3, penalty_per_param=None):
     return HotStreakFit(None, overall_mean, None, min(gain, 0.0) if best is not None else 0.0)
 
 
+def per_start_detect(seq, min_len=3, penalty_per_param=None):
+    """Reference scan, as detect_hot_streak scanned before it walked blocks:
+    one array pass per start over that start's ends (the same element-wise
+    arithmetic), then a second pass over the start whose smallest RSS has
+    the best score, to find its first end with that score."""
+    n = len(seq.impacts)
+    y = np.log10(np.asarray(seq.impacts) + 1.0)
+    penalty = 2.0 * math.log(n) if penalty_per_param is None else penalty_per_param
+
+    def bic(rss, extra_params):
+        return n * math.log(max(rss, 1e-300) / n) + extra_params * penalty
+
+    total = float(np.sum(y))
+    total_sq = float(np.sum(y * y))
+    overall_mean = total / n
+    score_single = bic(total_sq - n * overall_mean * overall_mean, 0)
+    prefix = np.concatenate([[0.0], np.cumsum(y)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(y * y)])
+
+    def scan(start):
+        max_end = n - 2 if start == 0 else n - 1
+        ends = np.arange(start + min_len - 1, max_end + 1)
+        k = ends - start + 1
+        inside_sum = prefix[ends + 1] - prefix[start]
+        inside_sq = prefix_sq[ends + 1] - prefix_sq[start]
+        outside_sum = total - inside_sum
+        outside_sq = total_sq - inside_sq
+        mean_in = inside_sum / k
+        mean_out = outside_sum / (n - k)
+        rss = (inside_sq - k * mean_in * mean_in) + (outside_sq - (n - k) * mean_out * mean_out)
+        if start == 0:
+            twin_is_legal = n - 1 - ends >= min_len
+        else:
+            twin_is_legal = (ends == n - 1) & (start >= min_len)
+        rss[(mean_in <= mean_out) & twin_is_legal] = math.inf
+        return ends, rss, mean_in, mean_out
+
+    starts = range(n - min_len + 1)
+    row_min = [float(np.min(scan(start)[1])) for start in starts]
+    best_score = bic(min(row_min), 2)
+    start = next(s for s in starts if bic(row_min[s], 2) == best_score)
+    ends, rss, mean_in, mean_out = scan(start)
+    j = next(j for j, value in enumerate(rss.tolist()) if bic(value, 2) == best_score)
+    baseline_level, streak_level = mean_out[j], mean_in[j]
+    gain = score_single - best_score
+    if gain > 0.0 and streak_level > baseline_level:
+        return HotStreakFit((start, int(ends[j])), baseline_level, streak_level, gain)
+    return HotStreakFit(None, overall_mean, None, min(gain, 0.0))
+
+
 def same_fit(a, b):
     """Equal as whole fits, down to the bits and the types of the levels."""
     return a == b and all(
@@ -92,6 +145,32 @@ def scan_cases(draw):
     else:
         impacts = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
     return CareerSequence(impacts), min_len, penalty
+
+
+@st.composite
+def careers_of_every_kind(draw):
+    """A career of 5 to 60 works, any min_len, any penalty, and a scan block
+    size that puts block edges inside the scan."""
+    n = draw(st.integers(5, 60))
+    min_len = draw(st.integers(1, n - 1))
+    # 1e300 makes every interval tie: the first in scan order wins
+    penalty = draw(st.one_of(st.none(), st.just(0.0), st.floats(-20.0, 1e6),
+                             st.just(1e300)))
+    kind = draw(st.sampled_from(["noisy", "few values", "constant", "plateau",
+                                 "flush start", "flush end"]))
+    if kind == "noisy":
+        impacts = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    elif kind == "few values":
+        impacts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    elif kind == "constant":
+        impacts = [draw(st.floats(0.0, 1e6))] * n
+    else:
+        start = 0 if kind == "flush start" else draw(st.integers(0, n - 1))
+        end = n - 1 if kind == "flush end" else draw(st.integers(start, n - 1))
+        low, high = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e6))
+        impacts = plateau(n, start, end, low, high)
+    block = draw(st.sampled_from([3, 50, careers._SCAN_BLOCK]))
+    return CareerSequence(impacts), min_len, penalty, block
 
 
 def oracle_detect(impacts, min_len=3, penalty_per_param=None):
@@ -283,6 +362,50 @@ class TestDetectHotStreak:
             detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty),
             scalar_detect(seq, min_len=min_len, penalty_per_param=penalty),
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(careers_of_every_kind())
+    def test_block_scan_matches_the_per_start_scan(self, case):
+        seq, min_len, penalty, block = case
+        expected = per_start_detect(seq, min_len=min_len, penalty_per_param=penalty)
+        with mock.patch.object(careers, "_SCAN_BLOCK", block):
+            fit = detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty)
+        assert same_fit(fit, expected)
+
+    @pytest.mark.parametrize("penalty,expected", [(-1e300, (0, 2)), (1e300, None)])
+    @pytest.mark.parametrize("block", [1, 5, 41, careers._SCAN_BLOCK])
+    def test_all_scores_tie_first_interval_wins(self, block, penalty, expected):
+        # under a huge penalty every score rounds to the same value, across
+        # blocks too, so the scan's first interval (0, 2) wins with its own
+        # levels: accepted under -1e300, rejected under 1e300
+        seq = CareerSequence(plateau(n=40, start=0, end=9))
+        with mock.patch.object(careers, "_SCAN_BLOCK", block):
+            fit = detect_hot_streak(seq, penalty_per_param=penalty)
+        assert same_fit(fit, per_start_detect(seq, penalty_per_param=penalty))
+        assert fit.interval == expected
+
+    def test_rss_at_the_floor_ties(self):
+        # a noiseless plateau fits exactly: its RSS and its twins' are at or
+        # below the floor, and the first in scan order is reported
+        seq = CareerSequence(plateau(n=12, start=0, end=5))
+        for block in (1, 3, careers._SCAN_BLOCK):
+            with mock.patch.object(careers, "_SCAN_BLOCK", block):
+                fit = detect_hot_streak(seq, min_len=2)
+            assert same_fit(fit, per_start_detect(seq, min_len=2))
+            assert fit.interval == (0, 5)
+
+    def test_memory_is_bounded_by_one_block(self):
+        # 5000 works are 12.5 million intervals: 100 MB for one float array
+        # over all of them, 128 KiB over one block (the scan holds about 12)
+        seq, _ = generate_career(5000, 5.0, 8.0, (200, 400), 0.3, seed=5)
+        tracemalloc.start()
+        try:
+            fit = detect_hot_streak(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.interval is not None
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("impacts,penalty,first,later", [
         # mirror-image intervals of a palindrome: two starts

@@ -1228,6 +1228,23 @@ class TestOverflow:
         assert captured.err.startswith("error: impact at position ")
         assert captured.err.endswith(" must be finite and >= 0, got inf\n")
 
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    def test_cue_difference_beyond_the_float_range_discriminates(self, tmp_path, capsys, mode):
+        # 1.5e308 - -1.5e308 overflows to inf, which is above the delta in
+        # either mode; every other difference is 0 or 1 (relative: 0 or 1)
+        env = write(tmp_path / "far.csv", "id,criterion,a,b\n" + "".join(
+            f"o{k},{k},{'' if k >= 4 else '-'}1.5e308,{k % 2}\n" for k in range(8)))
+
+        def strategies(*rule):
+            code = main(["bench", "--environment", env, "--strategies", "take_the_best",
+                         "--reps", "2", "--format", "machine", *rule])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err.startswith("take_the_best: ")
+            return json.loads(captured.out)["result"]["strategies"]
+
+        assert strategies("--delta", "0.5", "--mode", mode) == strategies()
+
     def test_workload_rate_too_large_for_a_float(self, capsys):
         code = main(["workload", "--papers", str(10 ** 400), "--panel-size", "1",
                      "--working-days", "1"])
