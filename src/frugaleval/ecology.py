@@ -11,8 +11,10 @@ with the number of pairs, and every count adds up over the blocks
 exactly. This module
 holds every array pass over object pairs: cue validities and the
 strategies' decisions, which read a block's cue signs and criterion
-order, and the less-is-more curve's recognition pass. Each is tested
-against a scalar reference in heuristics.
+order, the recognition heuristic's (recognition_choose_pairs) and the
+less-is-more curve's count of correct choices. Each is tested against a
+scalar reference in heuristics; the curve's count is tested against
+recognition_choose_pairs.
 Splits and generators are fully seeded; identical seeds reproduce reports
 bit for bit apart from wall time.
 """
@@ -511,9 +513,18 @@ def less_is_more_curve(
     """For each recognized count n in 0..N, pair the closed-form expected
     accuracy with a seeded Monte Carlo estimate in which every simulated
     pair ("better" as a, "worse" as b) is decided by the recognition
-    heuristic. The trials of one n are decided in blocks of at most
-    PAIR_BLOCK, one array pass each (recognition_choose_pairs, tested
-    against recognition_choose), so memory does not grow with trials.
+    heuristic.
+
+    A trial is four uniforms, drawn for a block of at most PAIR_BLOCK
+    trials at once, so memory does not grow with trials: the pair type
+    (none, one or both recognized) from the cumulative type shares, as
+    Generator.choice reads it, then whether the recognized object is the
+    better one (alpha), whether knowledge is right (beta) and a coin. The
+    heuristic's choice is correct exactly when the one that decides is:
+    recognition for one recognized, knowledge for both, the coin for
+    neither. The correct choices are counted from those, with no array of
+    choices; recognition_choose_pairs decides the same draws in the tests
+    and must count the same.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -527,20 +538,17 @@ def less_is_more_curve(
         p_both = n * (n - 1) / total_pairs
         # at n = N - 1 the remainder can round to -1e-16 instead of 0
         p_neither = max(0.0, 1.0 - p_one - p_both)
+        # Generator.choice's cdf; the last share is exactly 1.0, above every uniform
+        cdf = np.array([p_neither, p_one, p_both]).cumsum()
+        cdf /= cdf[-1]
         correct = 0
         for first in range(0, trials, PAIR_BLOCK):
             size = min(PAIR_BLOCK, trials - first)
-            pair_type = rng.choice(3, size=size, p=[p_neither, p_one, p_both])
-            recognized_is_better = rng.random(size) < alpha
-            knowledge_is_right = rng.random(size) < beta
-            guesses_a = rng.random(size) < 0.5
-            one, both = pair_type == 1, pair_type == 2
-            codes = recognition_choose_pairs(
-                both | (one & recognized_is_better),
-                both | (one & ~recognized_is_better),
-                knowledge_is_right,
-                guesses_a=guesses_a,
-            )
-            correct += int(np.count_nonzero(codes == 1))
+            kind, recognized, knowledge, guess = rng.random((4, size))
+            correct += int(np.count_nonzero(np.where(
+                kind >= cdf[1],
+                knowledge < beta,
+                np.where(kind >= cdf[0], recognized < alpha, guess < 0.5),
+            )))
         rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))
     return rows

@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from frugaleval import _pairs
+from frugaleval import _pairs, ecology
 from frugaleval.ecology import (
     Environment,
     LinearRegressionStrategy,
@@ -24,6 +24,7 @@ from frugaleval.ecology import (
     generate_binary_environment,
     generate_gaussian_environment,
     less_is_more_curve,
+    recognition_choose_pairs,
     run_benchmark,
     train_test_indices,
     validity_order,
@@ -34,6 +35,7 @@ from frugaleval.heuristics import (
     RuleMode,
     WeightVector,
     one_reason_choose,
+    recognition_accuracy,
     tallying_choose,
     weighted_linear_choose,
 )
@@ -579,7 +581,85 @@ class TestDecidePairs:
         assert (codes[b_dominates] == -1).all()
 
 
+def reference_curve(N, alpha, beta, trials, seed):
+    """less_is_more_curve as first written, the oracle of its kernel: per
+    block, rng.choice draws the pair type and three rng.random calls the
+    recognition, knowledge and guess uniforms; recognition_choose_pairs
+    decides every pair and the choices of the better object are counted."""
+    seeds = np.random.SeedSequence(seed).spawn(N + 1)
+    rows = []
+    total_pairs = N * (N - 1)
+    for n in range(N + 1):
+        rng = np.random.default_rng(seeds[n])
+        p_one = 2.0 * n * (N - n) / total_pairs
+        p_both = n * (n - 1) / total_pairs
+        p_neither = max(0.0, 1.0 - p_one - p_both)
+        correct = 0
+        for first in range(0, trials, ecology.PAIR_BLOCK):
+            size = min(ecology.PAIR_BLOCK, trials - first)
+            pair_type = rng.choice(3, size=size, p=[p_neither, p_one, p_both])
+            recognized_is_better = rng.random(size) < alpha
+            knowledge_is_right = rng.random(size) < beta
+            guesses_a = rng.random(size) < 0.5
+            one, both = pair_type == 1, pair_type == 2
+            codes = recognition_choose_pairs(
+                both | (one & recognized_is_better),
+                both | (one & ~recognized_is_better),
+                knowledge_is_right,
+                guesses_a=guesses_a,
+            )
+            correct += int(np.count_nonzero(codes == 1))
+        rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))
+    return rows
+
+
+# 0, 1 and an interior recognition or knowledge validity
+VALIDITIES = st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# small, so that the curve runs over many blocks in little time
+TEST_BLOCK = 16
+
+
 class TestLessIsMoreCurve:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(N=st.integers(2, 60), alpha=VALIDITIES, beta=VALIDITIES,
+           trials=st.sampled_from([1, TEST_BLOCK, TEST_BLOCK + 1, 3 * TEST_BLOCK + 5]),
+           seed=st.integers(0, 2**32))
+    # at N = 11 the share of pairs with neither recognized rounds below 0 at n = 10
+    @example(N=11, alpha=0.8, beta=0.6, trials=3 * TEST_BLOCK + 5, seed=1)
+    @example(N=2, alpha=1.0, beta=0.0, trials=TEST_BLOCK + 1, seed=0)
+    def test_rows_equal_the_reference_loop(self, N, alpha, beta, trials, seed):
+        # the kernel draws the same stream in one call a block and counts the
+        # correct choices without deciding them; the rows must not move
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ecology, "PAIR_BLOCK", TEST_BLOCK)
+            assert less_is_more_curve(N, alpha, beta, trials, seed) == \
+                reference_curve(N, alpha, beta, trials, seed)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.8, 0.6), (0.0, 1.0), (1.0, 0.0), (0.3, 0.9)])
+    def test_one_block_counts_what_recognition_choose_pairs_decides(self, alpha, beta):
+        # on one block's four uniforms per trial, the curve's count of correct
+        # choices is the count of pairs where the recognition heuristic picks
+        # the better object, a
+        N, trials, seed = 11, 5000, 3
+        rows = less_is_more_curve(N, alpha, beta, trials, seed)
+        seeds = np.random.SeedSequence(seed).spawn(N + 1)
+        total_pairs = N * (N - 1)
+        for n, _, simulated in rows:
+            p_one = 2.0 * n * (N - n) / total_pairs
+            p_both = n * (n - 1) / total_pairs
+            cdf = np.array([max(0.0, 1.0 - p_one - p_both), p_one, p_both]).cumsum()
+            kind, recognized, knowledge, guess = np.random.default_rng(seeds[n]).random((4, trials))
+            pair_type = np.searchsorted(cdf / cdf[-1], kind, side="right")
+            one, both = pair_type == 1, pair_type == 2
+            codes = recognition_choose_pairs(
+                both | (one & (recognized < alpha)),
+                both | (one & (recognized >= alpha)),
+                knowledge < beta,
+                guesses_a=guess < 0.5,
+            )
+            assert round(simulated * trials) == np.count_nonzero(codes == 1)
+
     def test_endpoints_and_interior_maximum(self):
         N, alpha, beta, trials = 20, 0.8, 0.6, 20_000
         rows = less_is_more_curve(N, alpha, beta, trials=trials, seed=1)
@@ -610,6 +690,9 @@ class TestLessIsMoreCurve:
          "a0286e4df3d0332e0489965b39238ad5bad4f3c028e14b3b38a7b77ab69ccf1b"),
         ((50, 0.8, 0.6, 20000, 5),
          "c468dc6e32ff2d3ddd291a665379f1b70754c58855d9f667a503d163b7b98391"),
+        # over two blocks of the default PAIR_BLOCK
+        ((6, 0.8, 0.6, 2**16 + 3, 4),
+         "e64b8425f5cce6b67c102601e082cf980839308d21d1f5fc72ed7fd7be9e0901"),
     ])
     def test_random_stream_is_pinned(self, args, digest):
         # the rows, and so the draws behind them, are pinned bit for bit:
