@@ -5,12 +5,12 @@ one-reason choice with audit trace), bench (out-of-sample strategy
 benchmark), career (hot-streak generation/detection), workload (panel
 review-load arithmetic).
 
-Every report embeds the tool version, the full effective configuration
-and the master seed, and is byte-identical across runs with the same
-configuration. Diagnostics go to stderr; report content goes to --out or
-stdout, never interleaved. With --out the report is written in the
-requested format plus a companion file in the other format, both or
-neither.
+Every report embeds the tool version, the configuration its input mode
+read (a flag the mode does not read echoes None) and the master seed, and
+is byte-identical across runs with the same configuration. Diagnostics go
+to stderr; report content goes to --out or stdout, never interleaved.
+With --out the report is written in the requested format plus a
+companion file in the other format, both or neither.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def workload(query: WorkloadQuery) -> float:
         raise ValueError("reviews per member per day is too large for a float") from None
 
 
-# Defaults of the flags that some input mode does not read: argparse leaves them None, so a
-# flag typed or configured at its default value still counts as given. _mode fills them in.
+# Defaults of the flags that some input mode does not read, as --help states them: argparse
+# leaves them None, so a flag given at its default counts as given. _mode fills in the ones
+# the run's input mode uses; any other echoes None.
 _DEFAULTS = {"p": 0.10, "n_objects": 20, "noise_sigma": 0.0, "delta": 0.0, "mode": "absolute"}
 
 
@@ -94,13 +95,13 @@ def _mode(p: dict[str, object], needs: tuple[str, ...], uses: tuple[str, ...], *
           missing: str = "missing required options: {}",
           unused: str = "this command does not use {}") -> None:
     """Fail naming the flags a handler's input mode needs that are absent, then
-    every given flag it neither needs nor uses; then fill in the defaults."""
+    every given flag it neither needs nor uses; then default the flags it uses."""
     absent = [name for name in p if name in needs and p[name] is None]
     extra = [name for name, value in p.items() if value is not None and name not in needs + uses]
     for names, message in ((absent, missing), (extra, unused)):
         if names:
             raise ValueError(message.format(", ".join(f"--{n.replace('_', '-')}" for n in names)))
-    p.update((name, value) for name, value in _DEFAULTS.items() if name in p and p[name] is None)
+    p.update((name, value) for name, value in _DEFAULTS.items() if name in uses and p[name] is None)
 
 
 def _parse_name_values(text: str, what: str) -> dict[str, float]:
@@ -238,14 +239,15 @@ def _cmd_choose(p: dict[str, object], seed: int) -> _Outcome:
     return result, body, [], {}
 
 
-def _make_strategies(names: tuple[str, ...], rule: DiscriminationRule) -> list:
+def _make_strategies(names: tuple[str, ...], p: Mapping[str, object]) -> list:
     strategies = []
     for name in names:
         factory = STRATEGY_FACTORIES.get(name)
         if factory is None:
             known = ", ".join(sorted(STRATEGY_FACTORIES))
             raise ValueError(f"unknown strategy {name!r}; known strategies: {known}")
-        strategies.append(TakeTheBestStrategy(rule) if factory is TakeTheBestStrategy else factory())
+        strategies.append(TakeTheBestStrategy(DiscriminationRule(p["delta"], RuleMode(p["mode"])))
+                          if factory is TakeTheBestStrategy else factory())
     return strategies
 
 
@@ -269,10 +271,9 @@ def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
         env = generate_gaussian_environment(targets, p["n_objects"], seed)
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
-    rule = DiscriminationRule(p["delta"], RuleMode(p["mode"]))
     if not names:
         raise ValueError(f"strategy list is empty: {p['strategies']!r}")
-    strategies = _make_strategies(names, rule)
+    strategies = _make_strategies(names, p)
     split = SplitConfig(p["train_fraction"], p["reps"], seed)
     report = run_benchmark(env, strategies, split)
     result = {
@@ -482,7 +483,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_seed, default=0, help="master seed; all randomness derives from it")
     sub.add_argument("--out", default=None, help="report file (companion written in the other format)")
     sub.add_argument("--format", choices=("table", "machine"), default="table",
-                     help="primary report format (default: table)")
+                     help="primary report format (default: %(default)s)")
     sub.add_argument("--config", default=None,
                      help="key = value file supplying defaults for any flag of this command")
 
@@ -493,14 +494,17 @@ def _add_publication_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--candidates", default=None,
                      help="candidate publications CSV: corpus columns plus candidate_id, validated")
     sub.add_argument("--p", type=float, default=None,
-                     help="highly-cited share within (category, year) group (default: 0.10)")
+                     help=f"highly-cited share within (category, year) group "
+                          f"(default: {_DEFAULTS['p']})")
 
 
 def _add_rule(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", type=float, default=None,
-                     help="discrimination threshold (default: 0 = pure lexicographic)")
+                     help="discrimination threshold; 0 is pure lexicographic "
+                          f"(default: {_DEFAULTS['delta']})")
     sub.add_argument("--mode", choices=("absolute", "relative"), default=None,
-                     help="how score differences are compared against delta")
+                     help="how score differences are compared against delta "
+                          f"(default: {_DEFAULTS['mode']})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--targets", default=None,
                        help="gaussian generator cue-criterion correlations, e.g. cue_a=0.9,cue_b=0.5")
     bench.add_argument("--n-objects", dest="n_objects", type=int, default=None,
-                       help="generated environment size (default: 20)")
+                       help=f"generated environment size (default: {_DEFAULTS['n_objects']})")
     bench.add_argument("--strategies", default="take_the_best,minimalist,tallying,linear",
                        help="comma-separated strategy names")
     bench.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.5,
-                       help="share of objects in the training split (default: 0.5)")
+                       help="share of objects in the training split (default: %(default)s)")
     bench.add_argument("--reps", type=int, default=20,
-                       help="number of seeded train/test repetitions (default: 20)")
+                       help="number of seeded train/test repetitions (default: %(default)s)")
     _add_rule(bench)
     _add_common(bench)
 
@@ -569,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     career.add_argument("--streak-len", dest="streak_len", default=None,
                         help="planted streak length, LO:HI or a single value")
     career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None,
-                        help="log-domain noise sigma for generated impacts (default: 0)")
+                        help="log-domain noise sigma for generated impacts "
+                             f"(default: {_DEFAULTS['noise_sigma']})")
     career.add_argument("--min-streak-len", dest="min_streak_len", type=int,
                         default=MIN_STREAK_LEN,
                         help="shortest interval detection may report (default: %(default)s)")
@@ -582,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl = subs.add_parser("workload", help="panel review-load arithmetic")
     wl.add_argument("--papers", type=int, default=None, help="papers to assess")
     wl.add_argument("--reviews-per-paper", dest="reviews_per_paper", type=int, default=2,
-                    help="reviews each paper receives (default: 2)")
+                    help="reviews each paper receives (default: %(default)s)")
     wl.add_argument("--panel-size", dest="panel_size", type=int, default=None,
                     help="number of panel members")
     wl.add_argument("--working-days", dest="working_days", type=int, default=None,

@@ -151,12 +151,6 @@ class ReferenceCorpus:
     def group_keys(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self._citations))
 
-    def group_citations(self, category: str, year: int) -> list[int]:
-        try:
-            return self._citations[(category, year)]
-        except KeyError:
-            raise _missing_group(category, year) from None
-
     def threshold(self, category: str, year: int, p: float) -> int:
         """The q-th largest citation count of the group, q = ceil(p * N):
         a publication of the group is in its top share p exactly when it

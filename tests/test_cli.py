@@ -4,8 +4,11 @@ import hashlib
 import itertools
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
+from test_entry_point import input_modes
 
 from frugaleval import cli
 from frugaleval.careers import CareerSequence
@@ -81,7 +84,8 @@ class TestWorkload:
 class TestIngest:
     def test_well_formed_corpus(self, tmp_path):
         corpus = read_corpus(corpus_file(tmp_path, [4, 7, 2]))
-        assert corpus.group_citations("phys", 2020) == [2, 4, 7]
+        # the q-th largest count is the threshold at a share in ((q - 1) / 3, q / 3]
+        assert [corpus.threshold("phys", 2020, share) for share in (0.9, 0.5, 0.2)] == [2, 4, 7]
 
     def test_bad_citations_reports_line_number(self, tmp_path):
         path = write(
@@ -463,6 +467,15 @@ class TestBenchCommand:
         config = json.loads(captured.out)["config"]
         assert (config["delta"], config["mode"]) == (0.5, "relative")
 
+    def test_rule_without_take_the_best_echoes_none(self, capsys):
+        argv = ["bench", "--gen", "binary", "--weights", "a=2,b=1",
+                "--strategies", "tallying,linear"]
+        assert main(argv) == 0
+        config = capsys.readouterr().out.splitlines()[3].split()
+        assert config[:2] == ["#", "config:"] and {"delta=None", "mode=None"} <= set(config)
+        assert main([*argv, "--delta", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: --gen binary does not use --delta\n"
+
     @pytest.mark.parametrize("gen, flag", [("binary", "--targets"), ("gaussian", "--weights")])
     def test_the_other_generators_flag_rejected(self, capsys, gen, flag):
         code = main(["bench", "--gen", gen, "--weights", "a=1", "--targets", "a=0.5"])
@@ -803,19 +816,41 @@ class TestInputModes:
                 assert named == {flag.replace("_", "-")} or named and named <= first, err
                 assert not out.exists() and not (tmp_path / "saved.csv").exists()
 
+    def test_every_echoed_key_is_read_by_the_mode_or_none(self, tmp_path, capsys, monkeypatch):
+        # each mode runs with all its flags and with only those it needs; a
+        # run's config may hold a value only under a flag its _mode call names
+        original, calls = cli._mode, []
+
+        def spy(p, needs, uses, **kwargs):
+            calls.append(((sys._getframe(1).f_code.co_name, needs), needs + uses))
+            return original(p, needs, uses, **kwargs)
+
+        monkeypatch.setattr(cli, "_mode", spy)
+        taken = set()
+
+        def needs_of_run(command, options):
+            calls.clear()
+            assert main([command, *as_flags(options), "--format", "machine"]) == 0
+            config = json.loads(capsys.readouterr().out)["config"]
+            [(mode, reads)] = calls
+            taken.add(mode)
+            assert {k for k, v in config.items() if v is not None} <= set(reads), options
+            return mode[1]
+
+        for command in COMMANDS:
+            for options in every_option(tmp_path)[command]:
+                needs = needs_of_run(command, options)
+                needs_of_run(command, {k: v for k, v in options.items() if k in needs})
+        assert taken == input_modes(Path(cli.__file__).read_text(encoding="utf-8"))
+
 
 class TestHelpDefaults:
-    """Defaults that some mode does not read are filled in after the mode
-    check, not by argparse; --help must still state them, and state them right."""
+    """A default that --help states is the value a run reads when the flag is
+    not given: every input mode that reads the flag echoes it, and every mode
+    that does not echoes None."""
 
-    MINIMAL = {
-        "screen": ["--corpus", "{corpus}", "--candidates", "{candidates}", "--quota", "0.5"],
-        "choose": ["--profiles", "{profiles}", "--cue-order", "hcp"],
-        "bench": ["--gen", "binary", "--weights", "c1=4,c2=2"],
-        "career": ["--length", "30", "--baseline-mean", "5", "--multiplier", "10",
-                   "--streak-len", "4"],
-        "workload": ["--papers", "100", "--panel-size", "10", "--working-days", "10"],
-    }
+    # a default that depends on the input is no value to echo
+    FORMULAS = {"penalty_per_param"}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_shows_no_none(self, command):
@@ -823,21 +858,27 @@ class TestHelpDefaults:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_stated_default_is_the_echoed_value(self, tmp_path, capsys, command):
-        paths = {"corpus": corpus_file(tmp_path),
-                 "candidates": candidates_file(tmp_path, {"A": 1, "B": 0}),
-                 "profiles": write(tmp_path / "p.csv", "id,hcp\nA,9\nB,1\n")}
-        argv = [arg.format(**paths) for arg in self.MINIMAL[command]]
-        assert main([command, *argv, "--format", "machine"]) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
         sub = subcommands()[command]
         stated = {}
         for action in sub._actions:
             text = (action.help or "") % {**vars(action), "prog": sub.prog}
-            match = re.search(r"\(default: (-?\d[\d.]*)[ )]", text)
-            if match:
-                stated[action.dest] = float(match.group(1))
-        assert stated, "no numeric default stated"
-        assert {dest: config[dest] for dest in stated} == stated
+            if "(default: " in text and action.dest not in self.FORMULAS:
+                stated[action.dest] = re.search(r"\(default: ([^\s()]+)\)", text)[1]
+        assert stated.keys() - RUN_OPTIONS, "no default stated"
+        for mode in every_option(tmp_path)[command]:
+            # every flag that states a default is left out, so the run reads its default
+            argv = [command, *as_flags({k: v for k, v in mode.items() if k not in stated})]
+            # the report format is a run option, not a config key: it shows in what is printed
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            assert main([*argv, "--format", stated["format"]]) == 0
+            assert capsys.readouterr().out == printed
+            assert main([*argv, "--format", "machine"]) == 0
+            config = json.loads(capsys.readouterr().out)["config"]
+            echoed = {dest: config[dest] for dest in stated.keys() - RUN_OPTIONS}
+            assert {dest: value if value is None else str(value)
+                    for dest, value in echoed.items()} == {
+                dest: stated[dest] if dest in mode else None for dest in echoed}, mode
 
 
 class TestConfigFile:

@@ -73,16 +73,16 @@ REPORT_SHA256 = {
         "machine": "489e604c2ae5397ff7b650c2d83f5954193043ab92e3a48260f720851806f3f4",
     },
     "bench-tied": {
-        "table": "33ac75cc0adcc24710183508f21bf59cfb1f003fd3ad278a87d29645836cfcaa",
-        "machine": "6ebae0e4d21fe1b2252dd520cf23b6798275da801daf87d7d63d1bf1bbe2f4bd",
+        "table": "d5a976390ab95b479c78810361a78b83cbdf5e77307cb0d17b0e6bc92c551c61",
+        "machine": "cfae7446131709355b7078c1c0c581df4e1f87c4abd0d280b1e877d1eb90eddc",
     },
     "career-flush-end": {
-        "table": "d5c0c8ff4092ecbebca7dda4acd0778f5399c4566fc19537a11110e0c6f79775",
-        "machine": "f23b583db2177707e5670ab9f86d2caeabef210077ea07fce6bb4c7162d5061b",
+        "table": "c9f30359a9e84d21cda64b887b66044063d136f003c29a2bd4cb382d137ded61",
+        "machine": "010f34c2725eadf9541a78df4ee15aede68e3101de1c7019717fe37472e01b01",
     },
     "career-flush-start": {
-        "table": "d702a053b53bd24ba291a8cd6a35887ff266b220d2c6cc86b72fa7e28a8ac269",
-        "machine": "cd2e1a53781bf1023ae781bcb642dacec4f4d6dba84e130ea6c0f9b8b4c668a2",
+        "table": "8b53befb9b9051237b4e16053bea17043811476ec6553dc49ea59daac955de9d",
+        "machine": "d444f94851c284da102ed7883cfa1864cf327dfd58afe57fc01b1b28cb8d3712",
     },
     "career-generate": {
         "table": "a4f3667145435736235adf358a61d437e4ebb6000b138af6aca401a202d65dcc",
@@ -90,12 +90,12 @@ REPORT_SHA256 = {
         "saved career": "16ec06cc3e86213100b49b0eeccca115bea58d07119ac2e8475a1141fb10ac0e",
     },
     "career-noiseless": {
-        "table": "8605bf12348ec46ba3c003e2f9c9a7e576853a310cf9b662784cdaa28c9bce75",
-        "machine": "5e201bbbebcadb1c0537b205dcfe8de55ba337f4bde14e4c8599e55c16f1817b",
+        "table": "811a2831057fb1fce8a3f85c758aed5ff068649abd2b88630239fbf62adb07b6",
+        "machine": "2fc637acdef0193f049f0afabeb933a6b9f6f6bc63f72cedccef7e84be64e5d6",
     },
     "choose-profiles": {
-        "table": "36cc184542d8c63fc172f6502d899af48c220a8e28cac38b6ef98c1f8deb7cd5",
-        "machine": "c898e1ce511772d2046709349ad82b0695e27170da9feb3325bcce40498b859b",
+        "table": "de718e60ec01481aad55dfa3c3c9cbea3afb6cf2819d3fc9d50b3c8ee48d360d",
+        "machine": "e166ba910333870e4c27d98f6b10dc2c18e9eb5deef84f66a1f829867440d7d3",
     },
     "choose-publications": {
         "table": "646618c27e8b5f94ad11df2afbe9aff4c1ea4e858bf746c5d752f39465dab695",

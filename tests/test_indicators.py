@@ -23,6 +23,13 @@ def make_group(citations, category="phys", year=2020, prefix="g"):
     ]
 
 
+def sorted_group(corpus, category, year, n):
+    """The n citation counts of a group, ascending, read back from its
+    thresholds: at a share between (q - 1) / n and q / n the threshold is the
+    q-th largest count."""
+    return [corpus.threshold(category, year, (q - 0.5) / n) for q in range(n, 0, -1)]
+
+
 def brute_force_highly_cited(group_citations, citations, p):
     """Independent oracle: competition rank over the descending-sorted group,
     against the documented quota ceil(p * n), with p * n in exact arithmetic
@@ -255,7 +262,7 @@ class TestGroupThreshold:
             count_highly_cited(CandidateProfile("cand", publications=(stray,)), corpus, 0.10)
         assert str(err.value) == f"profile 'cand', publication 'x': {message}"
         with pytest.raises(MissingGroupError) as err:
-            corpus.group_citations("chem", 1999)
+            corpus.threshold("chem", 1999, 0.10)
         assert str(err.value) == message
 
 
@@ -376,5 +383,6 @@ class TestDomainTypes:
             + make_group(range(4), category="chem", year=2021, prefix="b")
         )
         assert corpus.group_keys() == (("chem", 2021), ("phys", 2020))
-        assert len(corpus.group_citations("phys", 2020)) == 3
-        assert corpus.group_citations("chem", 2021) == [0, 1, 2, 3]
+        assert len(corpus.publications) == 7
+        assert sorted_group(corpus, "phys", 2020, 3) == [0, 1, 2]
+        assert sorted_group(corpus, "chem", 2021, 4) == [0, 1, 2, 3]
