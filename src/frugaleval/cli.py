@@ -422,6 +422,12 @@ def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
             temp.unlink(missing_ok=True)
 
 
+def _echo(value: object) -> str:
+    """A config value as the table report's config line shows it: a list
+    comma-joined, as it is typed, and anything else by str."""
+    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
     # in declaration order, so that a check names flags as --help lists them
@@ -459,7 +465,7 @@ def run(args: argparse.Namespace) -> int:
         f"# frugaleval {__version__}",
         f"# command: {args.command}",
         f"# seed: {args.seed}",
-        "# config: " + " ".join(f"{k}={v}" for k, v in sorted(params.items())),
+        "# config: " + " ".join(f"{k}={_echo(v)}" for k, v in sorted(params.items())),
     ]
     table = "\n".join(header + body_lines) + "\n"
     primary, companion = (machine, table) if args.format == "machine" else (table, machine)

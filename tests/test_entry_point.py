@@ -94,11 +94,11 @@ REPORT_SHA256 = {
         "machine": "2fc637acdef0193f049f0afabeb933a6b9f6f6bc63f72cedccef7e84be64e5d6",
     },
     "choose-profiles": {
-        "table": "de718e60ec01481aad55dfa3c3c9cbea3afb6cf2819d3fc9d50b3c8ee48d360d",
+        "table": "0f9d3c8eaa2ff9751b1f964b966727bf5ef3a55fded32433e1660f44a9197f3a",
         "machine": "e166ba910333870e4c27d98f6b10dc2c18e9eb5deef84f66a1f829867440d7d3",
     },
     "choose-publications": {
-        "table": "646618c27e8b5f94ad11df2afbe9aff4c1ea4e858bf746c5d752f39465dab695",
+        "table": "c5ee467a32250385bb8b9f5213a6d9f66d9b8c246bf60faaa348a7a6b8fbf5bf",
         "machine": "8ff5d38a8c2505d7ed30aa7f233269f412dcc2aa7bc9d6895b3845a592d35508",
     },
     "screen": {
@@ -150,6 +150,18 @@ def test_report_digests(run, inputs):
         digests["saved career"] = sha256(inputs / "career.csv")
     assert digests == REPORT_SHA256[run]
 
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsys):
+    # a value holds no space, so the line splits back into its key=value pairs
+    monkeypatch.chdir(inputs)
+    assert cli.main([*RUNS[run], "--out", "report.txt"]) == 0
+    capsys.readouterr()
+    [line] = [line for line in (inputs / "report.txt").read_text().splitlines()
+              if line.startswith("# config: ")]
+    keys = [pair.partition("=")[0] for pair in line.removeprefix("# config: ").split(" ")]
+    config = json.loads((inputs / "report.txt.json").read_text())["config"]
+    assert keys == sorted(config)
 
 
 def input_modes(source):
