@@ -68,6 +68,11 @@ class Publication(_PublicationFields):
 
     Being a tuple, a Publication compares equal to a plain tuple holding
     the same fields in the same order.
+
+    citations >= 0 holds however a Publication is built. __new__ checks it,
+    and _make, so _replace too, goes through __new__. The table readers
+    build rows with tuple.__new__ and check the sign themselves first
+    (see frugaleval.tables).
     """
 
     __slots__ = ()

@@ -12,6 +12,11 @@ a byte that is not UTF-8 is reported with its line.
   profiles:    id, <one column per indicator>  (a criterion column is ignored)
   environment: id, criterion, <one column per cue>
   career:      position, impact
+
+Every Publication a reader loads has citations >= 0, as does one built any
+other way. A corpus or candidates row converts in one call: its fast path
+checks the sign itself before it builds the tuple, and any row that fails
+there is built again through Publication(...), whose __new__ checks it.
 """
 
 from __future__ import annotations
@@ -148,19 +153,43 @@ def _member(text: str, column: str, members: dict[str, enum.Enum]):
         raise ValueError(f"{column} {text!r} is not one of {', '.join(members)}") from None
 
 
-def _publication_converter(header: list[str]) -> Callable[[list[str]], Publication]:
-    i_id, i_year, i_category, i_citations, i_doc_type = map(header.index, CORPUS_COLUMNS)
+def _checked_publication(fields: list[str], columns: tuple[int, ...],
+                         validated: Validation) -> Publication:
+    """The row's Publication, with `columns` the positions of CORPUS_COLUMNS,
+    through the checked conversions: they raise naming the first bad field
+    in the order year, citations, doc_type, and Publication(...) then checks
+    the sign of citations."""
+    pid, year, category, citations, doc_type = (fields[i] for i in columns)
+    return Publication(pid, _number(year, "year", int), category,
+                       _number(citations, "citations", int),
+                       _member(doc_type, "doc_type", _DOC_TYPES), validated)
 
-    def publication(fields: list[str], validated: Validation = Validation.INCLUDED) -> Publication:
+
+# A publication row converts in one call. The fast path parses inline and
+# builds the tuple with tuple.__new__, skipping Publication.__new__, so it
+# checks citations >= 0 itself first. A row that fails any step is built
+# again by _checked_publication, through Publication(...), which checks the
+# sign there. So citations >= 0 holds on both paths, and every message and
+# its precedence are the checked path's.
+_new = tuple.__new__
+_INCLUDED = Validation.INCLUDED
+
+
+def _publication_converter(header: list[str]) -> Callable[[list[str]], Publication]:
+    columns = tuple(map(header.index, CORPUS_COLUMNS))
+    i_id, i_year, i_category, i_citations, i_doc_type = columns
+
+    def publication(fields: list[str]) -> Publication:
         try:
-            year, citations = int(fields[i_year]), int(fields[i_citations])
-            doc_type = _DOC_TYPES[fields[i_doc_type]]
+            citations = int(fields[i_citations])
+            row = (fields[i_id], int(fields[i_year]), fields[i_category], citations,
+                   _DOC_TYPES[fields[i_doc_type]], _INCLUDED)
         except (ValueError, KeyError):
-            # the checked conversions raise, naming the first bad field
-            year = _number(fields[i_year], "year", int)
-            citations = _number(fields[i_citations], "citations", int)
-            doc_type = _member(fields[i_doc_type], "doc_type", _DOC_TYPES)
-        return Publication(fields[i_id], year, fields[i_category], citations, doc_type, validated)
+            pass
+        else:
+            if citations >= 0:
+                return _new(Publication, row)
+        return _checked_publication(fields, columns, _INCLUDED)
 
     return publication
 
@@ -172,14 +201,23 @@ def read_corpus(path: str | Path) -> ReferenceCorpus:
 
 
 def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple[str, Publication]]:
-    publication = _publication_converter(header)
+    columns = tuple(map(header.index, CORPUS_COLUMNS))
+    i_id, i_year, i_category, i_citations, i_doc_type = columns
     i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
 
     def candidate_row(fields: list[str]) -> tuple[str, Publication]:
-        validated = _VALIDATIONS.get(fields[i_validated])
-        if validated is None:
-            validated = _member(fields[i_validated], "validated", _VALIDATIONS)
-        return fields[i_candidate], publication(fields, validated)
+        try:
+            citations = int(fields[i_citations])
+            row = (fields[i_id], int(fields[i_year]), fields[i_category], citations,
+                   _DOC_TYPES[fields[i_doc_type]], _VALIDATIONS[fields[i_validated]])
+        except (ValueError, KeyError):
+            pass
+        else:
+            if citations >= 0:
+                return fields[i_candidate], _new(Publication, row)
+        # validated is checked first, so a bad one is named before any other field
+        validated = _member(fields[i_validated], "validated", _VALIDATIONS)
+        return fields[i_candidate], _checked_publication(fields, columns, validated)
 
     return candidate_row
 

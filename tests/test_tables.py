@@ -11,8 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from frugaleval.careers import CareerSequence
 from frugaleval.ecology import Environment
+from frugaleval.indicators import Publication, Validation
 from frugaleval.tables import (
+    _DOC_TYPES,
+    _VALIDATIONS,
     TableError,
+    _member,
+    _number,
     read_candidates,
     read_career,
     read_corpus,
@@ -436,3 +441,69 @@ def test_fuzzed_row_loads_every_value_or_names_its_line(tmp_path_factory, name, 
         assert loaded(reader(path)) == expected(rows)
     else:
         assert [line for line, _ in problems(reader, path)] == [3]
+
+
+# int() reads each of these, on the inline path and the checked one alike
+INT_TEXTS = [" 7", "7 ", "+7", "0_7", "\u0663", "-0", "007"]
+
+
+def checked_publication(header, fields):
+    """The reference for one corpus or candidates row: the Publication that the
+    checked conversions build, taken field by field in the order validated,
+    year, citations, doc_type, or the message of the first one that fails."""
+    row = dict(zip(header, fields))
+    try:
+        validated = (_member(row["validated"], "validated", _VALIDATIONS)
+                     if "validated" in row else Validation.INCLUDED)
+        year = _number(row["year"], "year", int)
+        citations = _number(row["citations"], "citations", int)
+        doc_type = _member(row["doc_type"], "doc_type", _DOC_TYPES)
+        return Publication(row["id"], year, row["category"], citations, doc_type, validated)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["corpus", "candidates"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_publication_row_matches_the_checked_conversions(tmp_path_factory, name, data):
+    reader, header, good = READERS[name]
+    # any id but the first row's, so that no candidate repeats a publication
+    row = [data.draw(texts.filter(lambda t: t != "p0")) if column == "id" else
+           data.draw(typed(column)) for column in header]
+    kind = data.draw(st.sampled_from(["valid", "spoilt", "negative", "int text"]))
+    if kind == "negative":
+        row[header.index("citations")] = data.draw(st.integers(-9, -1).map(str))
+    if kind in ("spoilt", "negative"):
+        # up to two spoilt fields, so that the first bad one must be named
+        typed_columns = [header.index(c) for c in header if c not in TEXTS]
+        for i in data.draw(st.lists(st.sampled_from(typed_columns), min_size=kind == "spoilt",
+                                    max_size=2, unique=True)):
+            row[i] = data.draw(junk)
+    elif kind == "int text":
+        row[header.index(data.draw(st.sampled_from(["year", "citations"])))] = \
+            data.draw(st.sampled_from(INT_TEXTS))
+    path = tmp_path_factory.mktemp(name) / "table.csv"
+    path.write_text(record(header) + record(good(0)) + record(row), encoding="utf-8")
+
+    expected = checked_publication(header, row)
+    if isinstance(expected, str):
+        with pytest.raises(TableError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: line 3: {expected}"
+        return
+    if name == "corpus":
+        loaded = list(reader(path).publications)
+        expected = [checked_publication(header, good(0)), expected]
+    else:
+        loaded = [pub for profile in reader(path) for pub in profile.publications]
+        # profiles in candidate_id order, each profile's rows in file order
+        owners = sorted([("alice", checked_publication(header, good(0))),
+                         (row[header.index("candidate_id")], expected)], key=lambda o: o[0])
+        expected = [pub for _, pub in owners]
+    assert all(type(pub) is Publication for pub in loaded)
+    assert loaded == expected
+    assert [hash(pub) for pub in loaded] == [hash(pub) for pub in expected]
+    for pub in loaded:
+        with pytest.raises(ValueError, match="citations must be >= 0, got -1"):
+            pub._replace(citations=-1)
