@@ -120,7 +120,8 @@ class CandidateProfile:
             raise ValueError(f"profile {self.id!r} is missing indicator {name!r}") from None
 
     def pending_publications(self) -> tuple[Publication, ...]:
-        return tuple(p for p in self.publications if p.validated is Validation.PENDING)
+        pending = Validation.PENDING
+        return tuple(p for p in self.publications if p.validated is pending)
 
 
 class ReferenceCorpus:
@@ -135,16 +136,16 @@ class ReferenceCorpus:
     def __init__(self, publications: Iterable[Publication]):
         kept: list[Publication] = []
         groups: dict[tuple[str, int], list[int]] = {}
+        # an enum member read through its class is a slow lookup; read it once
+        excluded = Validation.EXCLUDED
         for pub in publications:
             _, year, category, citations, _, validated = pub
-            if validated is not Validation.EXCLUDED:
+            if validated is not excluded:
                 kept.append(pub)
-                key = (category, year)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [citations]
-                else:
-                    group.append(citations)
+                try:
+                    groups[category, year].append(citations)
+                except KeyError:  # the group's first publication
+                    groups[category, year] = [citations]
         # ascending citation counts per group: the q-th largest is group[-q]
         for citations in groups.values():
             citations.sort()
@@ -247,9 +248,10 @@ def count_highly_cited(
         ids = ", ".join(repr(p.id) for p in pending)
         raise PendingPublicationsError(f"profile {profile.id!r} has pending publications: {ids}")
     thresholds = corpus._share_thresholds(p)
+    included = Validation.INCLUDED
     count = 0
     for pub_id, year, category, citations, doc_type, validated in profile.publications:
-        if validated is not Validation.INCLUDED or doc_type not in _RANKED:
+        if validated is not included or doc_type not in _RANKED:
             continue
         threshold = thresholds.get((category, year))
         if threshold is None:
