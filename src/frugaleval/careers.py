@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from ._numpy import np
 from ._pairs import pair_blocks
@@ -50,23 +50,31 @@ _RSS_FLOOR = 1e-300  # keeps ln(RSS) finite on exactly piecewise-constant input
 _SCAN_BLOCK = 2**14
 
 
-@dataclass(frozen=True)
-class CareerSequence:
-    """Ordered per-work impact values (e.g. citation counts) for one person."""
-
+class _CareerSequenceFields(NamedTuple):
     impacts: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "impacts", tuple(float(v) for v in self.impacts))
-        if not self.impacts:
+
+class CareerSequence(_CareerSequenceFields):
+    """Ordered per-work impact values (e.g. citation counts) for one person."""
+
+    __slots__ = ()
+
+    def __new__(cls, impacts: Iterable[float]) -> CareerSequence:
+        impacts = tuple(float(v) for v in impacts)
+        if not impacts:
             raise ValueError("career must contain at least one work")
-        for k, value in enumerate(self.impacts):
+        for k, value in enumerate(impacts):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"impact at position {k} must be finite and >= 0, got {value!r}")
+        return tuple.__new__(cls, (impacts,))
+
+    @classmethod
+    def _make(cls, iterable) -> CareerSequence:
+        # _replace builds through _make; this keeps it behind the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class HotStreakFit:
+class HotStreakFit(NamedTuple):
     """Detected streak interval (inclusive indices) or absent.
 
     Levels are mean log10(impact + 1) inside/outside the interval;

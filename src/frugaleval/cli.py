@@ -21,9 +21,8 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from . import __version__
 from .careers import MIN_STREAK_LEN, detect_hot_streak, generate_career, streak_adjusted_summary
@@ -61,18 +60,28 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class WorkloadQuery:
+class _WorkloadQueryFields(NamedTuple):
     papers: int
     reviews_per_paper: int
     panel_size: int
     working_days: int
 
-    def __post_init__(self) -> None:
-        for name in ("papers", "reviews_per_paper", "panel_size", "working_days"):
-            value = getattr(self, name)
+
+class WorkloadQuery(_WorkloadQueryFields):
+    __slots__ = ()
+
+    def __new__(cls, papers: int, reviews_per_paper: int, panel_size: int,
+                working_days: int) -> WorkloadQuery:
+        self = tuple.__new__(cls, (papers, reviews_per_paper, panel_size, working_days))
+        for name, value in zip(self._fields, self):
             if value <= 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> WorkloadQuery:
+        # _replace builds through _make; this keeps it behind the check above
+        return cls(*iterable)
 
 
 def workload(query: WorkloadQuery) -> float:
@@ -233,7 +242,7 @@ def _cmd_choose(p: dict[str, object], seed: int) -> _Outcome:
         "b": b_id,
         "decision": decision.value,
         "stopping_reason": trace.stopping_reason.value,
-        "trace": [asdict(s) for s in trace.steps],
+        "trace": [s._asdict() for s in trace.steps],
     }
     body = [f"a={a_id} b={b_id}", f"decision: {decision.value}", trace.record()]
     return result, body, [], {}
@@ -282,7 +291,7 @@ def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
         "repetitions": split.repetitions,
         "train_fraction": split.train_fraction,
         # wall time is a diagnostic: it would break byte-identical report bodies
-        "strategies": [{k: v for k, v in asdict(r).items() if k != "wall_time"}
+        "strategies": [{k: v for k, v in r._asdict().items() if k != "wall_time"}
                        for r in report.results],
     }
     body = [
@@ -363,7 +372,7 @@ def _cmd_workload(p: dict[str, object], seed: int) -> _Outcome:
         working_days=p["working_days"],
     )
     rate = workload(query)
-    result = {**asdict(query), "reviews_per_member_per_day": rate}
+    result = {**query._asdict(), "reviews_per_member_per_day": rate}
     body = [f"reviews per member per day: {rate:.4f}"]
     return result, body, [], {}
 

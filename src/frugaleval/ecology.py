@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._numpy import np
 from ._pairs import PAIR_BLOCK, pair_blocks
@@ -106,23 +105,31 @@ class Environment:
                 for pid, cues in zip(self.ids, self.cue_matrix.tolist())]
 
 
-@dataclass(frozen=True)
-class SplitConfig:
+class _SplitConfigFields(NamedTuple):
     train_fraction: float
     repetitions: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
+
+class SplitConfig(_SplitConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, train_fraction: float, repetitions: int, seed: int) -> SplitConfig:
+        if not 0.0 < train_fraction < 1.0:
             raise ValueError(
-                f"train fraction must be strictly inside (0, 1), got {self.train_fraction}"
+                f"train fraction must be strictly inside (0, 1), got {train_fraction}"
             )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        return tuple.__new__(cls, (train_fraction, repetitions, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> SplitConfig:
+        # _replace builds through _make; this keeps it behind the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class StrategyResult:
+class StrategyResult(NamedTuple):
     name: str
     accuracy: float
     frugality: float
@@ -131,8 +138,7 @@ class StrategyResult:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
+class BenchmarkReport(NamedTuple):
     results: tuple[StrategyResult, ...]
 
 

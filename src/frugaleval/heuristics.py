@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .indicators import CandidateProfile, top_quota
 
@@ -36,18 +35,27 @@ class StoppingReason(enum.Enum):
     CUES_EXHAUSTED = "cues_exhausted"
 
 
-@dataclass(frozen=True)
-class CueOrder:
-    """Inspection order over indicator names (the search rule)."""
-
+class _CueOrderFields(NamedTuple):
     cues: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cues", tuple(self.cues))
-        if not self.cues:
+
+class CueOrder(_CueOrderFields):
+    """Inspection order over indicator names (the search rule)."""
+
+    __slots__ = ()
+
+    def __new__(cls, cues: Iterable[str]) -> CueOrder:
+        cues = tuple(cues)
+        if not cues:
             raise ValueError("cue order must not be empty")
-        if len(set(self.cues)) != len(self.cues):
-            raise ValueError(f"cue order contains duplicates: {self.cues}")
+        if len(set(cues)) != len(cues):
+            raise ValueError(f"cue order contains duplicates: {cues}")
+        return tuple.__new__(cls, (cues,))
+
+    @classmethod
+    def _make(cls, iterable) -> CueOrder:
+        # _replace builds through _make; this keeps it behind the checks above
+        return cls(*iterable)
 
 
 class RuleMode(enum.Enum):
@@ -55,8 +63,12 @@ class RuleMode(enum.Enum):
     RELATIVE = "relative"
 
 
-@dataclass(frozen=True)
-class DiscriminationRule:
+class _DiscriminationRuleFields(NamedTuple):
+    delta: float
+    mode: RuleMode
+
+
+class DiscriminationRule(_DiscriminationRuleFields):
     """When do two scores differ enough to stop the search?
 
     delta = 0 in absolute mode is pure lexicographic choice: any strict
@@ -65,12 +77,16 @@ class DiscriminationRule:
     The array form, over a block of pairs, is `ecology.PairBlock.signs`.
     """
 
-    delta: float = 0.0
-    mode: RuleMode = RuleMode.ABSOLUTE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be a finite value >= 0, got {self.delta}")
+    def __new__(cls, delta: float = 0.0, mode: RuleMode = RuleMode.ABSOLUTE) -> DiscriminationRule:
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise ValueError(f"delta must be a finite value >= 0, got {delta}")
+        return tuple.__new__(cls, (delta, mode))
+
+    @classmethod
+    def _make(cls, iterable) -> DiscriminationRule:
+        return cls(*iterable)
 
     def discriminates(self, a: float, b: float) -> bool:
         diff = abs(a - b)
@@ -81,29 +97,36 @@ class DiscriminationRule:
         return diff > self.delta
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     cue: str
     score_a: float
     score_b: float
     discriminated: bool
 
 
-@dataclass(frozen=True)
-class DecisionTrace:
+class _DecisionTraceFields(NamedTuple):
+    steps: tuple[TraceStep, ...]
+
+
+class DecisionTrace(_DecisionTraceFields):
     """Ordered record of the cues a pairwise choice actually inspected; the
     stopping reason and the decision are read off the last step."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __new__(cls, steps: Iterable[TraceStep]) -> DecisionTrace:
+        self = tuple.__new__(cls, (tuple(steps),))
         if any(step.discriminated for step in self.steps[:-1]):
             raise ValueError("only the last inspected cue may discriminate")
         if self.stopping_reason is StoppingReason.DISCRIMINATED:
             last = self.steps[-1]
             if not (last.score_a > last.score_b or last.score_b > last.score_a):
                 raise ValueError("the discriminating cue must score one side higher")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DecisionTrace:
+        return cls(*iterable)
 
     @property
     def stopping_reason(self) -> StoppingReason:
@@ -128,18 +151,29 @@ class DecisionTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Named cue weights for the weighted-linear comparison model."""
-
+class _WeightVectorFields(NamedTuple):
     weights: Mapping[str, float]
 
-    def __post_init__(self) -> None:
+
+class WeightVector(_WeightVectorFields):
+    """Named cue weights for the weighted-linear comparison model.
+
+    Indexing takes a cue name, as the weights mapping does, not a position.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weights: Mapping[str, float]) -> WeightVector:
         # read-only, so the finite check below holds for the vector's life
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-        for name, w in self.weights.items():
+        weights = MappingProxyType(dict(weights))
+        for name, w in weights.items():
             if not math.isfinite(w):
                 raise ValueError(f"weight for {name!r} is not finite: {w!r}")
+        return tuple.__new__(cls, (weights,))
+
+    @classmethod
+    def _make(cls, iterable) -> WeightVector:
+        return cls(*iterable)
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
@@ -149,8 +183,7 @@ class WeightVector:
         return tuple(self.weights)
 
 
-@dataclass(frozen=True)
-class ConsiderationSet:
+class ConsiderationSet(NamedTuple):
     """Candidates surviving single-cue screening, best first."""
 
     selected: tuple[str, ...]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -90,28 +89,38 @@ class Publication(_PublicationFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CandidateProfile:
+class _CandidateProfileFields(NamedTuple):
+    id: str
+    publications: tuple[Publication, ...]
+    indicators: Mapping[str, float]
+
+
+class CandidateProfile(_CandidateProfileFields):
     """A candidate: identifier, publication list, named indicator scores."""
 
-    id: str
-    publications: tuple[Publication, ...] = ()
-    indicators: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "publications", tuple(self.publications))
+    def __new__(cls, id: str, publications: Iterable[Publication] = (),
+                indicators: Mapping[str, float] = MappingProxyType({})) -> CandidateProfile:
+        publications = tuple(publications)
         # read-only, so the finite-score check below holds for the profile's life
-        object.__setattr__(self, "indicators", MappingProxyType(dict(self.indicators)))
+        indicators = MappingProxyType(dict(indicators))
         seen: set[str] = set()
-        for pub in self.publications:
+        for pub in publications:
             if pub.id in seen:
-                raise ValueError(f"profile {self.id!r}: duplicate publication id {pub.id!r}")
+                raise ValueError(f"profile {id!r}: duplicate publication id {pub.id!r}")
             seen.add(pub.id)
-        for name, score in self.indicators.items():
+        for name, score in indicators.items():
             if not math.isfinite(score):
                 raise ValueError(
-                    f"profile {self.id!r}: indicator {name!r} has non-finite score {score!r}"
+                    f"profile {id!r}: indicator {name!r} has non-finite score {score!r}"
                 )
+        return tuple.__new__(cls, (id, publications, indicators))
+
+    @classmethod
+    def _make(cls, iterable) -> CandidateProfile:
+        # _replace builds through _make; this keeps it behind the checks above
+        return cls(*iterable)
 
     def indicator(self, name: str) -> float:
         try:
@@ -208,7 +217,7 @@ def finalize_publication_list(
         pub._replace(validated=resolved.get(pub.id, Validation.INCLUDED))
         for pub in profile.publications
     )
-    return replace(profile, publications=finalized)
+    return profile._replace(publications=finalized)
 
 
 def _check_share(p: float) -> None:

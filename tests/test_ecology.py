@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -407,7 +406,7 @@ class TestRunBenchmark:
 
 
 def without_wall_time(results):
-    return [dataclasses.replace(r, wall_time=0.0) for r in results]
+    return [r._replace(wall_time=0.0) for r in results]
 
 
 def abstainer(name):

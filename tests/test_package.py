@@ -1,4 +1,20 @@
+import math
+
+import pytest
+
 import frugaleval
+from frugaleval import (
+    CandidateProfile,
+    CareerSequence,
+    CueOrder,
+    DecisionTrace,
+    DiscriminationRule,
+    Publication,
+    SplitConfig,
+    TraceStep,
+    WeightVector,
+)
+from frugaleval.cli import WorkloadQuery
 
 # the public surface: adding or deleting an export shows up as a diff here
 EXPORTS = [
@@ -18,3 +34,43 @@ EXPORTS = [
 def test_all_lists_exactly_the_public_names():
     assert sorted(frugaleval.__all__) == EXPORTS
 
+
+
+def trace_steps(*hits):
+    return [TraceStep(cue, 1.0, 2.0, hit) for cue, hit in zip("abc", hits)]
+
+
+# each record that checks its fields: an instance, a field change the
+# constructor refuses and a field change it normalises (or, with nothing to
+# normalise, accepts)
+CHECKED_RECORDS = {
+    "CueOrder": (CueOrder(["a", "b"]), {"cues": ["a", "a"]}, {"cues": ["b", "a"]}),
+    "DiscriminationRule": (DiscriminationRule(), {"delta": -1.0}, {"delta": 0.5}),
+    "DecisionTrace": (DecisionTrace(trace_steps(False)), {"steps": trace_steps(True, True)},
+                      {"steps": trace_steps(False, True)}),
+    "WeightVector": (WeightVector({"a": 1.0}), {"weights": {"a": math.nan}},
+                     {"weights": {"a": 2.0, "b": 1.0}}),
+    "CareerSequence": (CareerSequence([1.0, 2.0]), {"impacts": [1, -1]}, {"impacts": [3, 4]}),
+    "CandidateProfile": (CandidateProfile("c", indicators={"h": 1.0}),
+                         {"indicators": {"h": math.inf}},
+                         {"publications": [Publication("p", 2020, "phys", 3)],
+                          "indicators": {"h": 2.0}}),
+    "SplitConfig": (SplitConfig(0.5, 3, 7), {"repetitions": 0}, {"train_fraction": 0.25}),
+    "WorkloadQuery": (WorkloadQuery(10, 3, 5, 2), {"panel_size": 0}, {"papers": 20}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_RECORDS))
+def test_replace_checks_and_normalises_as_the_constructor_does(name):
+    record, bad, good = CHECKED_RECORDS[name]
+    cls = type(record)
+    with pytest.raises(ValueError) as built:
+        cls(**{**record._asdict(), **bad})
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**bad)
+    assert str(replaced.value) == str(built.value)
+    expected = cls(**{**record._asdict(), **good})
+    changed = record._replace(**good)
+    assert type(changed) is cls
+    assert changed == expected
+    assert [type(v) for v in changed] == [type(v) for v in expected]

@@ -1,4 +1,5 @@
-"""Commands that do no array work never import numpy.
+"""Commands that do no array work never import numpy, and no command
+loads dataclasses.
 
 Each command runs in a fresh interpreter as `python -X importtime -m
 frugaleval.cli ...`, whose import log names every module the run loads
@@ -23,13 +24,18 @@ def run_python(args, cwd):
                           text=True, stdin=subprocess.DEVNULL, timeout=60)
 
 
-def numpy_modules_loaded(argv, cwd):
+def modules_loaded(argv, cwd):
     proc = run_python(["-X", "importtime", "-m", "frugaleval.cli", *argv], cwd)
     assert proc.returncode == 0, proc.stderr[-2000:]
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line]
     assert "frugaleval.tables" in imported  # the log is there to read
-    return [name for name in imported if name == "numpy" or name.startswith("numpy.")]
+    return imported
+
+
+def numpy_modules_loaded(argv, cwd):
+    return [name for name in modules_loaded(argv, cwd)
+            if name == "numpy" or name.startswith("numpy.")]
 
 
 @pytest.fixture
@@ -41,9 +47,11 @@ def profiles(tmp_path):
 
 # choose compares two numbers in either mode; bench, career and the
 # less-is-more curve do array work and load numpy
-@pytest.mark.parametrize("command", ["screen", "choose --profiles", "choose --mode relative",
-                                     "choose --corpus", "workload"])
-def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
+NUMPY_FREE = ["screen", "choose --profiles", "choose --mode relative", "choose --corpus",
+              "workload"]
+
+
+def command_argv(command, screen_inputs, profiles, tmp_path):
     argv = {
         "screen": ["screen", "--corpus", screen_inputs.corpus,
                    "--candidates", screen_inputs.candidates, "--quota", "0.25"],
@@ -56,10 +64,39 @@ def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
                             "--b", "cand01"],
         "workload": ["workload", "--papers", "100", "--panel-size", "10",
                      "--working-days", "20"],
+        "bench": ["bench", "--gen", "binary", "--weights", "a=2,b=1", "--n-objects", "8"],
+        "career": ["career", "--length", "40", "--baseline-mean", "5", "--multiplier", "6",
+                   "--streak-len", "5:9"],
     }[command]
-    argv = [str(arg) for arg in argv] + ["--out", str(tmp_path / "report.txt")]
+    return [str(arg) for arg in argv] + ["--out", str(tmp_path / "report.txt")]
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE)
+def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
+    argv = command_argv(command, screen_inputs, profiles, tmp_path)
     assert numpy_modules_loaded(argv, tmp_path) == []
     assert (tmp_path / "report.txt").is_file()
+
+
+# The records are named tuples: importing dataclasses cost ~11 ms, most of it
+# inspect, and each dataclass ~1 ms more to generate its methods, on every run
+# where no bytecode is cached. numpy loads inspect itself.
+@pytest.mark.parametrize("command", [*NUMPY_FREE, "bench", "career"])
+def test_command_loads_no_dataclasses(command, screen_inputs, profiles, tmp_path):
+    imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path), tmp_path)
+    assert "dataclasses" not in imported
+    if command in NUMPY_FREE:
+        assert "inspect" not in imported
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_shlex(tmp_path):
+    # the config line loads shlex only to quote a value that needs it
+    code = ("import sys\n"
+            "import frugaleval, frugaleval.cli\n"
+            "print([m for m in ('dataclasses', 'inspect', 'shlex') if m in sys.modules])\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_log_shows_numpy_when_a_command_uses_it(tmp_path):
