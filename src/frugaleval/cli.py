@@ -431,10 +431,20 @@ def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
             temp.unlink(missing_ok=True)
 
 
+# the characters shlex.quote leaves a value of unquoted
+_SHELL_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_@%+=:,./-"
+
+
 def _echo(value: object) -> str:
     """A config value as the table report's config line shows it: a list
-    comma-joined, as it is typed, and anything else by str."""
-    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    comma-joined, as it is typed, and anything else by str; quoted as
+    shlex.quote quotes it, so that shlex.split gives the line's pairs back."""
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    if text and not text.strip(_SHELL_SAFE):
+        return text
+    import shlex  # loaded only by a run with a value to quote
+
+    return shlex.quote(text)
 
 
 def run(args: argparse.Namespace) -> int:

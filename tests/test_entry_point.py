@@ -10,11 +10,13 @@ import ast
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frugaleval import cli
 
@@ -151,17 +153,41 @@ def test_report_digests(run, inputs):
     assert digests == REPORT_SHA256[run]
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
+# values that hold a space: a profiles path and a cue name
+SPACED_RUN = ["choose", "--profiles", "my profiles.csv", "--cue-order", "h cp,collab"]
+
+
+@pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
 def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsys):
-    # a value holds no space, so the line splits back into its key=value pairs
+    # the line splits back into its key=value pairs, quoted as a shell reads them
+    (inputs / "my profiles.csv").write_text("id,h cp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
     monkeypatch.chdir(inputs)
-    assert cli.main([*RUNS[run], "--out", "report.txt"]) == 0
+    argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
+    assert cli.main([*argv, "--out", "report.txt"]) == 0
     capsys.readouterr()
     [line] = [line for line in (inputs / "report.txt").read_text().splitlines()
               if line.startswith("# config: ")]
-    keys = [pair.partition("=")[0] for pair in line.removeprefix("# config: ").split(" ")]
+    pairs = dict(pair.partition("=")[::2] for pair in shlex.split(line.removeprefix("# config: ")))
     config = json.loads((inputs / "report.txt.json").read_text())["config"]
-    assert keys == sorted(config)
+    assert list(pairs) == sorted(config)
+    if run == "choose-spaced":
+        assert pairs["profiles"] == "my profiles.csv"
+        assert pairs["cue_order"] == "h cp,collab"
+
+
+# mostly ASCII, where shlex.quote's safe characters are
+TEXTS = st.text(st.characters(max_codepoint=0x7f)) | st.text()
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(TEXTS | st.lists(TEXTS, max_size=3))
+@example("")
+@example("~")
+@example("é")
+@example(["h cp", "collab"])
+def test_a_config_value_echoes_as_shlex_quotes_it(value):
+    typed = ",".join(value) if isinstance(value, list) else value
+    assert cli._echo(value) == shlex.quote(typed)
 
 
 def input_modes(source):
