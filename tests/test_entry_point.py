@@ -30,6 +30,7 @@ def plateau_csv(n=30, start=10, end=19, low=1.0, high=10.0):
 
 INPUTS = {
     "profiles.csv": "id,hcp,collab,grants\nA,3,2,1.5\nB,3,5,1.2\nC,1,9,4\n",
+    "my profiles.csv": "id,h cp,collab\nA,1,2\nB,1,3\n",
     # criterion ties and cue values within 1.5 of each other
     "tied.csv": "id,criterion,a,b,c\n" + "".join(
         f"o{k},{k % 4},{k % 3},{(k * 7) % 5 - 1.25},{k % 2}\n" for k in range(16)),
@@ -160,7 +161,6 @@ SPACED_RUN = ["choose", "--profiles", "my profiles.csv", "--cue-order", "h cp,co
 @pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
 def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsys):
     # the line splits back into its key=value pairs, quoted as a shell reads them
-    (inputs / "my profiles.csv").write_text("id,h cp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
     monkeypatch.chdir(inputs)
     argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
     assert cli.main([*argv, "--out", "report.txt"]) == 0

@@ -35,7 +35,6 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(frugaleval.__all__) == EXPORTS
 
 
-
 def trace_steps(*hits):
     return [TraceStep(cue, 1.0, 2.0, hit) for cue, hit in zip("abc", hits)]
 

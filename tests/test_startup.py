@@ -78,9 +78,9 @@ def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
     assert (tmp_path / "report.txt").is_file()
 
 
-# The records are named tuples: importing dataclasses cost ~11 ms, most of it
-# inspect, and each dataclass ~1 ms more to generate its methods, on every run
-# where no bytecode is cached. numpy loads inspect itself.
+# Importing dataclasses costs ~11 ms, most of it inspect, and each dataclass
+# ~1 ms more to generate its methods, on every run with no bytecode cache.
+# numpy loads inspect itself, so only the numpy-free commands must do without.
 @pytest.mark.parametrize("command", [*NUMPY_FREE, "bench", "career"])
 def test_command_loads_no_dataclasses(command, screen_inputs, profiles, tmp_path):
     imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path), tmp_path)
