@@ -40,6 +40,7 @@ from typing import Iterable, NamedTuple
 
 from ._numpy import np
 from ._pairs import pair_blocks
+from .indicators import _checked_make
 
 MIN_STREAK_LEN = 3
 _RSS_FLOOR = 1e-300  # keeps ln(RSS) finite on exactly piecewise-constant input
@@ -68,10 +69,7 @@ class CareerSequence(_CareerSequenceFields):
                 raise ValueError(f"impact at position {k} must be finite and >= 0, got {value!r}")
         return tuple.__new__(cls, (impacts,))
 
-    @classmethod
-    def _make(cls, iterable) -> CareerSequence:
-        # _replace builds through _make; this keeps it behind the checks above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 class HotStreakFit(NamedTuple):

@@ -47,6 +47,7 @@ from .indicators import (
     CandidateProfile,
     MissingGroupError,
     PendingPublicationsError,
+    _checked_make,
     count_highly_cited,
 )
 from .tables import (
@@ -78,10 +79,7 @@ class WorkloadQuery(_WorkloadQueryFields):
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> WorkloadQuery:
-        # _replace builds through _make; this keeps it behind the check above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 def workload(query: WorkloadQuery) -> float:
@@ -431,19 +429,13 @@ def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
             temp.unlink(missing_ok=True)
 
 
-# the characters shlex.quote leaves a value of unquoted
-_SHELL_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_@%+=:,./-"
-
-
 def _echo(value: object) -> str:
     """A config value as the table report's config line shows it: a list
     comma-joined, as it is typed, and anything else by str; quoted as
     shlex.quote quotes it, so that shlex.split gives the line's pairs back."""
-    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
-    if text and not text.strip(_SHELL_SAFE):
-        return text
-    import shlex  # loaded only by a run with a value to quote
+    import shlex  # a table report's, not start-up's
 
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
     return shlex.quote(text)
 
 

@@ -35,7 +35,7 @@ from .heuristics import (  # noqa: F401
     tallying_choose,
     weighted_linear_choose,
 )
-from .indicators import CandidateProfile
+from .indicators import CandidateProfile, _checked_make
 
 # A strategy's decide(block) decides every pair (block.i[k], block.j[k]) of a
 # PairBlock at once, exactly as the scalar functions in heuristics would,
@@ -123,10 +123,7 @@ class SplitConfig(_SplitConfigFields):
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         return tuple.__new__(cls, (train_fraction, repetitions, seed))
 
-    @classmethod
-    def _make(cls, iterable) -> SplitConfig:
-        # _replace builds through _make; this keeps it behind the checks above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 class StrategyResult(NamedTuple):

@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .indicators import CandidateProfile, top_quota
+from .indicators import CandidateProfile, _checked_make, top_quota
 
 
 class Decision(enum.Enum):
@@ -52,10 +52,7 @@ class CueOrder(_CueOrderFields):
             raise ValueError(f"cue order contains duplicates: {cues}")
         return tuple.__new__(cls, (cues,))
 
-    @classmethod
-    def _make(cls, iterable) -> CueOrder:
-        # _replace builds through _make; this keeps it behind the checks above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 class RuleMode(enum.Enum):
@@ -84,9 +81,7 @@ class DiscriminationRule(_DiscriminationRuleFields):
             raise ValueError(f"delta must be a finite value >= 0, got {delta}")
         return tuple.__new__(cls, (delta, mode))
 
-    @classmethod
-    def _make(cls, iterable) -> DiscriminationRule:
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
     def discriminates(self, a: float, b: float) -> bool:
         diff = abs(a - b)
@@ -124,9 +119,7 @@ class DecisionTrace(_DecisionTraceFields):
                 raise ValueError("the discriminating cue must score one side higher")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> DecisionTrace:
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
     @property
     def stopping_reason(self) -> StoppingReason:
@@ -158,7 +151,9 @@ class _WeightVectorFields(NamedTuple):
 class WeightVector(_WeightVectorFields):
     """Named cue weights for the weighted-linear comparison model.
 
-    Indexing takes a cue name, as the weights mapping does, not a position.
+    Read as its weights mapping, not as a one-field tuple: w["a"] is cue
+    a's weight, "a" in w tests a cue name, iteration yields the cue names
+    and len counts them. _asdict, _replace and copy read the field by name.
     """
 
     __slots__ = ()
@@ -171,12 +166,32 @@ class WeightVector(_WeightVectorFields):
                 raise ValueError(f"weight for {name!r} is not finite: {w!r}")
         return tuple.__new__(cls, (weights,))
 
-    @classmethod
-    def _make(cls, iterable) -> WeightVector:
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.weights
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.weights)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    # a named tuple's own versions of these iterate the record for its fields
+    def __getnewargs__(self) -> tuple[Mapping[str, float]]:
+        return (self.weights,)
+
+    def _asdict(self) -> dict[str, Mapping[str, float]]:
+        return {"weights": self.weights}
+
+    def _replace(self, /, **changes: Mapping[str, float]) -> WeightVector:
+        weights = changes.pop("weights", self.weights)
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return WeightVector(weights)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -53,6 +53,14 @@ def top_quota(fraction: float, n: int) -> int:
     return max(math.ceil(round(fraction * n, 9)), min(n, 1))
 
 
+def _checked_make(cls, iterable):
+    """`_make` for a record whose `__new__` checks its fields. A named
+    tuple's own `_make` skips `__new__`, and `_replace` builds through
+    `_make`, so each checked record sets `_make = classmethod(_checked_make)`
+    to keep both behind its checks."""
+    return cls(*iterable)
+
+
 class _PublicationFields(NamedTuple):
     id: str
     year: int
@@ -68,8 +76,8 @@ class Publication(_PublicationFields):
     Being a tuple, a Publication compares equal to a plain tuple holding
     the same fields in the same order.
 
-    citations >= 0 holds however a Publication is built. __new__ checks it,
-    and _make, so _replace too, goes through __new__. The table readers
+    citations >= 0 holds however a Publication is built: __new__ checks it,
+    and _make and _replace go through __new__. The table readers
     build rows with tuple.__new__ and check the sign themselves first
     (see frugaleval.tables).
     """
@@ -83,10 +91,7 @@ class Publication(_PublicationFields):
             raise ValueError(f"publication {id!r}: citations must be >= 0, got {citations}")
         return tuple.__new__(cls, (id, year, category, citations, doc_type, validated))
 
-    @classmethod
-    def _make(cls, iterable) -> Publication:
-        # _replace builds through _make; this keeps it behind the check above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 class _CandidateProfileFields(NamedTuple):
@@ -117,10 +122,7 @@ class CandidateProfile(_CandidateProfileFields):
                 )
         return tuple.__new__(cls, (id, publications, indicators))
 
-    @classmethod
-    def _make(cls, iterable) -> CandidateProfile:
-        # _replace builds through _make; this keeps it behind the checks above
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
     def indicator(self, name: str) -> float:
         try:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -420,6 +421,19 @@ class TestWeightedLinear:
             w.weights["b"] = 1.0
         weights["a"] = float("nan")  # the caller's dict is copied, not shared
         assert w["a"] == 1.0
+
+    def test_a_weight_vector_reads_as_its_mapping(self):
+        w = WeightVector({"a": 2.0, "b": 1.0})
+        assert (w["a"], "a" in w, "z" in w) == (2.0, True, False)
+        with pytest.raises(KeyError):
+            w["z"]
+        assert (list(w), len(w), bool(WeightVector({}))) == (["a", "b"], 2, False)
+        # the named-tuple methods still see the one field
+        assert w._asdict() == {"weights": w.weights}
+        assert w._replace(weights={"c": 3.0}).weights == {"c": 3.0}
+        assert w._replace() == w == copy.copy(w) == (w.weights,)
+        with pytest.raises(ValueError, match="unexpected field names: \\['delta'\\]"):
+            w._replace(delta=1.0)
 
     def test_zero_weights_always_undecided(self):
         w = WeightVector({"c1": 0, "c2": 0})

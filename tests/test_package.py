@@ -72,4 +72,6 @@ def test_replace_checks_and_normalises_as_the_constructor_does(name):
     changed = record._replace(**good)
     assert type(changed) is cls
     assert changed == expected
-    assert [type(v) for v in changed] == [type(v) for v in expected]
+    # by name: a WeightVector iterates over its cue names, not its field
+    assert ([type(getattr(changed, f)) for f in cls._fields]
+            == [type(getattr(expected, f)) for f in cls._fields])

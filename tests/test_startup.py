@@ -90,7 +90,7 @@ def test_command_loads_no_dataclasses(command, screen_inputs, profiles, tmp_path
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_shlex(tmp_path):
-    # the config line loads shlex only to quote a value that needs it
+    # shlex is loaded by a table report's config line, not by the import
     code = ("import sys\n"
             "import frugaleval, frugaleval.cli\n"
             "print([m for m in ('dataclasses', 'inspect', 'shlex') if m in sys.modules])\n")
