@@ -43,7 +43,6 @@ from .ecology import (
     generate_binary_environment,
     generate_gaussian_environment,
     less_is_more_curve,
-    recognition_choose_pairs,
     run_benchmark,
     validity_order,
 )

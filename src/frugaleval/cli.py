@@ -6,8 +6,10 @@ benchmark), career (hot-streak generation/detection), workload (panel
 review-load arithmetic).
 
 Every report embeds the tool version, the configuration its input mode
-read (a flag the mode does not read echoes None) and the master seed, and
-is byte-identical across runs with the same configuration. Diagnostics go
+read (a flag the mode does not read echoes None, and the table's config
+line leaves it out, so that line holds exactly the flags the run read) and
+the master seed (None where the mode draws nothing), and is
+byte-identical across runs with the same configuration. Diagnostics go
 to stderr; report content goes to --out or stdout, never interleaved.
 With --out the report is written in the requested format plus a
 companion file in the other format, both or neither.
@@ -95,7 +97,8 @@ def workload(query: WorkloadQuery) -> float:
 # Defaults of the flags that some input mode does not read, as --help states them: argparse
 # leaves them None, so a flag given at its default counts as given. _mode fills in the ones
 # the run's input mode uses; any other echoes None.
-_DEFAULTS = {"p": 0.10, "n_objects": 20, "noise_sigma": 0.0, "delta": 0.0, "mode": "absolute"}
+_DEFAULTS = {"p": 0.10, "n_objects": 20, "noise_sigma": 0.0, "delta": 0.0, "mode": "absolute",
+             "seed": 0}
 
 
 def _mode(p: dict[str, object], needs: tuple[str, ...], uses: tuple[str, ...], *,
@@ -183,7 +186,7 @@ def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
 _Outcome = "tuple[dict, list[str], list[str], dict[str, Callable[[Path], object]]]"
 
 
-def _cmd_screen(p: dict[str, object], seed: int) -> _Outcome:
+def _cmd_screen(p: dict[str, object]) -> _Outcome:
     _mode(p, ("corpus", "candidates", "quota"), ("p",))
     scored = _score_highly_cited(p)
     if not scored:
@@ -207,7 +210,7 @@ def _cmd_screen(p: dict[str, object], seed: int) -> _Outcome:
     return result, body, [], {}
 
 
-def _cmd_choose(p: dict[str, object], seed: int) -> _Outcome:
+def _cmd_choose(p: dict[str, object]) -> _Outcome:
     common = ("a", "b", "delta", "mode")
     if p["profiles"]:
         _mode(p, ("profiles", "cue_order"), common, unused="choose --profiles does not use {}")
@@ -258,10 +261,10 @@ def _make_strategies(names: tuple[str, ...], p: Mapping[str, object]) -> list:
     return strategies
 
 
-def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
+def _cmd_bench(p: dict[str, object]) -> _Outcome:
     names = _names(p["strategies"])
     # of the strategies, only take-the-best reads the discrimination rule
-    common = ("strategies", "train_fraction", "reps",
+    common = ("strategies", "train_fraction", "reps", "seed",
               *(("delta", "mode") if "take_the_best" in names else ()))
     if p["environment"]:
         _mode(p, ("environment",), common, unused="bench --environment does not use {}")
@@ -270,18 +273,18 @@ def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
         _mode(p, ("gen", "weights"), ("n_objects", *common), missing="--gen binary needs {}",
               unused="--gen binary does not use {}")
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
-        env = generate_binary_environment(weights, p["n_objects"], seed)
+        env = generate_binary_environment(weights, p["n_objects"], p["seed"])
     elif p["gen"] == "gaussian":
         _mode(p, ("gen", "targets"), ("n_objects", *common), missing="--gen gaussian needs {}",
               unused="--gen gaussian does not use {}")
         targets = _parse_name_values(p["targets"], "targets")
-        env = generate_gaussian_environment(targets, p["n_objects"], seed)
+        env = generate_gaussian_environment(targets, p["n_objects"], p["seed"])
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
     if not names:
         raise ValueError(f"strategy list is empty: {p['strategies']!r}")
     strategies = _make_strategies(names, p)
-    split = SplitConfig(p["train_fraction"], p["reps"], seed)
+    split = SplitConfig(p["train_fraction"], p["reps"], p["seed"])
     report = run_benchmark(env, strategies, split)
     result = {
         "n_objects": len(env),
@@ -309,7 +312,7 @@ def _cmd_bench(p: dict[str, object], seed: int) -> _Outcome:
     return result, body, diagnostics, {}
 
 
-def _cmd_career(p: dict[str, object], seed: int) -> _Outcome:
+def _cmd_career(p: dict[str, object]) -> _Outcome:
     planted = None
     detect = ("min_streak_len", "penalty_per_param")
     if p["impacts"]:
@@ -317,7 +320,7 @@ def _cmd_career(p: dict[str, object], seed: int) -> _Outcome:
         seq = read_career(p["impacts"])
     else:
         _mode(p, ("length", "baseline_mean", "multiplier", "streak_len"),
-              ("noise_sigma", "save_career", *detect),
+              ("noise_sigma", "save_career", "seed", *detect),
               missing="career generation needs {} (or --impacts FILE to detect)")
         seq, planted = generate_career(
             length=p["length"],
@@ -325,7 +328,7 @@ def _cmd_career(p: dict[str, object], seed: int) -> _Outcome:
             streak_multiplier=p["multiplier"],
             streak_len_range=_parse_streak_len(p["streak_len"]),
             noise_sigma=p["noise_sigma"],
-            seed=seed,
+            seed=p["seed"],
         )
     fit = detect_hot_streak(seq, min_len=p["min_streak_len"],
                             penalty_per_param=p["penalty_per_param"])
@@ -361,7 +364,7 @@ def _cmd_career(p: dict[str, object], seed: int) -> _Outcome:
     return result, body, [], saves
 
 
-def _cmd_workload(p: dict[str, object], seed: int) -> _Outcome:
+def _cmd_workload(p: dict[str, object]) -> _Outcome:
     _mode(p, ("papers", "panel_size", "working_days"), ("reviews_per_paper",))
     query = WorkloadQuery(
         papers=p["papers"],
@@ -384,7 +387,7 @@ _HANDLERS = {
 }
 
 
-_META_KEYS = ("command", "seed", "out", "format", "config")
+_META_KEYS = ("command", "out", "format", "config")
 
 # the files a command reads; no file it writes may be one of them or another it writes
 _READ_FILES = ("corpus", "candidates", "profiles", "environment", "impacts", "config")
@@ -455,15 +458,17 @@ def run(args: argparse.Namespace) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        result, body_lines, diagnostics, saves = _HANDLERS[args.command](params, args.seed)
+        result, body_lines, diagnostics, saves = _HANDLERS[args.command](params)
     finally:
         if collecting:
             gc.enable()
+    # the master seed is reported on its own: the one a drawing mode read, None elsewhere
+    seed = params.pop("seed")
     payload = {
         "tool": "frugaleval",
         "version": __version__,
         "command": args.command,
-        "seed": args.seed,
+        "seed": seed,
         "config": params,
         "result": result,
     }
@@ -475,8 +480,10 @@ def run(args: argparse.Namespace) -> int:
     header = [
         f"# frugaleval {__version__}",
         f"# command: {args.command}",
-        f"# seed: {args.seed}",
-        "# config: " + " ".join(f"{k}={_echo(v)}" for k, v in sorted(params.items())),
+        f"# seed: {seed}",
+        # only the flags the run read: with the seed line, the line replays the run
+        "# config: " + " ".join(f"{k}={_echo(v)}" for k, v in sorted(params.items())
+                                if v is not None),
     ]
     table = "\n".join(header + body_lines) + "\n"
     primary, companion = (machine, table) if args.format == "machine" else (table, machine)
@@ -497,7 +504,9 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=0, help="master seed; all randomness derives from it")
+    sub.add_argument("--seed", type=_seed, default=None,
+                     help="master seed of a mode that draws; all randomness derives from it "
+                          f"(default: {_DEFAULTS['seed']})")
     sub.add_argument("--out", default=None, help="report file (companion written in the other format)")
     sub.add_argument("--format", choices=("table", "machine"), default="table",
                      help="primary report format (default: %(default)s)")

@@ -8,13 +8,11 @@ scores every strategy on all unordered test pairs -- accuracy, frugality
 blocks (`_pairs.pair_blocks`, the walker the career streak scan shares)
 and each block is decided at once (`PairBlock`), so memory does not grow
 with the number of pairs, and every count adds up over the blocks
-exactly. This module
-holds every array pass over object pairs: cue validities and the
-strategies' decisions, which read a block's cue signs and criterion
-order, the recognition heuristic's (recognition_choose_pairs) and the
-less-is-more curve's count of correct choices. Each is tested against a
-scalar reference in heuristics; the curve's count is tested against
-recognition_choose_pairs.
+exactly. This module holds every array pass over object pairs: cue
+validities and the strategies' decisions, which read a block's cue signs
+and criterion order, and the less-is-more curve's count of correct
+choices. Each is tested against a scalar reference in heuristics, the
+curve's count against recognition_choose deciding the same draws.
 Splits and generators are fully seeded; identical seeds reproduce reports
 bit for bit apart from wall time.
 """
@@ -486,30 +484,6 @@ def run_benchmark(
     return BenchmarkReport(results)
 
 
-def recognition_choose_pairs(
-    a_known: np.ndarray,
-    b_known: np.ndarray,
-    knowledge_picks_a: np.ndarray | None = None,
-    *,
-    guesses_a: np.ndarray,
-) -> np.ndarray:
-    """recognition_choose for many pairs at once: +1 chooses a, -1 chooses b.
-
-    Pair k recognizes a when a_known[k] and b when b_known[k]; when both are
-    recognized, knowledge_picks_a[k] is the knowledge comparator's answer
-    (None: no knowledge, guess). A guess picks a when guesses_a[k], as
-    recognition_choose does for guess_a=guesses_a[k].
-    """
-    a_known = np.asarray(a_known, dtype=bool)
-    b_known = np.asarray(b_known, dtype=bool)
-    picks_a = np.asarray(guesses_a, dtype=bool)
-    if knowledge_picks_a is not None:
-        picks_a = np.where(a_known & b_known, knowledge_picks_a, picks_a)
-    # exactly one recognized: choose it
-    picks_a = np.where(a_known != b_known, a_known, picks_a)
-    return np.where(picks_a, 1, -1)
-
-
 def less_is_more_curve(
     N: int, alpha: float, beta: float, trials: int, seed: int
 ) -> list[tuple[int, float, float]]:
@@ -526,8 +500,8 @@ def less_is_more_curve(
     heuristic's choice is correct exactly when the one that decides is:
     recognition for one recognized, knowledge for both, the coin for
     neither. The correct choices are counted from those, with no array of
-    choices; recognition_choose_pairs decides the same draws in the tests
-    and must count the same.
+    choices; recognition_choose decides the same draws in the tests and
+    must count the same.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -7,7 +7,7 @@ with an audit trace of every cue inspected. Compensatory baselines
 (tallying, weighted linear) and the recognition heuristic are included
 for comparison, plus single-cue screening that prunes a candidate pool
 down to a consideration set. Every array pass over object pairs (cue
-validities, the benchmark strategies, the recognition pair pass) lives in
+validities, the benchmark strategies, the less-is-more count) lives in
 ecology and is tested against these functions.
 
 Everything is a pure function over immutable inputs; randomness is always

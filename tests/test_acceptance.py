@@ -129,9 +129,8 @@ def test_criterion_05_less_is_more():
     """Partial recognition beats full recognition, and a 100k-trial
     simulation of the recognition heuristic tracks the closed form within
     0.01 at every recognized count. The simulation counts the heuristic's
-    correct choices; test_ecology checks that count against the array form
-    of the heuristic (recognition_choose_pairs), which test_heuristics
-    checks against recognition_choose."""
+    correct choices; test_ecology checks that count against
+    recognition_choose deciding the same draws."""
     N, alpha, beta, trials = 50, 0.8, 0.6, 100_000
     rows = less_is_more_curve(N, alpha, beta, trials=trials, seed=20260810)
     full_formula = rows[-1][1]
@@ -258,9 +257,8 @@ def test_criterion_10_cli_reproducibility(tmp_path, capsys):
 
     runs = {
         "screen": ["screen", "--corpus", str(corpus), "--candidates", str(candidates),
-                   "--quota", "0.5", "--seed", "3"],
-        "choose": ["choose", "--profiles", str(profiles), "--cue-order", "hcp,collab",
-                   "--seed", "3"],
+                   "--quota", "0.5"],
+        "choose": ["choose", "--profiles", str(profiles), "--cue-order", "hcp,collab"],
         "bench": ["bench", "--gen", "binary", "--weights", "c1=4,c2=2,c3=1",
                   "--n-objects", "14", "--reps", "5", "--seed", "3",
                   "--strategies", "take_the_best,minimalist,tallying,linear"],

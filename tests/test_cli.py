@@ -28,8 +28,8 @@ from frugaleval.tables import (
 
 # `screen --quota 0.25` on the screen_inputs fixture, both report formats
 SCREEN_REPORT_SHA256 = {
-    "report.txt": "66f7aedf4f96a6eacca5fd9b169ff475f01455029cf0eed152d85a221bd1d54d",
-    "report.txt.json": "28d699ab41512a66a69222a848cad454b0b50ebafde8fb8e0dc09b3c3a46dc6c",
+    "report.txt": "bbb207fbf0abf9abcf911f07b2fbf8fad786985b4521a7f7c632078f9b4551a9",
+    "report.txt.json": "9fdca734e7fa9bb793f5b2e313886183c456ed9f76bc4b6fac0f9208fefdbc55",
 }
 
 # the career that GENERATE_CAREER (seed 0) saves with --save-career
@@ -175,7 +175,8 @@ class TestScreenCommand:
         assert [row["id"] for row in payload["result"]["selected"]] == ["A", "B", "C"]
         assert payload["result"]["cutoff_value"] == 3.0
         assert payload["config"]["p"] == 0.1
-        assert payload["seed"] == 0
+        # screening draws nothing, so the report holds no seed
+        assert payload["seed"] is None
         assert payload["version"]
 
     def test_inputs_not_mutated(self, tmp_path, capsys):
@@ -470,9 +471,14 @@ class TestBenchCommand:
     def test_rule_without_take_the_best_echoes_none(self, capsys):
         argv = ["bench", "--gen", "binary", "--weights", "a=2,b=1",
                 "--strategies", "tallying,linear"]
+        assert main([*argv, "--format", "machine"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["delta"], config["mode"]) == (None, None)
+        # the table's config line lists only the flags the run read
         assert main(argv) == 0
-        config = capsys.readouterr().out.splitlines()[3].split()
-        assert config[:2] == ["#", "config:"] and {"delta=None", "mode=None"} <= set(config)
+        line = capsys.readouterr().out.splitlines()[3].split()
+        assert line[:2] == ["#", "config:"]
+        assert {pair.partition("=")[0] for pair in line[2:]}.isdisjoint({"delta", "mode"})
         assert main([*argv, "--delta", "0.5"]) == 1
         assert capsys.readouterr().err == "error: --gen binary does not use --delta\n"
 
@@ -744,7 +750,7 @@ def every_option(tmp_path):
     write_career(CareerSequence((1.0, 1.5, 9.0, 9.5, 8.0, 1.0, 1.5)), career)
     rule = {"delta": "0.5", "mode": "relative"}
     split = {"n_objects": "30", "strategies": "tallying,take_the_best", "train_fraction": "0.6",
-             "reps": "3", **rule}
+             "reps": "3", "seed": "5", **rule}
     detect = {"min_streak_len": "2", "penalty_per_param": "1.5"}
     return {
         "screen": [{"corpus": corpus, "candidates": cands, "p": "0.2", "quota": "0.5"}],
@@ -765,14 +771,15 @@ def every_option(tmp_path):
         "career": [
             {"impacts": str(career), **detect},
             {"length": "30", "baseline_mean": "5", "multiplier": "10", "streak_len": "4:6",
-             "noise_sigma": "0.1", "save_career": str(tmp_path / "saved.csv"), **detect},
+             "noise_sigma": "0.1", "save_career": str(tmp_path / "saved.csv"), "seed": "4",
+             **detect},
         ],
         "workload": [{"papers": "100", "reviews_per_paper": "3", "panel_size": "10",
                       "working_days": "5"}],
     }
 
 
-RUN_OPTIONS = {"seed", "out", "format", "config"}
+RUN_OPTIONS = {"out", "format", "config"}
 
 
 def subcommands():
@@ -792,7 +799,8 @@ class TestInputModes:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_flag_belongs_to_a_mode_or_is_a_run_option(self, tmp_path, command):
         flags = {a.dest for a in subcommands()[command]._actions if a.dest != "help"}
-        assert flags - RUN_OPTIONS == set().union(*every_option(tmp_path)[command])
+        # every command takes --seed, so that a mode that draws nothing refuses it by name
+        assert flags - RUN_OPTIONS == set().union(*every_option(tmp_path)[command], {"seed"})
 
     @pytest.mark.parametrize("given", ["typed", "config"])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -874,8 +882,9 @@ class TestHelpDefaults:
             assert main([*argv, "--format", stated["format"]]) == 0
             assert capsys.readouterr().out == printed
             assert main([*argv, "--format", "machine"]) == 0
-            config = json.loads(capsys.readouterr().out)["config"]
-            echoed = {dest: config[dest] for dest in stated.keys() - RUN_OPTIONS}
+            payload = json.loads(capsys.readouterr().out)
+            reported = {**payload["config"], "seed": payload["seed"]}
+            echoed = {dest: reported[dest] for dest in stated.keys() - RUN_OPTIONS}
             assert {dest: value if value is None else str(value)
                     for dest, value in echoed.items()} == {
                 dest: stated[dest] if dest in mode else None for dest in echoed}, mode
@@ -888,7 +897,7 @@ class TestConfigFile:
     def test_every_option_from_config_matches_the_typed_flag(self, tmp_path, capsys, command, spell):
         modes = every_option(tmp_path)[command]
         for mode in modes:
-            options = {**mode, "seed": "3", "format": "machine"}
+            options = {**mode, "format": "machine"}
             typed, from_config = tmp_path / "typed.json", tmp_path / "config.json"
             flags = itertools.chain.from_iterable(
                 (f"--{k.replace('_', '-')}", v) for k, v in options.items())
@@ -900,9 +909,10 @@ class TestConfigFile:
             assert from_config.read_bytes() == typed.read_bytes()
             assert ((tmp_path / "config.json.txt").read_bytes()
                     == (tmp_path / "typed.json.txt").read_bytes())
-        # the report echoes every option except the run options, so none was left out
+        # the report echoes every option except the run options and the seed,
+        # which it reports on its own, so none was left out
         echoed = json.loads(typed.read_text())["config"]
-        assert set(echoed) == set().union(*modes)
+        assert set(echoed) == set().union(*modes) - {"seed"}
 
     @pytest.mark.parametrize("given", ["typed", "config"])
     @pytest.mark.parametrize("command, flag, value", [
@@ -1237,6 +1247,44 @@ class TestSeedFlag:
         assert main(["workload", "--seed", "1.5"]) == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             "error: argument --seed: invalid int value: '1.5'")
+
+    # an input mode is (command, its index in every_option)
+    @pytest.mark.parametrize("given", ["typed", "config"])
+    @pytest.mark.parametrize("command, mode, message", [
+        ("screen", 0, "this command does not use --seed"),
+        ("choose", 0, "choose --profiles does not use --seed"),
+        ("choose", 1, "this command does not use --seed"),
+        ("workload", 0, "this command does not use --seed"),
+        ("career", 0, "career --impacts detects only and does not use --seed"),
+    ], ids=["screen", "choose-profiles", "choose-publications", "workload", "career-impacts"])
+    def test_a_mode_that_draws_nothing_refuses_a_seed(self, tmp_path, capsys, command, mode,
+                                                      message, given):
+        argv = [command, *as_flags(every_option(tmp_path)[command][mode]), "--format", "machine"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] is None
+        assert main([*argv, "--format", "table"]) == 0
+        assert "# seed: None\n" in capsys.readouterr().out
+        seed = ["--seed", "0"] if given == "typed" else [
+            "--config", write(tmp_path / "run.cfg", "seed = 0\n")]
+        assert main([*argv, *seed]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, mode", [("bench", 0), ("bench", 2), ("bench", 1),
+                                               ("career", 1)],
+                             ids=["bench-environment", "bench-binary", "bench-gaussian",
+                                  "career-generate"])
+    def test_a_mode_that_draws_reads_the_seed_or_0(self, tmp_path, capsys, command, mode):
+        options = every_option(tmp_path)[command][mode]
+        seeded = [command, *as_flags(options), "--format", "machine"]
+        assert main(seeded) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == int(options["seed"])
+        unseeded = [command, *as_flags({k: v for k, v in options.items() if k != "seed"})]
+        reports = []
+        for argv in (unseeded, [*unseeded, "--seed", "0"]):
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "# seed: 0\n" in reports[0]
 
 
 class TestOverflow:

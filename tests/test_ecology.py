@@ -23,7 +23,6 @@ from frugaleval.ecology import (
     generate_binary_environment,
     generate_gaussian_environment,
     less_is_more_curve,
-    recognition_choose_pairs,
     run_benchmark,
     train_test_indices,
     validity_order,
@@ -35,6 +34,7 @@ from frugaleval.heuristics import (
     WeightVector,
     one_reason_choose,
     recognition_accuracy,
+    recognition_choose,
     tallying_choose,
     weighted_linear_choose,
 )
@@ -580,11 +580,25 @@ class TestDecidePairs:
         assert (codes[b_dominates] == -1).all()
 
 
+def choices_of_a(a_known, b_known, knowledge_picks_a, guesses_a):
+    """How many of the pairs the scalar recognition_choose decides for a:
+    pair k recognizes a when a_known[k] and b when b_known[k], knowledge
+    picks a when knowledge_picks_a[k] and a guess when guesses_a[k]."""
+    chosen = 0
+    pairs = zip(a_known.tolist(), b_known.tolist(), knowledge_picks_a.tolist(), guesses_a.tolist())
+    for a_is_known, b_is_known, picks_a, guess_a in pairs:
+        recognized = {name for name, known in (("a", a_is_known), ("b", b_is_known)) if known}
+        answer = Decision.CHOOSE_A if picks_a else Decision.CHOOSE_B
+        decision = recognition_choose("a", "b", recognized, lambda a, b: answer, guess_a=guess_a)
+        chosen += decision is Decision.CHOOSE_A
+    return chosen
+
+
 def reference_curve(N, alpha, beta, trials, seed):
     """less_is_more_curve as first written, the oracle of its kernel: per
     block, rng.choice draws the pair type and three rng.random calls the
-    recognition, knowledge and guess uniforms; recognition_choose_pairs
-    decides every pair and the choices of the better object are counted."""
+    recognition, knowledge and guess uniforms; recognition_choose decides
+    every pair and the choices of the better object, a, are counted."""
     seeds = np.random.SeedSequence(seed).spawn(N + 1)
     rows = []
     total_pairs = N * (N - 1)
@@ -601,13 +615,9 @@ def reference_curve(N, alpha, beta, trials, seed):
             knowledge_is_right = rng.random(size) < beta
             guesses_a = rng.random(size) < 0.5
             one, both = pair_type == 1, pair_type == 2
-            codes = recognition_choose_pairs(
-                both | (one & recognized_is_better),
-                both | (one & ~recognized_is_better),
-                knowledge_is_right,
-                guesses_a=guesses_a,
-            )
-            correct += int(np.count_nonzero(codes == 1))
+            correct += choices_of_a(both | (one & recognized_is_better),
+                                    both | (one & ~recognized_is_better),
+                                    knowledge_is_right, guesses_a)
         rows.append((n, recognition_accuracy(N, n, alpha, beta), correct / trials))
     return rows
 
@@ -636,7 +646,7 @@ class TestLessIsMoreCurve:
                 reference_curve(N, alpha, beta, trials, seed)
 
     @pytest.mark.parametrize("alpha, beta", [(0.8, 0.6), (0.0, 1.0), (1.0, 0.0), (0.3, 0.9)])
-    def test_one_block_counts_what_recognition_choose_pairs_decides(self, alpha, beta):
+    def test_one_block_counts_what_recognition_choose_decides(self, alpha, beta):
         # on one block's four uniforms per trial, the curve's count of correct
         # choices is the count of pairs where the recognition heuristic picks
         # the better object, a
@@ -651,13 +661,9 @@ class TestLessIsMoreCurve:
             kind, recognized, knowledge, guess = np.random.default_rng(seeds[n]).random((4, trials))
             pair_type = np.searchsorted(cdf / cdf[-1], kind, side="right")
             one, both = pair_type == 1, pair_type == 2
-            codes = recognition_choose_pairs(
-                both | (one & (recognized < alpha)),
-                both | (one & (recognized >= alpha)),
-                knowledge < beta,
-                guesses_a=guess < 0.5,
-            )
-            assert round(simulated * trials) == np.count_nonzero(codes == 1)
+            assert round(simulated * trials) == choices_of_a(
+                both | (one & (recognized < alpha)), both | (one & (recognized >= alpha)),
+                knowledge < beta, guess < 0.5)
 
     def test_endpoints_and_interior_maximum(self):
         N, alpha, beta, trials = 20, 0.8, 0.6, 20_000

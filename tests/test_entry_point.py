@@ -68,53 +68,53 @@ RUNS = {
 
 REPORT_SHA256 = {
     "bench-binary": {
-        "table": "f230957e049827b686fb1ba4d7fd805e3e8d25f6505bde854825cb2473f755c3",
+        "table": "4ce3d6d4ac60f2763ef1645574592cc601a5f2109b402f790d7223a5541dc260",
         "machine": "a7ab8ffd4f48d265cb4d65057705c01f848ea6a0bf9d6f36b5364ff2f8ef89c5",
     },
     "bench-gaussian": {
-        "table": "f02dd049cb530fca2bd2233499ef8f7d283ff318b26881abfe3d323651f79e4a",
+        "table": "85b86b32d88ddf5265329360d07c4750e6e2670c6c17794288da81095a588940",
         "machine": "489e604c2ae5397ff7b650c2d83f5954193043ab92e3a48260f720851806f3f4",
     },
     "bench-tied": {
-        "table": "d5a976390ab95b479c78810361a78b83cbdf5e77307cb0d17b0e6bc92c551c61",
+        "table": "870d30b1b66af1081bed53d2414a55e67118aa716f19259d32b6695f720bd92c",
         "machine": "cfae7446131709355b7078c1c0c581df4e1f87c4abd0d280b1e877d1eb90eddc",
     },
     "career-flush-end": {
-        "table": "c9f30359a9e84d21cda64b887b66044063d136f003c29a2bd4cb382d137ded61",
-        "machine": "010f34c2725eadf9541a78df4ee15aede68e3101de1c7019717fe37472e01b01",
+        "table": "8d7a6eb573f1a211a36bc4be9917c70be31303d942b2a745aedd5423c1aaac0e",
+        "machine": "a57b087440ad922796bfa22758242eb4585c423efdfbc97dfb8c192945847258",
     },
     "career-flush-start": {
-        "table": "8b53befb9b9051237b4e16053bea17043811476ec6553dc49ea59daac955de9d",
-        "machine": "d444f94851c284da102ed7883cfa1864cf327dfd58afe57fc01b1b28cb8d3712",
+        "table": "9e4bb0cb49b0b119fe39697edb0887226539d02869f7e2c261decb1d9a9a7788",
+        "machine": "e35557624529c5852858d93432cf67b908dae0d200d5c37b397b08b07d34e8fa",
     },
     "career-generate": {
-        "table": "a4f3667145435736235adf358a61d437e4ebb6000b138af6aca401a202d65dcc",
+        "table": "6be2bced9458070b01415d180ba75780e0c04a3bced3f484caaa319688f9c1a7",
         "machine": "796a885437867ced208d03d4463a43e8394763debe3aae56333d584a7f3e1881",
         "saved career": "16ec06cc3e86213100b49b0eeccca115bea58d07119ac2e8475a1141fb10ac0e",
     },
     "career-noiseless": {
-        "table": "811a2831057fb1fce8a3f85c758aed5ff068649abd2b88630239fbf62adb07b6",
-        "machine": "2fc637acdef0193f049f0afabeb933a6b9f6f6bc63f72cedccef7e84be64e5d6",
+        "table": "f3b9746603a040e086b7be637429035227af6859e6b0f16e3d9e0af64c10d745",
+        "machine": "938ea2e1d490460e0190a75e13783434c7b6e402466a32525057717d07070699",
     },
     "choose-profiles": {
-        "table": "0f9d3c8eaa2ff9751b1f964b966727bf5ef3a55fded32433e1660f44a9197f3a",
-        "machine": "e166ba910333870e4c27d98f6b10dc2c18e9eb5deef84f66a1f829867440d7d3",
+        "table": "e09a747418621685543ed24ee7f26c8664d3c99e0cc17dbd34ffa35033e618d6",
+        "machine": "b95214133096d9f26ea98d3f5cceab0096c926d8b30839ad2b74899f40f142d2",
     },
     "choose-publications": {
-        "table": "c5ee467a32250385bb8b9f5213a6d9f66d9b8c246bf60faaa348a7a6b8fbf5bf",
-        "machine": "8ff5d38a8c2505d7ed30aa7f233269f412dcc2aa7bc9d6895b3845a592d35508",
+        "table": "ba4f5f27231c310a9804c72a13890c4588066b555be9906dd1c807a180f278e6",
+        "machine": "7d948b856db36acff6f792a253d7dff9a5222cf494717fd872b37c15ae04c5b9",
     },
     "screen": {
-        "table": "66f7aedf4f96a6eacca5fd9b169ff475f01455029cf0eed152d85a221bd1d54d",
-        "machine": "28d699ab41512a66a69222a848cad454b0b50ebafde8fb8e0dc09b3c3a46dc6c",
+        "table": "bbb207fbf0abf9abcf911f07b2fbf8fad786985b4521a7f7c632078f9b4551a9",
+        "machine": "9fdca734e7fa9bb793f5b2e313886183c456ed9f76bc4b6fac0f9208fefdbc55",
     },
     "screen-p": {
-        "table": "e32d22df088ff4f6baa278a83fb0cb91edb5742880713ab0a77800c0cc9c76bc",
-        "machine": "0dc66440dc0f624ab91034793167738e332353fc69936f100b7be8bfa4d314d4",
+        "table": "6dc141170c5b7232c46731c99278a4e58ddb78658db7b95312f8d7884e8cc79e",
+        "machine": "a4a27e44fbda20a8d1414a190557c46a473b837ef0f9ac7b957fd0e76c46a419",
     },
     "workload": {
-        "table": "de18c75d22d89982641e526ad740ab4718ff8e4afd9588301e9b5da996a70b59",
-        "machine": "695af787ab7dcc8e74fc1f0f1f169bf7fbdc80aa31075d2d7907fb0d18952cc0",
+        "table": "9afda3a3a551d0386a2ac4af4a4ee90b22bed93eb12f6a8cec4d0d8387c3848f",
+        "machine": "3dc5a29c9dff066597dbf2b62719b2ae5b9de1ceeafd71b4ca596981ec6e6622",
     },
 }
 
@@ -169,10 +169,41 @@ def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsy
               if line.startswith("# config: ")]
     pairs = dict(pair.partition("=")[::2] for pair in shlex.split(line.removeprefix("# config: ")))
     config = json.loads((inputs / "report.txt.json").read_text())["config"]
-    assert list(pairs) == sorted(config)
+    assert list(pairs) == sorted(key for key, value in config.items() if value is not None)
     if run == "choose-spaced":
         assert pairs["profiles"] == "my profiles.csv"
         assert pairs["cue_order"] == "h cp,collab"
+
+
+def replay(command, pairs):
+    """The command line that sets the flag of each (key, value) pair."""
+    return [command, *(f"--{key.replace('_', '-')}={value}" for key, value in pairs)]
+
+
+@pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
+def test_a_report_replays_its_run(run, inputs, monkeypatch, capsys):
+    # the seed and config a report records, read from either format, are a
+    # command line that writes the same reports and files again
+    monkeypatch.chdir(inputs)
+    argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
+    assert cli.main([*argv, "--out", "report.txt"]) == 0
+    written = {path.name: path.read_bytes() for path in inputs.iterdir()}
+    payload = json.loads(written["report.txt.json"])
+    from_machine = replay(payload["command"], [
+        (key, ",".join(value) if isinstance(value, list) else value)
+        for key, value in {**payload["config"], "seed": payload["seed"]}.items()
+        if value is not None])
+    _, _, seed, config = written["report.txt"].decode().splitlines()[:4]
+    seed = seed.removeprefix("# seed: ")
+    from_table = replay(payload["command"], [
+        *(pair.partition("=")[::2] for pair in shlex.split(config.removeprefix("# config: "))),
+        *([] if seed == "None" else [("seed", seed)])])
+    for rebuilt in (from_machine, from_table):
+        for name in ("report.txt", "report.txt.json"):
+            (inputs / name).unlink()
+        assert cli.main([*rebuilt, "--out", "report.txt"]) == 0, rebuilt
+        assert {path.name: path.read_bytes() for path in inputs.iterdir()} == written, rebuilt
+    capsys.readouterr()
 
 
 # mostly ASCII, where shlex.quote's safe characters are
@@ -201,7 +232,7 @@ def input_modes(source):
 
 def test_input_modes_are_read_from_every_handler():
     source = (SRC / "frugaleval" / "cli.py").read_text(encoding="utf-8")
-    new_mode = "def _cmd_new(p, seed):\n    _mode(p, ('flag',), ())\n"
+    new_mode = "def _cmd_new(p):\n    _mode(p, ('flag',), ())\n"
     assert input_modes(source + new_mode) == input_modes(source) | {("_cmd_new", ("flag",))}
 
 

@@ -11,7 +11,6 @@ from frugaleval.ecology import (
     PairBlock,
     TakeTheBestStrategy,
     cue_validity,
-    recognition_choose_pairs,
     validity_order,
 )
 from frugaleval.heuristics import (
@@ -487,47 +486,6 @@ class TestRecognition:
     def test_both_recognized_without_knowledge_guesses(self):
         for guess_a, expected in ((True, Decision.CHOOSE_A), (False, Decision.CHOOSE_B)):
             assert recognition_choose("a", "b", {"a", "b"}, None, guess_a=guess_a) is expected
-
-    @staticmethod
-    def scalar_codes(cases, with_knowledge):
-        """The recognition_choose decision of each (a_known, b_known,
-        knowledge_picks_a, guess_a) case, as a +1/-1 code."""
-        codes = []
-        for a_known, b_known, picks_a, guess_a in cases:
-            recognized = {name for name, known in (("a", a_known), ("b", b_known)) if known}
-            knowledge = None
-            if with_knowledge:
-                knowledge = lambda a, b, picks_a=picks_a: (
-                    Decision.CHOOSE_A if picks_a else Decision.CHOOSE_B
-                )
-            decision = recognition_choose("a", "b", recognized, knowledge, guess_a=guess_a)
-            codes.append(1 if decision is Decision.CHOOSE_A else -1)
-        return codes
-
-    @staticmethod
-    def array_codes(cases, with_knowledge):
-        a_known, b_known, picks_a, guesses_a = zip(*cases)
-        codes = recognition_choose_pairs(
-            np.array(a_known), np.array(b_known), np.array(picks_a) if with_knowledge else None,
-            guesses_a=np.array(guesses_a),
-        )
-        return codes.tolist()
-
-    @pytest.mark.parametrize("with_knowledge", [False, True])
-    def test_pairs_cover_every_case_like_recognition_choose(self, with_knowledge):
-        cases = list(itertools.product((False, True), repeat=4))
-        assert self.array_codes(cases, with_knowledge) == self.scalar_codes(cases, with_knowledge)
-
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(
-        cases=st.lists(
-            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-            min_size=1, max_size=40,
-        ),
-        with_knowledge=st.booleans(),
-    )
-    def test_pairs_equal_recognition_choose(self, cases, with_knowledge):
-        assert self.array_codes(cases, with_knowledge) == self.scalar_codes(cases, with_knowledge)
 
 
 class TestRecognitionAccuracy:

@@ -26,7 +26,7 @@ EXPORTS = [
     "finalize_publication_list", "fit_linear_weights", "generate_binary_environment",
     "generate_career", "generate_gaussian_environment", "is_highly_cited",
     "less_is_more_curve", "one_cue_select", "one_reason_choose", "recognition_accuracy",
-    "recognition_choose", "recognition_choose_pairs", "run_benchmark",
+    "recognition_choose", "run_benchmark",
     "streak_adjusted_summary", "tallying_choose", "validity_order", "weighted_linear_choose",
 ]
 
