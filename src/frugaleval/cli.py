@@ -27,40 +27,37 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from . import __version__
-from .careers import MIN_STREAK_LEN, detect_hot_streak, generate_career, streak_adjusted_summary
-from .ecology import (
-    STRATEGY_FACTORIES,
-    SplitConfig,
-    TakeTheBestStrategy,
-    generate_binary_environment,
-    generate_gaussian_environment,
-    run_benchmark,
-)
-from .heuristics import (
-    CueOrder,
-    DiscriminationRule,
-    RuleMode,
-    WeightVector,
-    one_cue_select,
-    one_reason_choose,
-)
-from .indicators import (
-    HIGHLY_CITED,
-    CandidateProfile,
-    MissingGroupError,
-    PendingPublicationsError,
-    _checked_make,
-    count_highly_cited,
-)
-from .tables import (
-    read_candidates,
-    read_career,
-    read_corpus,
-    read_environment,
-    read_profiles_table,
-    undecodable_byte,
-    write_career,
-)
+# the one package module every command loads: the shared checked _make of a record
+from .indicators import _checked_make
+
+
+def __getattr__(name: str) -> Callable:
+    """The functions that the benchmark's tracer wraps on this module
+    (bench/tracing.py), each imported from its home module on its first
+    read. setdefault keeps a wrapper the tracer has put in place. Each
+    import is a statement: `-X importtime` logs it, where it would not log
+    importlib.import_module, and the import graph test reads it."""
+    if name in ("read_corpus", "read_candidates", "read_career"):
+        from . import tables as home
+    elif name == "count_highly_cited":
+        from . import indicators as home
+    elif name == "one_cue_select":
+        from . import heuristics as home
+    elif name in ("generate_binary_environment", "run_benchmark"):
+        from . import ecology as home
+    elif name in ("detect_hot_streak", "streak_adjusted_summary"):
+        from . import careers as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(home, name))
+
+
+def _load(*names: str) -> None:
+    """Bind the named traced functions here before a handler calls them as
+    globals, so that it calls the tracer's wrapper while one is in place."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class _WorkloadQueryFields(NamedTuple):
@@ -96,9 +93,11 @@ def workload(query: WorkloadQuery) -> float:
 
 # Defaults of the flags that some input mode does not read, as --help states them: argparse
 # leaves them None, so a flag given at its default counts as given. _mode fills in the ones
-# the run's input mode uses; any other echoes None.
+# the run's input mode uses; any other echoes None. min_streak_len, which every career mode
+# reads, is careers.MIN_STREAK_LEN (a test holds them equal), stated here so that building
+# the parser imports no careers.
 _DEFAULTS = {"p": 0.10, "n_objects": 20, "noise_sigma": 0.0, "delta": 0.0, "mode": "absolute",
-             "seed": 0}
+             "seed": 0, "min_streak_len": 3}
 
 
 def _mode(p: dict[str, object], needs: tuple[str, ...], uses: tuple[str, ...], *,
@@ -170,6 +169,14 @@ def _parse_streak_len(text: str) -> tuple[int, int]:
 
 def _score_highly_cited(p: Mapping[str, object]) -> list[CandidateProfile]:
     """The --candidates profiles with the highly-cited indicator scored against --corpus."""
+    from .indicators import (
+        HIGHLY_CITED,
+        CandidateProfile,
+        MissingGroupError,
+        PendingPublicationsError,
+    )
+
+    _load("read_corpus", "read_candidates", "count_highly_cited")
     corpus = read_corpus(p["corpus"])
     try:
         return [
@@ -187,7 +194,10 @@ _Outcome = "tuple[dict, list[str], list[str], dict[str, Callable[[Path], object]
 
 
 def _cmd_screen(p: dict[str, object]) -> _Outcome:
+    from .indicators import HIGHLY_CITED
+
     _mode(p, ("corpus", "candidates", "quota"), ("p",))
+    _load("one_cue_select")
     scored = _score_highly_cited(p)
     if not scored:
         raise ValueError(f"{p['candidates']}: no candidate rows to screen")
@@ -211,6 +221,8 @@ def _cmd_screen(p: dict[str, object]) -> _Outcome:
 
 
 def _cmd_choose(p: dict[str, object]) -> _Outcome:
+    from .heuristics import CueOrder, DiscriminationRule, RuleMode, one_reason_choose
+
     common = ("a", "b", "delta", "mode")
     if p["profiles"]:
         _mode(p, ("profiles", "cue_order"), common, unused="choose --profiles does not use {}")
@@ -221,8 +233,12 @@ def _cmd_choose(p: dict[str, object]) -> _Outcome:
     if (p["a"] is None) != (p["b"] is None):
         raise ValueError("choose takes both --a and --b, or neither; missing "
                          + ("--a" if p["a"] is None else "--b"))
-    # raw publication files only carry the highly-cited indicator
-    profiles = read_profiles_table(p["profiles"]) if p["profiles"] else _score_highly_cited(p)
+    if p["profiles"]:
+        from .tables import read_profiles_table
+
+        profiles = read_profiles_table(p["profiles"])
+    else:  # raw publication files only carry the highly-cited indicator
+        profiles = _score_highly_cited(p)
     by_id = {prof.id: prof for prof in profiles}
     a_id, b_id = p["a"], p["b"]
     if a_id is None and b_id is None:
@@ -250,6 +266,9 @@ def _cmd_choose(p: dict[str, object]) -> _Outcome:
 
 
 def _make_strategies(names: tuple[str, ...], p: Mapping[str, object]) -> list:
+    from .ecology import STRATEGY_FACTORIES, TakeTheBestStrategy
+    from .heuristics import DiscriminationRule, RuleMode
+
     strategies = []
     for name in names:
         factory = STRATEGY_FACTORIES.get(name)
@@ -262,12 +281,18 @@ def _make_strategies(names: tuple[str, ...], p: Mapping[str, object]) -> list:
 
 
 def _cmd_bench(p: dict[str, object]) -> _Outcome:
+    from .ecology import SplitConfig, generate_gaussian_environment
+    from .heuristics import WeightVector
+
+    _load("generate_binary_environment", "run_benchmark")
     names = _names(p["strategies"])
     # of the strategies, only take-the-best reads the discrimination rule
     common = ("strategies", "train_fraction", "reps", "seed",
               *(("delta", "mode") if "take_the_best" in names else ()))
     if p["environment"]:
         _mode(p, ("environment",), common, unused="bench --environment does not use {}")
+        from .tables import read_environment
+
         env = read_environment(p["environment"])
     elif p["gen"] == "binary":
         _mode(p, ("gen", "weights"), ("n_objects", *common), missing="--gen binary needs {}",
@@ -313,10 +338,14 @@ def _cmd_bench(p: dict[str, object]) -> _Outcome:
 
 
 def _cmd_career(p: dict[str, object]) -> _Outcome:
+    from .careers import generate_career
+
+    _load("detect_hot_streak", "streak_adjusted_summary")
     planted = None
     detect = ("min_streak_len", "penalty_per_param")
     if p["impacts"]:
         _mode(p, ("impacts",), detect, unused="career --impacts detects only and does not use {}")
+        _load("read_career")
         seq = read_career(p["impacts"])
     else:
         _mode(p, ("length", "baseline_mean", "multiplier", "streak_len"),
@@ -360,7 +389,11 @@ def _cmd_career(p: dict[str, object]) -> _Outcome:
     else:
         body.append("no hot streak detected")
         body.append(f"mean impact: overall {overall:.4f}")
-    saves = {p["save_career"]: lambda temp: write_career(seq, temp)} if p["save_career"] else {}
+    saves = {}
+    if p["save_career"]:
+        from .tables import write_career
+
+        saves[p["save_career"]] = lambda temp: write_career(seq, temp)
     return result, body, [], saves
 
 
@@ -601,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     career.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None,
                         help="log-domain noise sigma for generated impacts "
                              f"(default: {_DEFAULTS['noise_sigma']})")
-    career.add_argument("--min-streak-len", dest="min_streak_len", type=int,
-                        default=MIN_STREAK_LEN,
-                        help="shortest interval detection may report (default: %(default)s)")
+    career.add_argument("--min-streak-len", dest="min_streak_len", type=int, default=None,
+                        help="shortest interval detection may report "
+                             f"(default: {_DEFAULTS['min_streak_len']})")
     career.add_argument("--penalty-per-param", dest="penalty_per_param", type=float, default=None,
                         help="score penalty per extra model parameter (default: 2*ln(n))")
     career.add_argument("--save-career", dest="save_career", default=None,
@@ -623,13 +656,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unquote(value: str) -> str:
+    """A config value as the text that shlex.quote quotes to exactly this
+    value, as the table report's config line echoes it; any other value raw."""
+    if not value.startswith("'"):  # shlex.quote returns a text it need not quote as it is
+        return value
+    import shlex
+
+    try:
+        [text] = shlex.split(value)
+    except ValueError:  # no closing quote, or not one word
+        return value
+    return text if shlex.quote(text) == value else value
+
+
 def _config_flags(path: str, known: set[str]) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags; a key
     is a flag name with dashes or underscores, must be in `known` and may
-    appear once."""
+    appear once. A value quoted as the table report's config line quotes it
+    reads as the text it quotes, so that line, one pair a line, replays the run."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
+        from .tables import undecodable_byte
+
         raise ValueError(f"{path}: {undecodable_byte(path)}") from None
     flags, first_line = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -646,7 +696,7 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
         if name in first_line:
             raise ValueError(f"{path}: line {lineno}: key {key} repeats line {first_line[name]}")
         first_line[name] = lineno
-        flags.append(f"--{name.replace('_', '-')}={value}")
+        flags.append(f"--{name.replace('_', '-')}={_unquote(value)}")
     return flags
 
 

@@ -25,10 +25,8 @@ import csv
 import enum
 import math
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .careers import CareerSequence
-from .ecology import Environment
 from .indicators import (
     CandidateProfile,
     DocType,
@@ -42,6 +40,11 @@ CANDIDATE_COLUMNS = CORPUS_COLUMNS + ("candidate_id", "validated")
 CAREER_COLUMNS = ("position", "impact")
 # in profiles and environments every other column holds one finite number
 KEY_COLUMNS = ("id", "criterion")
+
+if TYPE_CHECKING:
+    # the readers that build them import them, so that screen and choose load neither module
+    from .careers import CareerSequence
+    from .ecology import Environment
 
 
 class TableError(ValueError):
@@ -279,6 +282,8 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
 
 def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
+    from .ecology import Environment
+
     rows = list(_read_rows(path, KEY_COLUMNS, _environment_converter, unique="id"))
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
@@ -310,6 +315,8 @@ def _career_converter(header: list[str]) -> Callable[[list[str]], tuple[int, flo
 
 
 def read_career(path: str | Path) -> CareerSequence:
+    from .careers import CareerSequence
+
     rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_converter, unique="position"))
     if not rows:
         raise TableError(f"{path}: career file contains no works")

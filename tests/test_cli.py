@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from test_entry_point import input_modes
 
-from frugaleval import cli
+from frugaleval import careers, cli
 from frugaleval.careers import CareerSequence
 from frugaleval.cli import WorkloadQuery, main, workload
 from frugaleval.ecology import generate_binary_environment
@@ -889,6 +889,10 @@ class TestHelpDefaults:
                     for dest, value in echoed.items()} == {
                 dest: stated[dest] if dest in mode else None for dest in echoed}, mode
 
+    def test_min_streak_len_default_is_the_detectors(self):
+        # stated in cli, so that building the parser imports no careers
+        assert cli._DEFAULTS["min_streak_len"] == careers.MIN_STREAK_LEN
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["screen", "choose", "bench", "career", "workload"])
@@ -1227,6 +1231,34 @@ class TestCollectorPause:
         capsys.readouterr()
         assert seen == [False]
         assert gc.isenabled()
+
+
+class TestTracedNames:
+    """The benchmark's tracer (bench/tracing.py) wraps nine functions on cli
+    itself; every command calls them there, so a wrapper in place runs."""
+
+    NAMES = ("read_corpus", "read_candidates", "count_highly_cited", "one_cue_select",
+             "generate_binary_environment", "run_benchmark", "read_career", "detect_hot_streak",
+             "streak_adjusted_summary")
+
+    def test_each_command_calls_them_through_cli(self, tmp_path, monkeypatch, capsys):
+        called = []
+        for name in self.NAMES:
+            def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        career = write(tmp_path / "career.csv", "position,impact\n" + "".join(
+            f"{k},{9 if 10 <= k < 16 else 1}\n" for k in range(30)))
+        for argv in (["screen", "--corpus", corpus_file(tmp_path), "--quota", "0.5",
+                      "--candidates", candidates_file(tmp_path, {"A": 1, "B": 0})],
+                     ["bench", "--gen", "binary", "--weights", "a=2,b=1", "--n-objects", "8",
+                      "--reps", "2"],
+                     ["career", "--impacts", career]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert sorted(set(called)) == sorted(self.NAMES)
 
 
 class TestSeedFlag:

@@ -181,9 +181,10 @@ def replay(command, pairs):
 
 
 @pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
-def test_a_report_replays_its_run(run, inputs, monkeypatch, capsys):
+def test_a_report_replays_its_run(run, inputs, tmp_path_factory, monkeypatch, capsys):
     # the seed and config a report records, read from either format, are a
-    # command line that writes the same reports and files again
+    # command line that writes the same reports and files again; so is a
+    # --config file that holds the table's config line, one pair a line
     monkeypatch.chdir(inputs)
     argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
     assert cli.main([*argv, "--out", "report.txt"]) == 0
@@ -195,10 +196,14 @@ def test_a_report_replays_its_run(run, inputs, monkeypatch, capsys):
         if value is not None])
     _, _, seed, config = written["report.txt"].decode().splitlines()[:4]
     seed = seed.removeprefix("# seed: ")
-    from_table = replay(payload["command"], [
-        *(pair.partition("=")[::2] for pair in shlex.split(config.removeprefix("# config: "))),
-        *([] if seed == "None" else [("seed", seed)])])
-    for rebuilt in (from_machine, from_table):
+    pairs = [pair.partition("=")[::2] for pair in shlex.split(config.removeprefix("# config: "))]
+    from_table = replay(payload["command"], [*pairs, *([] if seed == "None" else [("seed", seed)])])
+    # each pair as the line prints it, its value quoted as shlex.quote quotes it
+    config_file = tmp_path_factory.mktemp("config") / "run.cfg"
+    config_file.write_text("".join(f"{key} = {shlex.quote(value)}\n" for key, value in pairs)
+                           + ("" if seed == "None" else f"seed = {seed}\n"), encoding="utf-8")
+    from_file = [payload["command"], "--config", str(config_file)]
+    for rebuilt in (from_machine, from_table, from_file):
         for name in ("report.txt", "report.txt.json"):
             (inputs / name).unlink()
         assert cli.main([*rebuilt, "--out", "report.txt"]) == 0, rebuilt
@@ -219,6 +224,20 @@ TEXTS = st.text(st.characters(max_codepoint=0x7f)) | st.text()
 def test_a_config_value_echoes_as_shlex_quotes_it(value):
     typed = ",".join(value) if isinstance(value, list) else value
     assert cli._echo(value) == shlex.quote(typed)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(TEXTS)
+@example("")
+@example("it's")
+def test_a_config_file_reads_a_quoted_value_as_its_text(text):
+    assert cli._unquote(shlex.quote(text)) == text
+
+
+# values that shlex.quote does not give: each reads raw, as typed
+@pytest.mark.parametrize("value", ["plain", "'plain'", "'a b", "'a' 'b'", "a' b'", "'a'b"])
+def test_a_config_file_reads_any_other_value_raw(value):
+    assert cli._unquote(value) == value
 
 
 def input_modes(source):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,43 @@ EXPORTS = [
 
 def test_all_lists_exactly_the_public_names():
     assert sorted(frugaleval.__all__) == EXPORTS
+    assert sorted(frugaleval._EXPORTS) == EXPORTS  # the table the exports load from
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from frugaleval import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == EXPORTS
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        frugaleval.no_such_export
+
+
+def test_the_package_loads_a_module_when_a_name_from_it_is_first_read(tmp_path):
+    # in a fresh interpreter, which has loaded no module yet; dir() lists the
+    # exports (__all__ is EXPORTS) before they load
+    code = ("import sys\n"
+            "import frugaleval\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('frugaleval'))\n"
+            "print(loaded(), sorted(set(frugaleval.__all__) - set(dir(frugaleval))))\n"
+            "print(frugaleval.careers.__name__, loaded())\n"
+            "print(frugaleval.CueOrder.__module__, loaded())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    careers = ["frugaleval", "frugaleval._numpy", "frugaleval._pairs", "frugaleval.careers",
+               "frugaleval.indicators"]
+    assert proc.stdout.splitlines() == [
+        "['frugaleval'] []",
+        f"frugaleval.careers {careers}",
+        f"frugaleval.heuristics {sorted([*careers, 'frugaleval.heuristics'])}",
+    ]
 
 
 def trace_steps(*hits):
