@@ -3,12 +3,14 @@
 The benchmark's pair engine (ecology) decides object pairs block by block,
 and the streak scan (careers) scores the intervals of a career as the pairs
 of its shifted boundaries. Both hold one block's arrays at a time, so their
-memory does not grow with the number of pairs.
+memory does not grow with the number of pairs. This module, careers and
+ecology are the three that import numpy, and only the commands that do
+array work load them.
 """
 
 from __future__ import annotations
 
-from ._numpy import np
+import numpy as np
 
 # Most pairs a block holds unless the caller gives a size. The pair engine's
 # arrays are pairs x cues, so this bounds its memory whatever n is; the

@@ -38,9 +38,10 @@ import struct
 import sys
 from typing import Iterable, NamedTuple
 
-from ._numpy import np
+import numpy as np
+
 from ._pairs import pair_blocks
-from .indicators import _checked_make
+from ._records import _checked_make
 
 MIN_STREAK_LEN = 3
 _RSS_FLOOR = 1e-300  # keeps ln(RSS) finite on exactly piecewise-constant input

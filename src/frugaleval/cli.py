@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from . import __version__
 # the one package module every command loads: the shared checked _make of a record
-from .indicators import _checked_make
+from ._records import _checked_make
 
 
 def __getattr__(name: str) -> Callable:
@@ -281,10 +281,8 @@ def _make_strategies(names: tuple[str, ...], p: Mapping[str, object]) -> list:
 
 
 def _cmd_bench(p: dict[str, object]) -> _Outcome:
-    from .ecology import SplitConfig, generate_gaussian_environment
     from .heuristics import WeightVector
 
-    _load("generate_binary_environment", "run_benchmark")
     names = _names(p["strategies"])
     # of the strategies, only take-the-best reads the discrimination rule
     common = ("strategies", "train_fraction", "reps", "seed",
@@ -297,17 +295,23 @@ def _cmd_bench(p: dict[str, object]) -> _Outcome:
     elif p["gen"] == "binary":
         _mode(p, ("gen", "weights"), ("n_objects", *common), missing="--gen binary needs {}",
               unused="--gen binary does not use {}")
+        _load("generate_binary_environment")
         weights = WeightVector(_parse_name_values(p["weights"], "weights"))
         env = generate_binary_environment(weights, p["n_objects"], p["seed"])
     elif p["gen"] == "gaussian":
         _mode(p, ("gen", "targets"), ("n_objects", *common), missing="--gen gaussian needs {}",
               unused="--gen gaussian does not use {}")
+        from .ecology import generate_gaussian_environment
+
         targets = _parse_name_values(p["targets"], "targets")
         env = generate_gaussian_environment(targets, p["n_objects"], p["seed"])
     else:
         raise ValueError("bench needs --environment FILE or --gen binary|gaussian")
     if not names:
         raise ValueError(f"strategy list is empty: {p['strategies']!r}")
+    from .ecology import SplitConfig
+
+    _load("run_benchmark")
     strategies = _make_strategies(names, p)
     split = SplitConfig(p["train_fraction"], p["reps"], p["seed"])
     report = run_benchmark(env, strategies, split)
@@ -338,9 +342,6 @@ def _cmd_bench(p: dict[str, object]) -> _Outcome:
 
 
 def _cmd_career(p: dict[str, object]) -> _Outcome:
-    from .careers import generate_career
-
-    _load("detect_hot_streak", "streak_adjusted_summary")
     planted = None
     detect = ("min_streak_len", "penalty_per_param")
     if p["impacts"]:
@@ -351,6 +352,8 @@ def _cmd_career(p: dict[str, object]) -> _Outcome:
         _mode(p, ("length", "baseline_mean", "multiplier", "streak_len"),
               ("noise_sigma", "save_career", "seed", *detect),
               missing="career generation needs {} (or --impacts FILE to detect)")
+        from .careers import generate_career
+
         seq, planted = generate_career(
             length=p["length"],
             baseline_mean=p["baseline_mean"],
@@ -359,6 +362,7 @@ def _cmd_career(p: dict[str, object]) -> _Outcome:
             noise_sigma=p["noise_sigma"],
             seed=p["seed"],
         )
+    _load("detect_hot_streak", "streak_adjusted_summary")
     fit = detect_hot_streak(seq, min_len=p["min_streak_len"],
                             penalty_per_param=p["penalty_per_param"])
     overall, baseline_mean, streak_mean = streak_adjusted_summary(seq, fit)

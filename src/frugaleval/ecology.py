@@ -14,7 +14,8 @@ and criterion order, and the less-is-more curve's count of correct
 choices. Each is tested against a scalar reference in heuristics, the
 curve's count against recognition_choose deciding the same draws.
 Splits and generators are fully seeded; identical seeds reproduce reports
-bit for bit apart from wall time.
+bit for bit apart from wall time. The module imports numpy, so the commands
+that do no array work never import it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import math
 import time
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from ._numpy import np
+import numpy as np
+
 from ._pairs import PAIR_BLOCK, pair_blocks
+from ._records import _checked_make
 from .heuristics import CueOrder, DiscriminationRule, RuleMode, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
 from .heuristics import (  # noqa: F401
@@ -33,7 +36,7 @@ from .heuristics import (  # noqa: F401
     tallying_choose,
     weighted_linear_choose,
 )
-from .indicators import CandidateProfile, _checked_make
+from .indicators import CandidateProfile
 
 # A strategy's decide(block) decides every pair (block.i[k], block.j[k]) of a
 # PairBlock at once, exactly as the scalar functions in heuristics would,
@@ -41,8 +44,7 @@ from .indicators import CandidateProfile, _checked_make
 # them. It returns a code per pair (+1 first object, -1 second, 0 undecided)
 # and the cues each inspected. Cue names map to columns once, in fit: every
 # Environment sorts its columns by cue name, so the test split's match.
-# A string, so that importing this module reads nothing of numpy (see _numpy).
-Codes = "tuple[np.ndarray, np.ndarray]"
+Codes = tuple[np.ndarray, np.ndarray]
 
 
 class Environment:

@@ -21,7 +21,8 @@ import math
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .indicators import CandidateProfile, _checked_make, top_quota
+from ._records import _checked_make
+from .indicators import CandidateProfile, top_quota
 
 
 class Decision(enum.Enum):

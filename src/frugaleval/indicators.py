@@ -20,6 +20,8 @@ import math
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+from ._records import _checked_make
+
 HIGHLY_CITED = "highly_cited_papers"
 
 
@@ -51,14 +53,6 @@ def top_quota(fraction: float, n: int) -> int:
     """ceil(fraction * n), guarded against float noise on exact multiples;
     at least 1 of n >= 1, however small the fraction."""
     return max(math.ceil(round(fraction * n, 9)), min(n, 1))
-
-
-def _checked_make(cls, iterable):
-    """`_make` for a record whose `__new__` checks its fields. A named
-    tuple's own `_make` skips `__new__`, and `_replace` builds through
-    `_make`, so each checked record sets `_make = classmethod(_checked_make)`
-    to keep both behind its checks."""
-    return cls(*iterable)
 
 
 class _PublicationFields(NamedTuple):

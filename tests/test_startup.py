@@ -1,5 +1,6 @@
 """Each command loads only the package modules it runs, commands that do
-no array work never import numpy, and no command loads dataclasses.
+no array work never import numpy, nor does a flag error in one that does,
+and no command loads dataclasses.
 
 Each command runs in a fresh interpreter as `python -X importtime -m
 frugaleval.cli ...`, whose import log names every module the run loads
@@ -24,17 +25,20 @@ def run_python(args, cwd):
                           text=True, stdin=subprocess.DEVNULL, timeout=60)
 
 
-def modules_loaded(argv, cwd):
+def modules_loaded(argv, cwd, status=0):
+    """The modules a run loads, in load order. A run that fails (status 1)
+    must say why on an `error:` line."""
     proc = run_python(["-X", "importtime", "-m", "frugaleval.cli", *argv], cwd)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == status, proc.stderr[-2000:]
+    assert status == 0 or "\nerror: " in "\n" + proc.stderr, proc.stderr[-2000:]
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line]
     assert "frugaleval" in imported  # the log is there to read
     return imported
 
 
-def numpy_modules_loaded(argv, cwd):
-    return [name for name in modules_loaded(argv, cwd)
+def numpy_modules_loaded(argv, cwd, status=0):
+    return [name for name in modules_loaded(argv, cwd, status)
             if name == "numpy" or name.startswith("numpy.")]
 
 
@@ -92,20 +96,20 @@ def command_argv(command, screen_inputs, profiles, tmp_path):
 
 # The package modules each command loads, as `-X importtime` logs them
 # (frugaleval.cli runs as __main__, so the log does not name it). Screen and
-# choose load no ecology, careers or _pairs; career no ecology or
-# heuristics; bench --gen no tables or careers; workload only the records' shared
-# _make from indicators.
+# choose load no ecology, careers or _pairs; career no ecology or heuristics,
+# and indicators only with tables; bench --gen no tables or careers; workload
+# only the records' shared _make from _records.
 LOADS = {
-    "screen": {"indicators", "heuristics", "tables"},
-    "choose --profiles": {"indicators", "heuristics", "tables"},
-    "choose --mode relative": {"indicators", "heuristics", "tables"},
-    "choose --corpus": {"indicators", "heuristics", "tables"},
-    "bench": {"indicators", "heuristics", "ecology", "_pairs", "_numpy"},
-    "bench --environment": {"indicators", "heuristics", "ecology", "_pairs", "_numpy", "tables"},
-    "career": {"indicators", "careers", "_pairs", "_numpy"},
-    "career --impacts": {"indicators", "careers", "_pairs", "_numpy", "tables"},
-    "career --save-career": {"indicators", "careers", "_pairs", "_numpy", "tables"},
-    "workload": {"indicators"},
+    "screen": {"_records", "indicators", "heuristics", "tables"},
+    "choose --profiles": {"_records", "indicators", "heuristics", "tables"},
+    "choose --mode relative": {"_records", "indicators", "heuristics", "tables"},
+    "choose --corpus": {"_records", "indicators", "heuristics", "tables"},
+    "bench": {"_records", "indicators", "heuristics", "ecology", "_pairs"},
+    "bench --environment": {"_records", "indicators", "heuristics", "ecology", "_pairs", "tables"},
+    "career": {"_records", "careers", "_pairs"},
+    "career --impacts": {"_records", "careers", "_pairs", "indicators", "tables"},
+    "career --save-career": {"_records", "careers", "_pairs", "indicators", "tables"},
+    "workload": {"_records"},
 }
 
 
@@ -121,6 +125,13 @@ def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
     argv = command_argv(command, screen_inputs, profiles, tmp_path)
     assert numpy_modules_loaded(argv, tmp_path) == []
     assert (tmp_path / "report.txt").is_file()
+
+
+# bench and career check their flags before they import an array module
+@pytest.mark.parametrize("argv", [["career", "--length", "10"], ["bench", "--gen", "binary"]],
+                         ids=" ".join)
+def test_a_flag_error_exits_before_the_array_modules_load(argv, tmp_path):
+    assert numpy_modules_loaded(argv, tmp_path, status=1) == []
 
 
 # Importing dataclasses costs ~11 ms, most of it inspect, and each dataclass
@@ -159,35 +170,6 @@ def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
     assert proc.stdout == "False\n"
 
 
-def test_deferred_numpy_is_numpy_to_other_code(tmp_path):
-    code = ("import frugaleval, numpy\n"
-            "from frugaleval._numpy import np\n"
-            "print(np.ndarray is numpy.ndarray, numpy.arange(3).tolist())\n")
-    proc = run_python(["-c", code], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True [0, 1, 2]\n"
-
-
-def test_a_failed_numpy_import_fails_the_read_and_the_next_read_tries_again(tmp_path):
-    code = ("import sys\n"
-            "class NoNumpy:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.partition('.')[0] == 'numpy':\n"
-            "            raise ModuleNotFoundError(name)\n"
-            "sys.meta_path.insert(0, NoNumpy())\n"
-            "from frugaleval._numpy import np\n"
-            "for _ in range(2):\n"
-            "    try:\n"
-            "        np.arange\n"
-            "    except ModuleNotFoundError as exc:\n"
-            "        print(exc)\n"
-            "sys.meta_path.pop(0)\n"
-            "print(np.arange(3).tolist())\n")
-    proc = run_python(["-c", code], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "numpy\nnumpy\n[0, 1, 2]\n"
-
-
 def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
     # Hypothesis seeds numpy.random when "numpy" is in sys.modules
     code = ("import sys\n"
@@ -202,24 +184,3 @@ def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-
-
-def test_threads_that_read_numpy_first_at_once_all_get_it(tmp_path):
-    # with importlib.util.LazyLoader (Python 3.11) all but the first thread
-    # failed with "module 'numpy' has no attribute 'arange'"
-    code = ("import threading\n"
-            "from frugaleval._numpy import np\n"
-            "start, errors = threading.Barrier(4), []\n"
-            "def use():\n"
-            "    start.wait()\n"
-            "    try:\n"
-            "        np.arange(3).sum()\n"
-            "    except Exception as exc:\n"
-            "        errors.append(repr(exc))\n"
-            "threads = [threading.Thread(target=use) for _ in range(4)]\n"
-            "for t in threads: t.start()\n"
-            "for t in threads: t.join(timeout=30)\n"
-            "print(sum(t.is_alive() for t in threads), errors)\n")
-    proc = run_python(["-c", code], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
