@@ -77,6 +77,48 @@ def test_numpy_imports_are_seen():
     assert numpy_imports(source) == [1, 3]
 
 
+def eager_imports(source: str, modules: set[str]) -> set[str]:
+    """Package modules that the source imports when it is itself imported: at
+    module level, under `if`/`try` included, but not under `if TYPE_CHECKING:`
+    and not inside a function or class body."""
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= imported_modules(ast.unparse(node), modules)
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                todo += node.body
+            todo += node.orelse
+        elif isinstance(node, ast.Try):
+            todo += node.body + node.orelse + node.finalbody
+            todo += [stmt for handler in node.handlers for stmt in handler.body]
+    return found
+
+
+def test_eager_imports_skip_deferred_ones():
+    source = ("from typing import TYPE_CHECKING\nfrom . import heuristics\n"
+              "if TYPE_CHECKING:\n    from .ecology import Environment\n"
+              "def read():\n    from .careers import CareerSequence\n"
+              "try:\n    import frugaleval.tables\nexcept ImportError:\n    pass\n")
+    modules = {"careers", "ecology", "heuristics", "tables"}
+    assert eager_imports(source, modules) == {"heuristics", "tables"}
+
+
+def test_only_the_deferred_loader_imports_numpy():
+    # Outside the array layers, numpy loads only through a deferred import: a
+    # cli handler, a tables reader or the package's __getattr__. A module-level
+    # import of an array layer anywhere else would load numpy for every command.
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {path.stem for path in paths}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in paths}
+    eager = {name: eager_imports(source, modules) - {name} for name, source in sources.items()}
+    loads_numpy = {name for name, source in sources.items() if numpy_imports(source)}
+    while grown := {name for name, imports in eager.items() if imports & loads_numpy} - loads_numpy:
+        loads_numpy |= grown
+    assert loads_numpy == {"_pairs", "careers", "ecology"}
+
+
 def test_only_the_array_layers_take_numpy():
     # heuristics is the scalar reference layer; its array forms live in ecology,
     # and the pair walker that ecology and careers share lives in _pairs. Of the
