@@ -291,16 +291,6 @@ def read_environment(path: str | Path) -> Environment:
     return Environment(ids, criterion, [list(c.values()) for c in cues], list(cues[0]))
 
 
-def write_environment(env: Environment, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "criterion", *env.cue_names])
-        rows = zip(env.ids, env.criterion_values.tolist(), env.cue_matrix.tolist())
-        for pid, criterion, cues in rows:
-            writer.writerow([pid, repr(criterion), *map(repr, cues)])
-
-
 def _career_converter(header: list[str]) -> Callable[[list[str]], tuple[int, float]]:
     i_position, i_impact = map(header.index, CAREER_COLUMNS)
 

@@ -1,12 +1,28 @@
 import csv
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 SCREEN_CATEGORIES = ("astro", "bio", "chem", "geo", "math", "phys")
 SCREEN_YEARS = range(2016, 2021)
 DOC_TYPES = ("article", "review", "other")
+
+
+def run_python(args, cwd, env=None, **kwargs):
+    """`python ARGS` in a fresh interpreter that imports the package from src:
+    every test that starts an interpreter starts it here."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, timeout=60, **kwargs)
 
 
 def _write_csv(path, header, rows):

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import re
@@ -8,13 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _write_csv
 from test_entry_point import input_modes
 
-from frugaleval import careers, cli
+from frugaleval import careers, cli, indicators
 from frugaleval.careers import CareerSequence
 from frugaleval.cli import WorkloadQuery, main, workload
-from frugaleval.ecology import generate_binary_environment
-from frugaleval.heuristics import WeightVector
+from frugaleval.heuristics import DiscriminationRule
 from frugaleval.tables import (
     TableError,
     read_candidates,
@@ -23,7 +24,6 @@ from frugaleval.tables import (
     read_environment,
     read_profiles_table,
     write_career,
-    write_environment,
 )
 
 # `screen --quota 0.25` on the screen_inputs fixture, both report formats
@@ -43,6 +43,13 @@ CANDIDATE_HEADER = "id,year,category,citations,doc_type,candidate_id,validated\n
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def environment_file(path, n_objects=6, cues=("c1",)):
+    """Object k has criterion k, and bit i of k as cue i."""
+    _write_csv(path, ["id", "criterion", *cues],
+               [[f"o{k}", k, *(k >> i & 1 for i in range(len(cues)))] for k in range(n_objects)])
     return str(path)
 
 
@@ -135,14 +142,11 @@ class TestIngest:
         assert [p.id for p in profiles] == ["alice"]
 
     def test_environment_round_trip(self, tmp_path):
-        env = generate_binary_environment(WeightVector({"c1": 4.0, "c2": 2.0}), 6, seed=1)
-        path = tmp_path / "env.csv"
-        write_environment(env, path)
-        back = read_environment(path)
-        assert back.ids == env.ids
-        assert back.cue_names == env.cue_names
-        assert back.criterion_values.tolist() == env.criterion_values.tolist()
-        assert back.cue_matrix.tolist() == env.cue_matrix.tolist()
+        back = read_environment(environment_file(tmp_path / "env.csv", 6, ("c1", "c2")))
+        assert back.ids == ("o0", "o1", "o2", "o3", "o4", "o5")
+        assert back.cue_names == ("c1", "c2")
+        assert back.criterion_values.tolist() == [0, 1, 2, 3, 4, 5]
+        assert back.cue_matrix.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [1, 0]]
 
     def test_career_round_trip(self, tmp_path):
         from frugaleval.careers import CareerSequence
@@ -421,9 +425,8 @@ class TestBenchCommand:
          "bench --environment does not use --gen, --targets"),
     ])
     def test_environment_with_generator_flags_rejected(self, tmp_path, capsys, flags, message):
-        env = tmp_path / "env.csv"
-        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1), env)
-        code = main(["bench", "--environment", str(env), *flags])
+        env = environment_file(tmp_path / "env.csv")
+        code = main(["bench", "--environment", env, *flags])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -449,10 +452,9 @@ class TestBenchCommand:
 
     def test_rule_from_config_without_take_the_best_on_an_environment_rejected(self, tmp_path,
                                                                              capsys):
-        env = tmp_path / "env.csv"
-        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1), env)
+        env = environment_file(tmp_path / "env.csv")
         cfg = write(tmp_path / "run.cfg", "strategies = minimalist\nmode = relative\n")
-        code = main(["bench", "--config", cfg, "--environment", str(env)])
+        code = main(["bench", "--config", cfg, "--environment", env])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -744,8 +746,7 @@ def every_option(tmp_path):
     corpus = corpus_file(tmp_path)
     cands = candidates_file(tmp_path, {"alice": 3, "bob": 1})
     profiles = write(tmp_path / "p.csv", "id,hcp,collab\nalice,3,5\nbob,3,2\n")
-    env = tmp_path / "env.csv"
-    write_environment(generate_binary_environment(WeightVector({"c1": 4.0, "c2": 2.0}), 12, 1), env)
+    env = environment_file(tmp_path / "env.csv", 12, ("c1", "c2"))
     career = tmp_path / "career.csv"
     write_career(CareerSequence((1.0, 1.5, 9.0, 9.5, 8.0, 1.0, 1.5)), career)
     rule = {"delta": "0.5", "mode": "relative"}
@@ -761,7 +762,7 @@ def every_option(tmp_path):
              "cue_order": "highly_cited_papers", **rule},
         ],
         "bench": [
-            {"environment": str(env), **{k: v for k, v in split.items() if k != "n_objects"}},
+            {"environment": env, **{k: v for k, v in split.items() if k != "n_objects"}},
             {"gen": "gaussian", "targets": "c1=0.5", **split},
             {"gen": "binary", "weights": "c1=4", **split},
             # without take-the-best the discrimination rule is not read
@@ -892,6 +893,15 @@ class TestHelpDefaults:
     def test_min_streak_len_default_is_the_detectors(self):
         # stated in cli, so that building the parser imports no careers
         assert cli._DEFAULTS["min_streak_len"] == careers.MIN_STREAK_LEN
+
+    @pytest.mark.parametrize("function", [indicators.count_highly_cited,
+                                          indicators.is_highly_cited], ids=lambda f: f.__name__)
+    def test_p_default_is_the_scorers(self, function):
+        assert cli._DEFAULTS["p"] == inspect.signature(function).parameters["p"].default
+
+    def test_rule_defaults_are_the_rules(self):
+        rule = DiscriminationRule()
+        assert (cli._DEFAULTS["delta"], cli._DEFAULTS["mode"]) == (rule.delta, rule.mode.value)
 
 
 class TestConfigFile:
@@ -1094,8 +1104,7 @@ class TestReportPlumbing:
         corpus_file(tmp_path)
         candidates_file(tmp_path, {"A": 1, "B": 0})
         write(tmp_path / "p.csv", "id,hcp\nA,9\nB,1\n")
-        write_environment(generate_binary_environment(WeightVector({"c1": 1.0}), 6, 1),
-                          tmp_path / "env.csv")
+        environment_file(tmp_path / "env.csv")
         write(tmp_path / "career.csv", "position,impact\n" + "".join(f"{i},2\n" for i in range(6)))
         write(tmp_path / "run.cfg", "papers = 100\npanel-size = 10\nworking-days = 10\n")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

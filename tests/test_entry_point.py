@@ -13,14 +13,12 @@ import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC, run_python
 from hypothesis import example, given, settings, strategies as st
 
 from frugaleval import cli
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def plateau_csv(n=30, start=10, end=19, low=1.0, high=10.0):
@@ -117,15 +115,6 @@ REPORT_SHA256 = {
         "machine": "3dc5a29c9dff066597dbf2b62719b2ae5b9de1ceeafd71b4ca596981ec6e6622",
     },
 }
-
-
-def run_python(args, cwd, env=None, **kwargs):
-    """`python ARGS` in a fresh interpreter that imports the package from src."""
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    kwargs.setdefault("capture_output", True)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          stdin=subprocess.DEVNULL, timeout=60, **kwargs)
 
 
 def run_cli(argv, cwd, env=None, **kwargs):

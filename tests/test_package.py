@@ -1,10 +1,7 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import frugaleval
 from frugaleval import (
@@ -61,11 +58,7 @@ def test_the_package_loads_a_module_when_a_name_from_it_is_first_read(tmp_path):
             "print(loaded(), sorted(set(frugaleval.__all__) - set(dir(frugaleval))))\n"
             "print(frugaleval.careers.__name__, loaded())\n"
             "print(frugaleval.CueOrder.__module__, loaded())\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(["-c", code], tmp_path, text=True)
     assert proc.returncode == 0, proc.stderr
     careers = ["frugaleval", "frugaleval._pairs", "frugaleval._records", "frugaleval.careers"]
     heuristics = sorted([*careers, "frugaleval.heuristics", "frugaleval.indicators"])

@@ -1,6 +1,5 @@
-"""Each command loads only the package modules it runs, commands that do
-no array work never import numpy, nor does a flag error in one that does,
-and no command loads dataclasses.
+"""Each command loads only the package modules it runs: numpy only through
+the array modules, not at all on a flag error, and never dataclasses.
 
 Each command runs in a fresh interpreter as `python -X importtime -m
 frugaleval.cli ...`, whose import log names every module the run loads
@@ -8,27 +7,14 @@ into sys.modules; `numpy` or a `numpy.` submodule in the log means numpy
 was imported.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_python(args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, stdin=subprocess.DEVNULL, timeout=60)
+from conftest import run_python
 
 
 def modules_loaded(argv, cwd, status=0):
     """The modules a run loads, in load order. A run that fails (status 1)
     must say why on an `error:` line."""
-    proc = run_python(["-X", "importtime", "-m", "frugaleval.cli", *argv], cwd)
+    proc = run_python(["-X", "importtime", "-m", "frugaleval.cli", *argv], cwd, text=True)
     assert proc.returncode == status, proc.stderr[-2000:]
     assert status == 0 or "\nerror: " in "\n" + proc.stderr, proc.stderr[-2000:]
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
@@ -37,9 +23,8 @@ def modules_loaded(argv, cwd, status=0):
     return imported
 
 
-def numpy_modules_loaded(argv, cwd, status=0):
-    return [name for name in modules_loaded(argv, cwd, status)
-            if name == "numpy" or name.startswith("numpy.")]
+def numpy_modules(imported):
+    return [name for name in imported if name == "numpy" or name.startswith("numpy.")]
 
 
 @pytest.fixture
@@ -47,12 +32,6 @@ def profiles(tmp_path):
     path = tmp_path / "profiles.csv"
     path.write_text("id,hcp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
     return path
-
-
-# choose compares two numbers in either mode; bench, career and the
-# less-is-more curve do array work and load numpy
-NUMPY_FREE = ["screen", "choose --profiles", "choose --mode relative", "choose --corpus",
-              "workload"]
 
 
 def career_file(tmp_path):
@@ -98,7 +77,8 @@ def command_argv(command, screen_inputs, profiles, tmp_path):
 # (frugaleval.cli runs as __main__, so the log does not name it). Screen and
 # choose load no ecology, careers or _pairs; career no ecology or heuristics,
 # and indicators only with tables; bench --gen no tables or careers; workload
-# only the records' shared _make from _records.
+# only the records' shared _make from _records. This is the one statement of
+# what a command loads: README points here.
 LOADS = {
     "screen": {"_records", "indicators", "heuristics", "tables"},
     "choose --profiles": {"_records", "indicators", "heuristics", "tables"},
@@ -112,18 +92,22 @@ LOADS = {
     "workload": {"_records"},
 }
 
+# the modules that import numpy; a command loads numpy exactly when it runs one
+ARRAY_MODULES = {"_pairs", "careers", "ecology"}
+
 
 @pytest.mark.parametrize("command", sorted(LOADS))
 def test_command_loads_only_the_modules_it_runs(command, screen_inputs, profiles, tmp_path):
     imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path), tmp_path)
     package = {name.partition(".")[2] for name in imported if name.startswith("frugaleval.")}
     assert package == LOADS[command]
-
-
-@pytest.mark.parametrize("command", NUMPY_FREE)
-def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
-    argv = command_argv(command, screen_inputs, profiles, tmp_path)
-    assert numpy_modules_loaded(argv, tmp_path) == []
+    uses_numpy = bool(package & ARRAY_MODULES)
+    assert bool(numpy_modules(imported)) == uses_numpy
+    # Importing dataclasses costs ~11 ms, most of it inspect, and each
+    # dataclass ~1 ms more to generate its methods, on every run with no
+    # bytecode cache. numpy loads inspect itself.
+    assert "dataclasses" not in imported
+    assert uses_numpy or "inspect" not in imported
     assert (tmp_path / "report.txt").is_file()
 
 
@@ -131,43 +115,18 @@ def test_command_runs_without_numpy(command, screen_inputs, profiles, tmp_path):
 @pytest.mark.parametrize("argv", [["career", "--length", "10"], ["bench", "--gen", "binary"]],
                          ids=" ".join)
 def test_a_flag_error_exits_before_the_array_modules_load(argv, tmp_path):
-    assert numpy_modules_loaded(argv, tmp_path, status=1) == []
+    assert numpy_modules(modules_loaded(argv, tmp_path, status=1)) == []
 
 
-# Importing dataclasses costs ~11 ms, most of it inspect, and each dataclass
-# ~1 ms more to generate its methods, on every run with no bytecode cache.
-# numpy loads inspect itself, so only the numpy-free commands must do without.
-@pytest.mark.parametrize("command", [*NUMPY_FREE, "bench", "career"])
-def test_command_loads_no_dataclasses(command, screen_inputs, profiles, tmp_path):
-    imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path), tmp_path)
-    assert "dataclasses" not in imported
-    if command in NUMPY_FREE:
-        assert "inspect" not in imported
-
-
-def test_importing_the_package_loads_no_dataclasses_inspect_or_shlex(tmp_path):
+def test_importing_the_package_loads_no_dataclasses_inspect_shlex_or_numpy(tmp_path):
     # shlex is loaded by a table report's config line, not by the import
     code = ("import sys\n"
-            "import frugaleval, frugaleval.cli\n"
-            "print([m for m in ('dataclasses', 'inspect', 'shlex') if m in sys.modules])\n")
-    proc = run_python(["-c", code], tmp_path)
+            "import frugaleval, frugaleval.cli, frugaleval.tables\n"
+            "deferred = ('dataclasses', 'inspect', 'shlex', 'numpy')\n"
+            "print([m for m in deferred if m in sys.modules])\n")
+    proc = run_python(["-c", code], tmp_path, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-
-
-def test_the_log_shows_numpy_when_a_command_uses_it(tmp_path):
-    argv = ["bench", "--gen", "binary", "--weights", "a=2,b=1", "--n-objects", "8",
-            "--out", str(tmp_path / "report.txt")]
-    assert any(name.startswith("numpy.") for name in numpy_modules_loaded(argv, tmp_path))
-
-
-def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
-    code = ("import sys\n"
-            "import frugaleval, frugaleval.cli, frugaleval.tables\n"
-            "print('numpy' in sys.modules)\n")
-    proc = run_python(["-c", code], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
 
 
 def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
@@ -181,6 +140,6 @@ def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
             "    pass\n"
             "check()\n"
             "print('numpy.random' in sys.modules)\n")
-    proc = run_python(["-c", code], tmp_path)
+    proc = run_python(["-c", code], tmp_path, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -24,7 +24,6 @@ from frugaleval.tables import (
     read_environment,
     read_profiles_table,
     write_career,
-    write_environment,
 )
 
 # reader, header, a valid row numbered k; field 1 of every valid row is a number
@@ -314,22 +313,21 @@ texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_environment_round_trip(tmp_path_factory, data):
+    # rows of floats written as repr() writes them read back as those floats
     n = data.draw(st.integers(2, 6))
     # Environment rejects a blank cue name
     names = data.draw(st.lists(
         texts.filter(lambda t: t.strip() and t not in ("id", "criterion")),
         min_size=1, max_size=3, unique=True
     ))
-    env = Environment(
-        data.draw(st.lists(texts, min_size=n, max_size=n, unique=True)),
-        data.draw(st.lists(finite, min_size=n, max_size=n)),
-        data.draw(st.lists(st.lists(finite, min_size=len(names), max_size=len(names)),
-                           min_size=n, max_size=n)),
-        names,
-    )
-    path = tmp_path_factory.mktemp("env") / "env.csv"
-    write_environment(env, path)
-    back = read_environment(path)
+    ids = data.draw(st.lists(texts, min_size=n, max_size=n, unique=True))
+    criterion = data.draw(st.lists(finite, min_size=n, max_size=n))
+    cues = data.draw(st.lists(st.lists(finite, min_size=len(names), max_size=len(names)),
+                              min_size=n, max_size=n))
+    rows = [[pid, repr(value), *map(repr, row)] for pid, value, row in zip(ids, criterion, cues)]
+    back = read_environment(table(tmp_path_factory.mktemp("env"), ["id", "criterion", *names],
+                                  rows))
+    env = Environment(ids, criterion, cues, names)
     assert back.ids == env.ids
     assert back.cue_names == env.cue_names
     assert back.criterion_values.tolist() == env.criterion_values.tolist()
