@@ -34,11 +34,15 @@ def _write_csv(path, header, rows):
 
 @pytest.fixture
 def screen_inputs(tmp_path):
+    return write_screen_inputs(tmp_path)
+
+
+def write_screen_inputs(directory):
     """A seeded corpus (600 rows in 30 (category, year) groups) and candidates
-    file (300 rows, 40 candidates) for `frugaleval screen`. Citations come
-    from a small range, so many papers tie at each group's top-10% boundary;
-    all three doc types occur, and about 15% of the candidate rows are
-    excluded."""
+    file (300 rows, 40 candidates) for `frugaleval screen`, written to
+    DIRECTORY. Citations come from a small range, so many papers tie at each
+    group's top-10% boundary; all three doc types occur, and about 15% of the
+    candidate rows are excluded."""
     rng = random.Random(2018)
     groups = [(category, year) for category in SCREEN_CATEGORIES for year in SCREEN_YEARS]
 
@@ -55,8 +59,8 @@ def screen_inputs(tmp_path):
            "excluded" if rng.random() < 0.15 else "included"]
         for i in range(300)
     ]
-    corpus_path = tmp_path / "corpus.csv"
-    candidates_path = tmp_path / "candidates.csv"
+    corpus_path = directory / "corpus.csv"
+    candidates_path = directory / "candidates.csv"
     _write_csv(corpus_path, ["id", "year", "category", "citations", "doc_type"], corpus)
     _write_csv(candidates_path, ["id", "year", "category", "citations", "doc_type",
                                  "candidate_id", "validated"], candidates)

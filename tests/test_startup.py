@@ -1,14 +1,16 @@
 """Each command loads only the package modules it runs: numpy only through
 the array modules, not at all on a flag error, and never dataclasses.
 
-Each command runs in a fresh interpreter as `python -X importtime -m
-frugaleval.cli ...`, whose import log names every module the run loads
-into sys.modules; `numpy` or a `numpy.` submodule in the log means numpy
-was imported.
+Each command mode runs once, in a fresh interpreter, as `python -X
+importtime -m frugaleval.cli ...`, whose import log names every module the
+run loads into sys.modules; `numpy` or a `numpy.` submodule in the log means
+numpy was imported. The tests below read the same log of each mode.
 """
 
+from types import SimpleNamespace
+
 import pytest
-from conftest import run_python
+from conftest import run_python, write_screen_inputs
 
 
 def modules_loaded(argv, cwd, status=0):
@@ -27,8 +29,7 @@ def numpy_modules(imported):
     return [name for name in imported if name == "numpy" or name.startswith("numpy.")]
 
 
-@pytest.fixture
-def profiles(tmp_path):
+def profiles_file(tmp_path):
     path = tmp_path / "profiles.csv"
     path.write_text("id,hcp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
     return path
@@ -94,21 +95,59 @@ LOADS = {
 
 # the modules that import numpy; a command loads numpy exactly when it runs one
 ARRAY_MODULES = {"_pairs", "careers", "ecology"}
+# the modes that run none, read from LOADS
+NUMPY_FREE = sorted(command for command, loads in LOADS.items() if not loads & ARRAY_MODULES)
+
+
+@pytest.fixture(scope="module")
+def command_run(tmp_path_factory):
+    """`command_run(command)` runs the command mode on its first call and
+    returns what every later call for that mode reads: the modules the run
+    loaded, and whether it wrote its report."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    screen_inputs, profiles = write_screen_inputs(inputs), profiles_file(inputs)
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            tmp_path = tmp_path_factory.mktemp("run")
+            imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path),
+                                      tmp_path)
+            runs[command] = SimpleNamespace(
+                imported=imported,
+                package={name.partition(".")[2] for name in imported
+                         if name.startswith("frugaleval.")},
+                report_written=(tmp_path / "report.txt").is_file())
+        return runs[command]
+    return run
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))
-def test_command_loads_only_the_modules_it_runs(command, screen_inputs, profiles, tmp_path):
-    imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path), tmp_path)
-    package = {name.partition(".")[2] for name in imported if name.startswith("frugaleval.")}
-    assert package == LOADS[command]
-    uses_numpy = bool(package & ARRAY_MODULES)
-    assert bool(numpy_modules(imported)) == uses_numpy
-    # Importing dataclasses costs ~11 ms, most of it inspect, and each
-    # dataclass ~1 ms more to generate its methods, on every run with no
-    # bytecode cache. numpy loads inspect itself.
+def test_command_loads_only_the_modules_it_runs(command, command_run):
+    run = command_run(command)
+    assert run.package == LOADS[command]
+    assert run.report_written
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE)
+def test_command_runs_without_numpy(command, command_run):
+    assert numpy_modules(command_run(command).imported) == []
+
+
+def test_the_log_shows_numpy_when_a_command_uses_it(command_run):
+    for command in sorted(set(LOADS) - set(NUMPY_FREE)):
+        assert numpy_modules(command_run(command).imported), command
+
+
+# Importing dataclasses costs ~11 ms, most of it inspect, and each dataclass
+# ~1 ms more to generate its methods, on every run with no bytecode cache.
+# numpy loads inspect itself, so only the numpy-free commands must do without.
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_command_loads_no_dataclasses(command, command_run):
+    imported = command_run(command).imported
     assert "dataclasses" not in imported
-    assert uses_numpy or "inspect" not in imported
-    assert (tmp_path / "report.txt").is_file()
+    if command in NUMPY_FREE:
+        assert "inspect" not in imported
 
 
 # bench and career check their flags before they import an array module
@@ -118,15 +157,26 @@ def test_a_flag_error_exits_before_the_array_modules_load(argv, tmp_path):
     assert numpy_modules(modules_loaded(argv, tmp_path, status=1)) == []
 
 
-def test_importing_the_package_loads_no_dataclasses_inspect_shlex_or_numpy(tmp_path):
-    # shlex is loaded by a table report's config line, not by the import
+@pytest.fixture(scope="module")
+def deferred_after_import(tmp_path_factory):
+    """Which of dataclasses, inspect, shlex and numpy importing the package
+    loads, from one fresh interpreter."""
     code = ("import sys\n"
             "import frugaleval, frugaleval.cli, frugaleval.tables\n"
             "deferred = ('dataclasses', 'inspect', 'shlex', 'numpy')\n"
-            "print([m for m in deferred if m in sys.modules])\n")
-    proc = run_python(["-c", code], tmp_path, text=True)
+            "print(' '.join(m for m in deferred if m in sys.modules))\n")
+    proc = run_python(["-c", code], tmp_path_factory.mktemp("probe"), text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_shlex(deferred_after_import):
+    # shlex is loaded by a table report's config line, not by the import
+    assert deferred_after_import & {"dataclasses", "inspect", "shlex"} == set()
+
+
+def test_importing_the_package_leaves_numpy_unloaded(deferred_after_import):
+    assert "numpy" not in deferred_after_import
 
 
 def test_a_library_that_checks_for_numpy_does_not_load_it(tmp_path):
