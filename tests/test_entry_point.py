@@ -209,18 +209,15 @@ TEXTS = st.text(st.characters(max_codepoint=0x7f)) | st.text()
 @example("")
 @example("~")
 @example("é")
-@example(["h cp", "collab"])
-def test_a_config_value_echoes_as_shlex_quotes_it(value):
-    typed = ",".join(value) if isinstance(value, list) else value
-    assert cli._echo(value) == shlex.quote(typed)
-
-
-@settings(max_examples=300, derandomize=True, database=None)
-@given(TEXTS)
-@example("")
 @example("it's")
-def test_a_config_file_reads_a_quoted_value_as_its_text(text):
-    assert cli._unquote(shlex.quote(text)) == text
+@example(["h cp", "collab"])
+def test_a_config_file_reads_a_quoted_value_as_its_text(value):
+    # the echoed value is one shell word, the text as typed, and a config
+    # file that holds it reads it back as that text
+    typed = ",".join(value) if isinstance(value, list) else value
+    echoed = cli._echo(value)
+    assert shlex.split(echoed) == [typed]
+    assert cli._unquote(echoed) == typed
 
 
 # values that shlex.quote does not give: each reads raw, as typed

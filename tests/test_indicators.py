@@ -71,6 +71,7 @@ class TestIsHighlyCited:
         assert is_highly_cited(Publication("x", 2020, "phys", 9), corpus, 1e-11) is True
         assert is_highly_cited(Publication("y", 2020, "phys", 8), corpus, 1e-11) is False
 
+    @settings(derandomize=True)
     @given(
         citations=st.lists(st.integers(0, 30), min_size=1, max_size=40),
         p=st.floats(0.01, 0.99),
@@ -86,6 +87,7 @@ class TestIsHighlyCited:
             citations, probe, p
         )
 
+    @settings(derandomize=True)
     @given(citations=st.lists(st.integers(0, 20), min_size=1, max_size=30))
     def test_upward_closure_and_quota_lower_bound(self, citations):
         corpus = ReferenceCorpus(make_group(citations))
@@ -177,6 +179,7 @@ class TestCountHighlyCited:
         with pytest.raises(ValueError, match="pending"):
             count_highly_cited(profile, corpus, 0.10)
 
+    @settings(derandomize=True)
     @given(
         group=st.lists(st.integers(0, 6), min_size=1, max_size=40),
         pubs=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(DocType),

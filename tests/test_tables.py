@@ -133,6 +133,16 @@ class TestEveryReader:
         with pytest.raises(TableError, match="file is empty"):
             reader(path)
 
+    def test_missing_required_column_named(self, tmp_path, name):
+        reader, header, good = READERS[name]
+        # a profiles or environment file requires only its key columns
+        required = header[:{"profiles": 1, "environment": 2}.get(name, len(header))]
+        for i, column in enumerate(required):
+            path = table(tmp_path, header[:i] + header[i + 1:], [good(0)[:i] + good(0)[i + 1:]])
+            with pytest.raises(TableError) as err:
+                reader(path)
+            assert str(err.value) == f"{path}: missing required columns: {column}"
+
     def test_repeated_header_column_rejected(self, tmp_path, name):
         reader, header, good = READERS[name]
         path = table(tmp_path, [*header, header[1]], [good(0) + ["1"]])
@@ -268,6 +278,14 @@ def test_value_column_without_a_name_fails_on_the_header(tmp_path, reader, heade
     with pytest.raises(TableError) as err:
         reader(path)
     assert str(err.value) == f"{path}: {what} has no name"
+
+
+def test_header_only_file_holds_nothing(tmp_path):
+    for name in ("candidates", "profiles"):
+        reader, header, _ = READERS[name]
+        assert reader(table(tmp_path, header, [])) == []
+    reader, header, _ = READERS["corpus"]
+    assert reader(table(tmp_path, header, [])).group_keys() == ()
 
 
 def test_non_finite_profile_value_names_its_line(tmp_path):
