@@ -204,20 +204,28 @@ def test_a_report_replays_its_run(run, inputs, tmp_path_factory, monkeypatch, ca
 TEXTS = st.text(st.characters(max_codepoint=0x7f)) | st.text()
 
 
-@settings(max_examples=300, derandomize=True, database=None)
-@given(TEXTS | st.lists(TEXTS, max_size=3))
-@example("")
-@example("~")
-@example("é")
-@example("it's")
-@example(["h cp", "collab"])
+def each_config_value(test):
+    """Run a quoting property on 300 derandomized values, texts and lists of
+    them, and on the edge cases, "it's" among them."""
+    for value in ("", "~", "é", "it's", ["h cp", "collab"]):
+        test = example(value)(test)
+    return settings(max_examples=300, derandomize=True, database=None)(
+        given(TEXTS | st.lists(TEXTS, max_size=3))(test))
+
+
+def typed(value):
+    return ",".join(value) if isinstance(value, list) else value
+
+
+@each_config_value
+def test_a_config_value_echoes_as_shlex_quotes_it(value):
+    # one shell word, which a shell reads as the text as typed
+    assert shlex.split(cli._echo(value)) == [typed(value)]
+
+
+@each_config_value
 def test_a_config_file_reads_a_quoted_value_as_its_text(value):
-    # the echoed value is one shell word, the text as typed, and a config
-    # file that holds it reads it back as that text
-    typed = ",".join(value) if isinstance(value, list) else value
-    echoed = cli._echo(value)
-    assert shlex.split(echoed) == [typed]
-    assert cli._unquote(echoed) == typed
+    assert cli._unquote(cli._echo(value)) == typed(value)
 
 
 # values that shlex.quote does not give: each reads raw, as typed
