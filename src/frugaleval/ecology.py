@@ -440,14 +440,16 @@ def run_benchmark(
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         raise ValueError(f"strategy names must be unique, got {names}")
-    rep_seeds = np.random.SeedSequence(split.seed).spawn(split.repetitions)
     accuracies: dict[str, list[float]] = {s.name: [] for s in strategies}
     inspected: dict[str, int] = {s.name: 0 for s in strategies}
     undecided: dict[str, int] = {s.name: 0 for s in strategies}
     wall: dict[str, float] = {s.name: 0.0 for s in strategies}
     decisions = 0  # per strategy: every strategy decides every test pair
 
-    for rep_seq in rep_seeds:
+    for rep in range(split.repetitions):
+        # repetition rep's seed is the one SeedSequence(seed).spawn(repetitions)
+        # would give, built as it starts, so a long run allocates no seed list
+        rep_seq = np.random.SeedSequence(split.seed, spawn_key=(rep,))
         children = rep_seq.spawn(1 + len(strategies))
         rng = np.random.default_rng(children[0])
         train_idx, test_idx = train_test_indices(len(env), split.train_fraction, rng)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from frugaleval.careers import CareerSequence, detect_hot_streak, generate_career
+from frugaleval.careers import detect_hot_streak, generate_career
 from frugaleval.cli import WorkloadQuery, main, workload
 from frugaleval.ecology import (
     LinearRegressionStrategy,

@@ -293,6 +293,24 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="at least one strategy"):
             run_benchmark(env, [], SplitConfig(0.5, 1, seed=0))
 
+    def test_a_huge_repetition_count_starts_its_first_repetitions(self):
+        # each repetition's seed is built as it starts: a count past 2**63
+        # reaches the second fit instead of failing in an up-front spawn
+        class Stop(Exception):
+            pass
+
+        class StopsAtTheSecondFit(AlwaysUndecidedStrategy):
+            fits = 0
+
+            def fit(self, train_env, seed):
+                self.fits += 1
+                if self.fits == 2:
+                    raise Stop
+
+        with pytest.raises(Stop):
+            run_benchmark(self._noncompensatory_env(), [StopsAtTheSecondFit()],
+                          SplitConfig(0.5, 10**20, 0))
+
     def test_take_the_best_matches_linear_on_noncompensatory_environment(self):
         env = self._noncompensatory_env()
         split = SplitConfig(0.5, 20, seed=7)

@@ -12,10 +12,9 @@ import json
 import os
 import shlex
 import subprocess
-import sys
 
 import pytest
-from conftest import SRC, run_python
+from conftest import SRC, input_modes, record_modes, run_python
 from hypothesis import example, given, settings, strategies as st
 
 from frugaleval import cli
@@ -234,40 +233,26 @@ def test_a_config_file_reads_any_other_value_raw(value):
     assert cli._unquote(value) == value
 
 
-def input_modes(source):
-    """Every input mode of the command line: (handler, flags the mode needs)
-    for each _mode call in the source of cli."""
-    return {(handler.name, ast.literal_eval(call.args[1]))
-            for handler in ast.parse(source).body if isinstance(handler, ast.FunctionDef)
-            for call in ast.walk(handler) if isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Name) and call.func.id == "_mode"}
-
-
 def test_input_modes_are_read_from_every_handler():
     source = (SRC / "frugaleval" / "cli.py").read_text(encoding="utf-8")
     new_mode = "def _cmd_new(p):\n    _mode(p, ('flag',), ())\n"
-    assert input_modes(source + new_mode) == input_modes(source) | {("_cmd_new", ("flag",))}
+    modes = input_modes(source)
+    assert len(set(modes)) == len(modes)  # each call's needs name its mode
+    assert sorted(input_modes(source + new_mode)) == sorted([*modes, ("flag",)])
 
 
 def test_every_input_mode_has_a_digest_in_both_formats(inputs, monkeypatch, capsys):
-    # each pinned run, repeated in process, names the input modes it takes;
-    # a mode that none of them takes, such as a new one, fails here
-    original = cli._mode
-    taken = {}
-
-    def spy(p, needs, uses, **kwargs):
-        taken.setdefault(run, set()).add((sys._getframe(1).f_code.co_name, needs))
-        return original(p, needs, uses, **kwargs)
-
-    monkeypatch.setattr(cli, "_mode", spy)
+    # the pinned runs, repeated in process, take every input mode, so a mode
+    # that none of them takes, such as a new one, fails here
+    calls = record_modes(monkeypatch)
     monkeypatch.chdir(inputs)
     for run in sorted(RUNS):
         assert cli.main([*RUNS[run], "--out", "report.txt"]) == 0, run
     capsys.readouterr()
     assert set(REPORT_SHA256) == set(RUNS)
     assert all({"table", "machine"} <= set(digests) for digests in REPORT_SHA256.values())
-    modes = input_modes((SRC / "frugaleval" / "cli.py").read_text(encoding="utf-8"))
-    assert set().union(*taken.values()) == modes
+    assert {needs for needs, _ in calls} == set(input_modes())
+
 
 WORKLOAD = ["workload", "--papers", "1200", "--panel-size", "12", "--working-days", "30"]
 

@@ -10,7 +10,7 @@ numpy was imported. The tests below read the same log of each mode.
 from types import SimpleNamespace
 
 import pytest
-from conftest import run_python, write_screen_inputs
+from conftest import MODES, mode_argv, run_python, write_mode_inputs
 
 
 def modules_loaded(argv, cwd, status=0):
@@ -29,103 +29,38 @@ def numpy_modules(imported):
     return [name for name in imported if name == "numpy" or name.startswith("numpy.")]
 
 
-def profiles_file(tmp_path):
-    path = tmp_path / "profiles.csv"
-    path.write_text("id,hcp,collab\nA,1,2\nB,1,3\n", encoding="utf-8")
-    return path
-
-
-def career_file(tmp_path):
-    path = tmp_path / "career.csv"
-    path.write_text("position,impact\n" + "".join(
-        f"{k},{9 if 10 <= k < 16 else 1}\n" for k in range(30)), encoding="utf-8")
-    return path
-
-
-def environment_file(tmp_path):
-    path = tmp_path / "environment.csv"
-    path.write_text("id,criterion,a,b\n" + "".join(
-        f"o{k},{k},{k % 3},{k % 2}\n" for k in range(8)), encoding="utf-8")
-    return path
-
-
-def command_argv(command, screen_inputs, profiles, tmp_path):
-    argv = {
-        "screen": ["screen", "--corpus", screen_inputs.corpus,
-                   "--candidates", screen_inputs.candidates, "--quota", "0.25"],
-        "choose --profiles": ["choose", "--profiles", profiles, "--cue-order", "hcp,collab"],
-        "choose --mode relative": ["choose", "--profiles", profiles, "--cue-order", "hcp,collab",
-                                   "--mode", "relative", "--delta", "0.1"],
-        "choose --corpus": ["choose", "--corpus", screen_inputs.corpus,
-                            "--candidates", screen_inputs.candidates,
-                            "--cue-order", "highly_cited_papers", "--a", "cand00",
-                            "--b", "cand01"],
-        "workload": ["workload", "--papers", "100", "--panel-size", "10",
-                     "--working-days", "20"],
-        "bench": ["bench", "--gen", "binary", "--weights", "a=2,b=1", "--n-objects", "8"],
-        "career": ["career", "--length", "40", "--baseline-mean", "5", "--multiplier", "6",
-                   "--streak-len", "5:9"],
-        "bench --environment": ["bench", "--environment", environment_file(tmp_path)],
-        "career --impacts": ["career", "--impacts", career_file(tmp_path)],
-        "career --save-career": ["career", "--length", "40", "--baseline-mean", "5",
-                                 "--multiplier", "6", "--streak-len", "5:9",
-                                 "--save-career", tmp_path / "saved.csv"],
-    }[command]
-    return [str(arg) for arg in argv] + ["--out", str(tmp_path / "report.txt")]
-
-
-# The package modules each command loads, as `-X importtime` logs them
-# (frugaleval.cli runs as __main__, so the log does not name it). Screen and
-# choose load no ecology, careers or _pairs; career no ecology or heuristics,
-# and indicators only with tables; bench --gen no tables or careers; workload
-# only the records' shared _make from _records. This is the one statement of
-# what a command loads: README points here.
-LOADS = {
-    "screen": {"_records", "indicators", "heuristics", "tables"},
-    "choose --profiles": {"_records", "indicators", "heuristics", "tables"},
-    "choose --mode relative": {"_records", "indicators", "heuristics", "tables"},
-    "choose --corpus": {"_records", "indicators", "heuristics", "tables"},
-    "bench": {"_records", "indicators", "heuristics", "ecology", "_pairs"},
-    "bench --environment": {"_records", "indicators", "heuristics", "ecology", "_pairs", "tables"},
-    "career": {"_records", "careers", "_pairs"},
-    "career --impacts": {"_records", "careers", "_pairs", "indicators", "tables"},
-    "career --save-career": {"_records", "careers", "_pairs", "indicators", "tables"},
-    "workload": {"_records"},
-}
-
 # the modules that import numpy; a command loads numpy exactly when it runs one
 ARRAY_MODULES = {"_pairs", "careers", "ecology"}
-# the modes that run none, read from LOADS
-NUMPY_FREE = sorted(command for command, loads in LOADS.items() if not loads & ARRAY_MODULES)
+# the modes that run none, read from MODES
+NUMPY_FREE = sorted(name for name, mode in MODES.items() if not mode.loads & ARRAY_MODULES)
 
 
 @pytest.fixture(scope="module")
 def command_run(tmp_path_factory):
-    """`command_run(command)` runs the command mode on its first call and
-    returns what every later call for that mode reads: the modules the run
-    loaded, and whether it wrote its report."""
+    """`command_run(mode)` runs the MODES entry on its first call and returns
+    what every later call for that mode reads: the modules the run loaded,
+    and whether it wrote its report."""
     inputs = tmp_path_factory.mktemp("inputs")
-    screen_inputs, profiles = write_screen_inputs(inputs), profiles_file(inputs)
+    write_mode_inputs(inputs)
     runs = {}
 
-    def run(command):
-        if command not in runs:
-            tmp_path = tmp_path_factory.mktemp("run")
-            imported = modules_loaded(command_argv(command, screen_inputs, profiles, tmp_path),
-                                      tmp_path)
-            runs[command] = SimpleNamespace(
+    def run(name):
+        if name not in runs:
+            report = tmp_path_factory.mktemp("run") / "report.txt"
+            imported = modules_loaded([*mode_argv(name), "--out", str(report)], inputs)
+            runs[name] = SimpleNamespace(
                 imported=imported,
-                package={name.partition(".")[2] for name in imported
-                         if name.startswith("frugaleval.")},
-                report_written=(tmp_path / "report.txt").is_file())
-        return runs[command]
+                package={module.partition(".")[2] for module in imported
+                         if module.startswith("frugaleval.")},
+                report_written=report.is_file())
+        return runs[name]
     return run
 
 
-@pytest.mark.parametrize("command", sorted(LOADS))
+@pytest.mark.parametrize("command", sorted(MODES))
 def test_command_loads_only_the_modules_it_runs(command, command_run):
     run = command_run(command)
-    assert run.package == LOADS[command]
+    assert run.package == MODES[command].loads
     assert run.report_written
 
 
@@ -135,14 +70,14 @@ def test_command_runs_without_numpy(command, command_run):
 
 
 def test_the_log_shows_numpy_when_a_command_uses_it(command_run):
-    for command in sorted(set(LOADS) - set(NUMPY_FREE)):
+    for command in sorted(set(MODES) - set(NUMPY_FREE)):
         assert numpy_modules(command_run(command).imported), command
 
 
 # Importing dataclasses costs ~11 ms, most of it inspect, and each dataclass
 # ~1 ms more to generate its methods, on every run with no bytecode cache.
 # numpy loads inspect itself, so only the numpy-free commands must do without.
-@pytest.mark.parametrize("command", sorted(LOADS))
+@pytest.mark.parametrize("command", sorted(MODES))
 def test_command_loads_no_dataclasses(command, command_run):
     imported = command_run(command).imported
     assert "dataclasses" not in imported

@@ -293,6 +293,12 @@ def test_non_finite_profile_value_names_its_line(tmp_path):
     assert problems(read_profiles_table, path) == [(3, "collab 'nan' is not a finite number")]
 
 
+def test_profiles_table_ignores_criterion(tmp_path):
+    path = table(tmp_path, ["id", "criterion", "hcp", "collab"],
+                 [["A", "9.9", "4", "2"], ["B", "1.1", "3", "7"]])
+    assert read_profiles_table(path)[0].indicators == {"hcp": 4.0, "collab": 2.0}
+
+
 @pytest.mark.parametrize("impact, message", [
     ("nan", "impact 'nan' is not a finite number"),
     ("inf", "impact 'inf' is not a finite number"),
