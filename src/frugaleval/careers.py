@@ -9,9 +9,9 @@ shift. An exhaustive scan fits a two-level step model (one mean inside
 the candidate interval, one outside) to every interval of length >= 3
 that leaves at least one point outside, and keeps the best interval only
 if its penalized score beats the single-level model and the inside level
-is above the outside level. The O(n^2) intervals are scored in bounded
-blocks of (start, end) pairs, in scan order, so memory does not grow with
-n^2 (see detect_hot_streak).
+is above the outside level. The O(n^2) intervals are scored one length
+at a time, every start of a length in one array pass, so memory grows
+with n, not n^2 (see detect_hot_streak).
 
 Scores are BIC-style on the residual sum of squares:
 
@@ -40,16 +40,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._pairs import pair_blocks
 from ._records import _checked_make
 
 MIN_STREAK_LEN = 3
 _RSS_FLOOR = 1e-300  # keeps ln(RSS) finite on exactly piecewise-constant input
-# Most intervals one block of the scan holds. A block keeps about a dozen
-# arrays of 8 bytes an interval live, 1.5 MiB at 2**14: on a Xeon with 2 MiB
-# of L2 cache per core the scan took 17-27% less time than at the pair
-# engine's 2**16, at n = 600 and at n = 5000.
-_SCAN_BLOCK = 2**14
 
 
 class _CareerSequenceFields(NamedTuple):
@@ -165,18 +159,17 @@ def detect_hot_streak(
 ) -> HotStreakFit:
     """Exhaustive two-level fit over all candidate intervals.
 
-    The interval (s, e) is the pair (s, e - min_len + 2) of n - min_len + 2
-    shifted boundaries, so the O(n^2) intervals are scored block by block
-    over those pairs (`_pairs.pair_blocks`), in scan order: starts
-    ascending, then ends. Memory is bounded by one block of _SCAN_BLOCK
-    intervals, whatever n is. Ties on the penalized score go to the earlier
+    The intervals are scored one length k at a time: every start of length
+    k in one array pass over the prefix sums, so memory is O(n) whatever
+    the number of intervals. Ties on the penalized score go to the earlier
     start, then the shorter interval. The score never falls as the RSS
-    grows, so a block's best score is the scalar score (math.log) of its
-    smallest RSS, and its winner is its first interval with an RSS that
-    scores that: two RSS values that round to the same score tie, and so do
-    all RSS values at or below the floor. A later block replaces the winner
-    only with a strictly better score. The reported score gain and levels
-    are the winning interval's own values.
+    grows, so the best score is the scalar score (math.log) of the smallest
+    RSS of any length, and the winner is the earliest interval with an RSS
+    that scores that: two RSS values that round to the same score tie, and
+    so do all RSS values at or below the floor. A first pass keeps each
+    length's smallest RSS; a second rescans only the lengths whose smallest
+    RSS scores the best, for their first such start. The reported score
+    gain and levels are the winning interval's own values.
     """
     n = len(seq.impacts)
     if n < 5:
@@ -200,40 +193,40 @@ def detect_hot_streak(
     prefix = np.concatenate([[0.0], np.cumsum(y)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(y * y)])
 
-    # the interval (1, min_len) or (0, n - 2) is never skipped, so a winner exists
-    best_score = math.inf
-    for start, stop in pair_blocks(n - min_len + 2, _SCAN_BLOCK):
-        stop += min_len - 1  # one past the interval's end
-        k = stop - start
-        k_out = n - k
-        # a boundary interval and its complement describe the same two-level
-        # partition; score it once, under its hot name, where the complement
-        # is itself a searchable interval. (0, n - 1) leaves no work outside:
-        # it is skipped, and divides by 1 rather than 0
-        edge = np.flatnonzero((start == 0) | (stop == n))
-        at_start = start[edge] == 0
-        whole = edge[at_start & (stop[edge] == n)]
-        twin_is_legal = np.where(at_start, n - stop[edge] >= min_len, start[edge] >= min_len)
-        k_out[whole] = 1
-        inside_sum = prefix.take(stop) - prefix.take(start)
-        inside_sq = prefix_sq.take(stop) - prefix_sq.take(start)
-        mean_in = inside_sum / k
+    def scan(k: int):
+        """The RSS of every interval of k works, by start, with its levels."""
+        inside_sum = prefix[k:] - prefix[:-k]
+        inside_sq = prefix_sq[k:] - prefix_sq[:-k]
+        k_in, k_out = np.float64(k), np.float64(n - k)
+        mean_in = inside_sum / k_in
         mean_out = (total - inside_sum) / k_out
-        rss = (inside_sq - k * mean_in * mean_in) + (
+        rss = (inside_sq - k_in * mean_in * mean_in) + (
             (total_sq - inside_sq) - k_out * mean_out * mean_out)
-        cold = edge[twin_is_legal & (mean_in[edge] <= mean_out[edge])]
-        rss[cold] = math.inf
-        rss[whole] = math.inf
-        low = float(rss.min())
-        score = _bic_score(low, n, 2, penalty)
-        if score < best_score:
-            x = int(np.argmax(rss <= _score_ceiling(score, low, n, penalty)))
-            best_score, best = score, (int(start[x]), int(stop[x]) - 1)
-            baseline_level, streak_level = mean_out[x], mean_in[x]
+        # an edge interval and its complement describe the same two-level
+        # partition; score it once, under its hot name, where the complement
+        # is itself a searchable interval
+        if n - k >= min_len:
+            for edge in (0, -1):
+                if mean_in[edge] <= mean_out[edge]:
+                    rss[edge] = math.inf
+        return rss, mean_out, mean_in
+
+    # (0, n - 1) leaves no work outside and is not scanned; (1, min_len) or
+    # (0, n - 2) is never skipped, so a winner exists
+    lengths = range(min_len, n)
+    lows = [float(scan(k)[0].min()) for k in lengths]
+    low = min(lows)
+    best_score = _bic_score(low, n, 2, penalty)
+    ceiling = _score_ceiling(best_score, low, n, penalty)
+    # each length's first start that scores the best; the earliest, then the shortest
+    start, k = min((int(np.argmax(scan(k)[0] <= ceiling)), k)
+                   for k, low in zip(lengths, lows) if low <= ceiling)
+    _, mean_out, mean_in = scan(k)
+    baseline_level, streak_level = mean_out[start], mean_in[start]
     gain = score_single - best_score
     if gain > 0.0 and streak_level > baseline_level:
         return HotStreakFit(
-            interval=best,
+            interval=(start, start + k - 1),
             baseline_level=baseline_level,
             streak_level=streak_level,
             penalized_score_gain=gain,

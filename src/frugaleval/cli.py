@@ -524,8 +524,6 @@ def run(args: argparse.Namespace) -> int:
     ]
     table = "\n".join(header + body_lines) + "\n"
     primary, companion = (machine, table) if args.format == "machine" else (table, machine)
-    for line in diagnostics:
-        print(line, file=sys.stderr)
     # files the command saves land once its report has rendered; then the
     # companion lands before the report, so a primary report never stands alone
     writers = {Path(path): write for path, write in saves.items()}
@@ -533,6 +531,9 @@ def run(args: argparse.Namespace) -> int:
         writers[companion_path] = lambda temp: temp.write_text(companion, encoding="utf-8")
         writers[out] = lambda temp: temp.write_text(primary, encoding="utf-8")
     _write_files(writers)
+    # after the write, so that a failed write prints only its error
+    for line in diagnostics:
+        print(line, file=sys.stderr)
     if out:
         print(f"report written to {out} (companion: {companion_path})", file=sys.stderr)
     else:

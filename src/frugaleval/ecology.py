@@ -5,10 +5,9 @@ A task environment is object ids, a criterion vector and one cue matrix
 orders (by cue validity) and linear weights on a training split only, and
 scores every strategy on all unordered test pairs -- accuracy, frugality
 (mean cues inspected) and wall time. The pairs are walked in bounded
-blocks (`_pairs.pair_blocks`, the walker the career streak scan shares)
-and each block is decided at once (`PairBlock`), so memory does not grow
-with the number of pairs, and every count adds up over the blocks
-exactly. This module holds every array pass over object pairs: cue
+blocks (`pair_blocks`) and each block is decided at once (`PairBlock`),
+so memory does not grow with the number of pairs, and every count adds
+up over the blocks exactly. This module holds every array pass over object pairs: cue
 validities and the strategies' decisions, which read a block's cue signs
 and criterion order, and the less-is-more curve's count of correct
 choices. Each is tested against a scalar reference in heuristics, the
@@ -26,7 +25,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._pairs import PAIR_BLOCK, pair_blocks
 from ._records import _checked_make
 from .heuristics import CueOrder, DiscriminationRule, RuleMode, WeightVector, recognition_accuracy
 # imported only so that the benchmark tracer (bench/tracing.py) finds them here
@@ -45,6 +43,26 @@ from .indicators import CandidateProfile
 # and the cues each inspected. Cue names map to columns once, in fit: every
 # Environment sorts its columns by cue name, so the test split's match.
 Codes = tuple[np.ndarray, np.ndarray]
+
+# Most pairs (or Monte Carlo trials) a block holds. The pair engine's arrays
+# are pairs x cues, so this bounds its memory whatever n is.
+PAIR_BLOCK = 2**16
+
+
+def pair_blocks(n: int):
+    """The pairs i < j of n items in np.triu_indices order (i ascending,
+    then j ascending), as (i, j) index arrays of at most PAIR_BLOCK pairs
+    each, without ever holding all of them."""
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (r, r + 1)
+    total = n * (n - 1) // 2
+    for first in range(0, total, PAIR_BLOCK):
+        last = min(first + PAIR_BLOCK, total)
+        r0, r1 = np.searchsorted(starts, [first, last - 1], side="right") - 1
+        # where each row the block spans begins within the block
+        begins = np.maximum(starts[r0:r1 + 1], first) - first
+        i = np.repeat(rows[r0:r1 + 1], np.diff(begins, append=last - first))
+        yield i, np.arange(first, last) - starts.take(i) + i + 1
 
 
 class Environment:

@@ -93,12 +93,12 @@ SPLIT = {"strategies": "tallying,take_the_best", "train_fraction": "0.6", "reps"
 GENERATE = {"length": "30", "baseline_mean": "5", "multiplier": "10", "streak_len": "4:6",
             "noise_sigma": "0.1", "seed": "4", "min_streak_len": "2", "penalty_per_param": "1.5"}
 
-# Screen and choose load no ecology, careers or _pairs; career no ecology or
+# Screen and choose load no ecology or careers; career no ecology or
 # heuristics, and indicators only with tables; bench --gen no tables or
 # careers; workload only the records' shared _make from _records.
 SCORING = {"_records", "indicators", "heuristics", "tables"}
-BENCH = {"_records", "indicators", "heuristics", "ecology", "_pairs"}
-CAREER = {"_records", "careers", "_pairs"}
+BENCH = {"_records", "indicators", "heuristics", "ecology"}
+CAREER = {"_records", "careers"}
 
 # Every input mode of the command line, one entry a variant; together each
 # command's entries give every flag but --out, --format and --config. This

@@ -7,14 +7,12 @@ the chosen interval where no tie is near."""
 import math
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frugaleval import careers
 from frugaleval.careers import (
     CareerSequence,
     HotStreakFit,
@@ -92,8 +90,7 @@ def same_fit(a, b):
 
 @st.composite
 def careers_of_every_kind(draw):
-    """A career of 5 to 60 works, any min_len, any penalty, and a scan block
-    size that puts block edges inside the scan."""
+    """A career of 5 to 60 works, any min_len and any penalty."""
     n = draw(st.integers(5, 60))
     min_len = draw(st.integers(1, n - 1))
     # 1e300 or -1e300 makes every score tie: the first interval in scan order
@@ -114,8 +111,7 @@ def careers_of_every_kind(draw):
         end = n - 1 if kind == "flush end" else draw(st.integers(start, n - 1))
         low, high = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e6))
         impacts = plateau(n, start, end, low, high)
-    block = draw(st.sampled_from([3, 50, careers._SCAN_BLOCK]))
-    return CareerSequence(impacts), min_len, penalty, block
+    return CareerSequence(impacts), min_len, penalty
 
 
 def oracle_detect(impacts, min_len=3, penalty_per_param=None):
@@ -302,20 +298,17 @@ class TestDetectHotStreak:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(careers_of_every_kind())
     def test_matches_the_scalar_scan_as_a_whole_fit(self, case):
-        seq, min_len, penalty, block = case
-        with mock.patch.object(careers, "_SCAN_BLOCK", block):
-            fit = detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty)
+        seq, min_len, penalty = case
+        fit = detect_hot_streak(seq, min_len=min_len, penalty_per_param=penalty)
         assert same_fit(fit, scalar_detect(seq, min_len=min_len, penalty_per_param=penalty))
 
     @pytest.mark.parametrize("penalty,expected", [(-1e300, (0, 2)), (1e300, None)])
-    @pytest.mark.parametrize("block", [1, 5, 41, careers._SCAN_BLOCK])
-    def test_all_scores_tie_first_interval_wins(self, block, penalty, expected):
+    def test_all_scores_tie_first_interval_wins(self, penalty, expected):
         # under a huge penalty every score rounds to the same value, across
-        # blocks too, so the scan's first interval (0, 2) wins with its own
+        # lengths too, so the scan's first interval (0, 2) wins with its own
         # levels: accepted under -1e300, rejected under 1e300
         seq = CareerSequence(plateau(n=40, start=0, end=9))
-        with mock.patch.object(careers, "_SCAN_BLOCK", block):
-            fit = detect_hot_streak(seq, penalty_per_param=penalty)
+        fit = detect_hot_streak(seq, penalty_per_param=penalty)
         assert same_fit(fit, scalar_detect(seq, penalty_per_param=penalty))
         assert fit.interval == expected
 
@@ -323,15 +316,14 @@ class TestDetectHotStreak:
         # a noiseless plateau fits exactly: its RSS and its twins' are at or
         # below the floor, and the first in scan order is reported
         seq = CareerSequence(plateau(n=12, start=0, end=5))
-        for block in (1, 3, careers._SCAN_BLOCK):
-            with mock.patch.object(careers, "_SCAN_BLOCK", block):
-                fit = detect_hot_streak(seq, min_len=2)
-            assert same_fit(fit, scalar_detect(seq, min_len=2))
-            assert fit.interval == (0, 5)
+        fit = detect_hot_streak(seq, min_len=2)
+        assert same_fit(fit, scalar_detect(seq, min_len=2))
+        assert fit.interval == (0, 5)
 
     def test_memory_is_bounded_by_one_block(self):
         # 5000 works are 12.5 million intervals: 100 MB for one float array
-        # over all of them, 128 KiB over one block (the scan holds about 12)
+        # over all of them. The scan holds about a dozen arrays over the
+        # starts of one length, at most 40 KiB each
         seq, _ = generate_career(5000, 5.0, 8.0, (200, 400), 0.3, seed=5)
         tracemalloc.start()
         try:
@@ -376,6 +368,9 @@ class TestDetectHotStreak:
         ((1.0, 10.0, 10.0, 10.0, 10.0), 4, (1, 4)),
         ((10.0, 10.0, 10.0, 10.0, 1.0), 4, (0, 3)),
         ((10.0, 1.0, 1.0, 1.0, 1.0), 4, None),
+        # a hot run of exactly min_len at the end: its low twin is skipped
+        (plateau(start=27, end=29), 3, (27, 29)),
+        ((1.0, 1.0, 1.0, 10.0, 10.0), 2, (3, 4)),
     ])
     def test_boundary_streaks_match_the_scalar_scan(self, impacts, min_len, expected):
         seq = CareerSequence(impacts)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frugaleval import _pairs, ecology
+from frugaleval import ecology
 from frugaleval.ecology import (
     Environment,
     LinearRegressionStrategy,
@@ -456,8 +456,8 @@ class TestPairBlocks:
     @pytest.mark.parametrize("size", [1, 7, 13, 2**16])
     @pytest.mark.parametrize("n", [2, 3, 10, 41])
     def test_blocks_walk_the_pairs_in_triu_order(self, monkeypatch, n, size):
-        monkeypatch.setattr(_pairs, "PAIR_BLOCK", size)
-        blocks = list(_pairs.pair_blocks(n))
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", size)
+        blocks = list(ecology.pair_blocks(n))
         assert all(0 < len(i) == len(j) <= size for i, j in blocks)
         i, j = np.triu_indices(n, k=1)
         assert np.array_equal(np.concatenate([i for i, _ in blocks]), i)
@@ -475,9 +475,9 @@ class TestPairBlocks:
                           LinearRegressionStrategy()]
             return without_wall_time(run_benchmark(env, strategies, SplitConfig(0.5, 3, 9)).results)
 
-        monkeypatch.setattr(_pairs, "PAIR_BLOCK", 10**9)
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 10**9)
         one_block = results()
-        monkeypatch.setattr(_pairs, "PAIR_BLOCK", 7)
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 7)
         assert results() == one_block
 
     @pytest.mark.parametrize("env_name", ENVIRONMENTS)
@@ -487,9 +487,9 @@ class TestPairBlocks:
         def validities():
             return validity_order(env), [cue_validity(env, name) for name in env.cue_names]
 
-        monkeypatch.setattr(_pairs, "PAIR_BLOCK", 10**9)
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 10**9)
         one_block = validities()
-        monkeypatch.setattr(_pairs, "PAIR_BLOCK", 7)
+        monkeypatch.setattr(ecology, "PAIR_BLOCK", 7)
         assert validities() == one_block
 
     def test_minimalist_stream_is_pinned_across_default_blocks(self):

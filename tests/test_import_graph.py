@@ -116,13 +116,13 @@ def test_only_the_deferred_loader_imports_numpy():
     loads_numpy = {name for name, source in sources.items() if numpy_imports(source)}
     while grown := {name for name, imports in eager.items() if imports & loads_numpy} - loads_numpy:
         loads_numpy |= grown
-    assert loads_numpy == {"_pairs", "careers", "ecology"}
+    assert loads_numpy == {"careers", "ecology"}
 
 
 def test_only_the_array_layers_take_numpy():
-    # heuristics is the scalar reference layer; its array forms live in ecology,
-    # and the pair walker that ecology and careers share lives in _pairs. Of the
-    # commands, only bench and career import these; the others never load numpy.
+    # heuristics is the scalar reference layer; its array forms live in ecology.
+    # Of the commands, only bench and career import the array layers; the
+    # others never load numpy.
     found = {path.stem for path in PACKAGE.glob("*.py")
              if numpy_imports(path.read_text(encoding="utf-8"))}
-    assert found == {"_pairs", "careers", "ecology"}
+    assert found == {"careers", "ecology"}

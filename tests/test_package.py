@@ -60,7 +60,7 @@ def test_the_package_loads_a_module_when_a_name_from_it_is_first_read(tmp_path):
             "print(frugaleval.CueOrder.__module__, loaded())\n")
     proc = run_python(["-c", code], tmp_path, text=True)
     assert proc.returncode == 0, proc.stderr
-    careers = ["frugaleval", "frugaleval._pairs", "frugaleval._records", "frugaleval.careers"]
+    careers = ["frugaleval", "frugaleval._records", "frugaleval.careers"]
     heuristics = sorted([*careers, "frugaleval.heuristics", "frugaleval.indicators"])
     assert proc.stdout.splitlines() == [
         "['frugaleval'] []",

@@ -30,7 +30,7 @@ def numpy_modules(imported):
 
 
 # the modules that import numpy; a command loads numpy exactly when it runs one
-ARRAY_MODULES = {"_pairs", "careers", "ecology"}
+ARRAY_MODULES = {"careers", "ecology"}
 # the modes that run none, read from MODES
 NUMPY_FREE = sorted(name for name, mode in MODES.items() if not mode.loads & ARRAY_MODULES)
 
