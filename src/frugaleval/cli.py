@@ -469,24 +469,39 @@ def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
             temp.unlink(missing_ok=True)
 
 
+def _typed(value: object) -> str:
+    """A config value as it is typed: a list comma-joined, anything else by str."""
+    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+
+
 def _echo(value: object) -> str:
-    """A config value as the table report's config line shows it: a list
-    comma-joined, as it is typed, and anything else by str; quoted as
-    shlex.quote quotes it, so that shlex.split gives the line's pairs back."""
+    """A config value as the table report's config line shows it: as typed,
+    quoted as shlex.quote quotes it, so that shlex.split gives the line's
+    pairs back."""
     import shlex  # a table report's, not start-up's
 
-    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
-    return shlex.quote(text)
+    return shlex.quote(_typed(value))
+
+
+def _out_paths(out: str, fmt: str) -> tuple[Path, Path]:
+    """The report's path and its companion's; Is a directory when OUT names
+    one: it ends in a separator, "." or "..", or a directory is there."""
+    path = Path(out)
+    if os.path.basename(out) in ("", ".", "..") or path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
+    return path, path.with_name(path.name + (".txt" if fmt == "machine" else ".json"))
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
     # in declaration order, so that a check names flags as --help lists them
     params = {k: v for k, v in vars(args).items() if k not in _META_KEYS}
-    out = companion_path = None
-    if args.out:
-        out = Path(args.out)
-        companion_path = out.with_name(out.name + (".txt" if args.format == "machine" else ".json"))
+    for key, value in params.items():
+        # the config line is one line, and a config file one pair a line
+        if value is not None and any(c in _typed(value) for c in "\n\r"):
+            raise ValueError(f"--{key.replace('_', '-')} {_typed(value)!r} holds a line break, "
+                             f"which the report's config line cannot echo")
+    out, companion_path = _out_paths(args.out, args.format) if args.out else (None, None)
     _check_writes(args, companion_path)
     # A command builds tens of thousands of long-lived, GC-tracked objects
     # (one Publication per screen row) and makes no reference cycles per
@@ -687,7 +702,9 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
 
         raise ValueError(f"{path}: {undecodable_byte(path)}") from None
     flags, first_line = [], {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text has made every line end "\n"; splitlines would also split a
+    # quoted value at a form feed or another of the breaks it knows
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,10 @@ from .heuristics import (  # noqa: F401
     tallying_choose,
     weighted_linear_choose,
 )
-from .indicators import CandidateProfile
+
+if TYPE_CHECKING:
+    # Environment.profiles imports it itself, so that bench loads no indicators
+    from .indicators import CandidateProfile
 
 # A strategy's decide(block) decides every pair (block.i[k], block.j[k]) of a
 # PairBlock at once, exactly as the scalar functions in heuristics would,
@@ -119,6 +122,8 @@ class Environment:
 
     def profiles(self) -> list[CandidateProfile]:
         """View each object as a candidate whose indicators are its cues."""
+        from .indicators import CandidateProfile
+
         return [CandidateProfile(pid, indicators=dict(zip(self.cue_names, cues)))
                 for pid, cues in zip(self.ids, self.cue_matrix.tolist())]
 

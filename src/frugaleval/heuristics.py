@@ -19,10 +19,13 @@ from __future__ import annotations
 import enum
 import math
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._records import _checked_make
-from .indicators import CandidateProfile, top_quota
+
+if TYPE_CHECKING:
+    # one_cue_select imports top_quota itself, so that bench loads no indicators
+    from .indicators import CandidateProfile
 
 
 class Decision(enum.Enum):
@@ -218,6 +221,8 @@ def one_cue_select(
     indistinguishable from a selected one is never dropped). Ties in the
     returned ranking are ordered by candidate id.
     """
+    from .indicators import top_quota
+
     if not profiles:
         raise ValueError("at least one profile is required")
     if not 0.0 < quota <= 1.0:

@@ -94,10 +94,11 @@ GENERATE = {"length": "30", "baseline_mean": "5", "multiplier": "10", "streak_le
             "noise_sigma": "0.1", "seed": "4", "min_streak_len": "2", "penalty_per_param": "1.5"}
 
 # Screen and choose load no ecology or careers; career no ecology or
-# heuristics, and indicators only with tables; bench --gen no tables or
-# careers; workload only the records' shared _make from _records.
+# heuristics; bench --gen no tables, indicators or careers. indicators loads
+# only with tables, whose readers build its records; workload loads only the
+# records' shared _make from _records.
 SCORING = {"_records", "indicators", "heuristics", "tables"}
-BENCH = {"_records", "indicators", "heuristics", "ecology"}
+BENCH = {"_records", "heuristics", "ecology"}
 CAREER = {"_records", "careers"}
 
 # Every input mode of the command line, one entry a variant; together each
@@ -119,7 +120,8 @@ MODES = {
         {"gen": "binary", "weights": "c1=4", "n_objects": "30",
          **{k: v for k, v in SPLIT.items() if k not in RULE}, "strategies": "tallying,linear"},
         BENCH),
-    "bench --environment": Mode({"environment": "environment.csv", **SPLIT}, BENCH | {"tables"}),
+    "bench --environment": Mode({"environment": "environment.csv", **SPLIT},
+                                 BENCH | {"indicators", "tables"}),
     "career": Mode(GENERATE, CAREER),
     "career --save-career": Mode({**GENERATE, "save_career": "saved.csv"},
                                  CAREER | {"indicators", "tables"}),

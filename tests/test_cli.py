@@ -868,6 +868,37 @@ class TestReportPlumbing:
         assert captured.err == "error: [Errno 21] Is a directory: 'r'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
+    # a name that ends in a separator names a directory, whether or not one is there
+    @pytest.mark.parametrize("out", ["new/", "folder", "folder/", ".", "..", "/"])
+    def test_out_naming_a_directory_fails_before_the_command_runs(self, out, tmp_path,
+                                                                  monkeypatch, capsys):
+        (tmp_path / "run" / "folder").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "run")
+        monkeypatch.setitem(cli._HANDLERS, "workload", lambda p: pytest.fail("the command ran"))
+        err = error_of(capsys, ["workload", *WORKLOAD_FLAGS, "--out", out])
+        assert err == f"error: [Errno 21] Is a directory: {out!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["folder"]
+        assert list((tmp_path / "run" / "folder").iterdir()) == []
+
+    # the config line would end inside the value, so the report could not replay
+    @pytest.mark.parametrize("flag, value, typed", [
+        ("--profiles", "my\nprof.csv", "my\nprof.csv"),
+        ("--profiles", "my\rprof.csv", "my\rprof.csv"),
+        ("--cue-order", "hcp, h\ncp", "hcp,h\ncp"),
+    ])
+    def test_a_value_with_a_line_break_fails_before_the_command_runs(self, flag, value, typed,
+                                                                     tmp_path, monkeypatch,
+                                                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        flags = {"--profiles": "p.csv", "--cue-order": "hcp,collab", flag: value}
+        write(tmp_path / flags["--profiles"], "id,hcp,collab\nA,1,2\nB,1,3\n")
+        monkeypatch.setitem(cli._HANDLERS, "choose", lambda p: pytest.fail("the command ran"))
+        err = error_of(capsys, ["choose", *itertools.chain(*flags.items()), "--out", "report.txt"])
+        assert err == (f"error: {flag} {typed!r} holds a line break, "
+                       f"which the report's config line cannot echo\n")
+        assert [p.name for p in tmp_path.iterdir()] == [flags["--profiles"]]
+
     @pytest.mark.parametrize("flag, argv", [
         ("corpus", ["screen", "--corpus", "corpus.csv", "--candidates", "candidates.csv",
                         "--quota", "0.5"]),

@@ -28,6 +28,7 @@ def plateau_csv(n=30, start=10, end=19, low=1.0, high=10.0):
 INPUTS = {
     "profiles.csv": "id,hcp,collab,grants\nA,3,2,1.5\nB,3,5,1.2\nC,1,9,4\n",
     "my profiles.csv": "id,h cp,collab\nA,1,2\nB,1,3\n",
+    "my\x0cprof.csv": "id,hcp,collab\nA,1,2\nB,1,3\n",
     # criterion ties and cue values within 1.5 of each other
     "tied.csv": "id,criterion,a,b,c\n" + "".join(
         f"o{k},{k % 4},{k % 3},{(k * 7) % 5 - 1.25},{k % 2}\n" for k in range(16)),
@@ -142,18 +143,23 @@ def test_report_digests(run, inputs):
     assert digests == REPORT_SHA256[run]
 
 
-# values that hold a space: a profiles path and a cue name
-SPACED_RUN = ["choose", "--profiles", "my profiles.csv", "--cue-order", "h cp,collab"]
+# runs whose values must be quoted: a profiles path and a cue name that hold
+# a space, and a profiles path that holds a form feed, at which
+# str.splitlines would split the config line
+QUOTED_RUNS = {
+    "choose-spaced": ["choose", "--profiles", "my profiles.csv", "--cue-order", "h cp,collab"],
+    "choose-form-feed": ["choose", "--profiles", "my\x0cprof.csv", "--cue-order", "hcp,collab"],
+}
 
 
-@pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
+@pytest.mark.parametrize("run", [*sorted(RUNS), *QUOTED_RUNS])
 def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsys):
     # the line splits back into its key=value pairs, quoted as a shell reads them
     monkeypatch.chdir(inputs)
-    argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
+    argv = {**RUNS, **QUOTED_RUNS}[run]
     assert cli.main([*argv, "--out", "report.txt"]) == 0
     capsys.readouterr()
-    [line] = [line for line in (inputs / "report.txt").read_text().splitlines()
+    [line] = [line for line in (inputs / "report.txt").read_text().split("\n")
               if line.startswith("# config: ")]
     pairs = dict(pair.partition("=")[::2] for pair in shlex.split(line.removeprefix("# config: ")))
     config = json.loads((inputs / "report.txt.json").read_text())["config"]
@@ -161,6 +167,8 @@ def test_config_line_splits_into_the_config_keys(run, inputs, monkeypatch, capsy
     if run == "choose-spaced":
         assert pairs["profiles"] == "my profiles.csv"
         assert pairs["cue_order"] == "h cp,collab"
+    if run == "choose-form-feed":
+        assert pairs["profiles"] == "my\x0cprof.csv"
 
 
 def replay(command, pairs):
@@ -168,13 +176,13 @@ def replay(command, pairs):
     return [command, *(f"--{key.replace('_', '-')}={value}" for key, value in pairs)]
 
 
-@pytest.mark.parametrize("run", [*sorted(RUNS), "choose-spaced"])
+@pytest.mark.parametrize("run", [*sorted(RUNS), *QUOTED_RUNS])
 def test_a_report_replays_its_run(run, inputs, tmp_path_factory, monkeypatch, capsys):
     # the seed and config a report records, read from either format, are a
     # command line that writes the same reports and files again; so is a
     # --config file that holds the table's config line, one pair a line
     monkeypatch.chdir(inputs)
-    argv = SPACED_RUN if run == "choose-spaced" else RUNS[run]
+    argv = {**RUNS, **QUOTED_RUNS}[run]
     assert cli.main([*argv, "--out", "report.txt"]) == 0
     written = {path.name: path.read_bytes() for path in inputs.iterdir()}
     payload = json.loads(written["report.txt.json"])
@@ -182,7 +190,7 @@ def test_a_report_replays_its_run(run, inputs, tmp_path_factory, monkeypatch, ca
         (key, ",".join(value) if isinstance(value, list) else value)
         for key, value in {**payload["config"], "seed": payload["seed"]}.items()
         if value is not None])
-    _, _, seed, config = written["report.txt"].decode().splitlines()[:4]
+    _, _, seed, config = written["report.txt"].decode().split("\n")[:4]
     seed = seed.removeprefix("# seed: ")
     pairs = [pair.partition("=")[::2] for pair in shlex.split(config.removeprefix("# config: "))]
     from_table = replay(payload["command"], [*pairs, *([] if seed == "None" else [("seed", seed)])])
@@ -341,3 +349,11 @@ def test_console_script_is_the_module_entry_point():
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     assert [ast.unparse(node) for node in guard.body] == [f"{name}()"]
     assert callable(getattr(cli, name)) and name != "main"
+
+
+def test_the_version_is_written_once():
+    # pyproject.toml reads it from the package, which --version and every report print
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "frugaleval.__version__"}

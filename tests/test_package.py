@@ -57,15 +57,19 @@ def test_the_package_loads_a_module_when_a_name_from_it_is_first_read(tmp_path):
             "    return sorted(m for m in sys.modules if m.startswith('frugaleval'))\n"
             "print(loaded(), sorted(set(frugaleval.__all__) - set(dir(frugaleval))))\n"
             "print(frugaleval.careers.__name__, loaded())\n"
-            "print(frugaleval.CueOrder.__module__, loaded())\n")
+            "print(frugaleval.CueOrder.__module__, loaded())\n"
+            "print(frugaleval.Environment.__module__, loaded())\n")
     proc = run_python(["-c", code], tmp_path, text=True)
     assert proc.returncode == 0, proc.stderr
+    # each read adds only its own module: heuristics and ecology load no indicators
     careers = ["frugaleval", "frugaleval._records", "frugaleval.careers"]
-    heuristics = sorted([*careers, "frugaleval.heuristics", "frugaleval.indicators"])
+    heuristics = sorted([*careers, "frugaleval.heuristics"])
+    ecology = sorted([*heuristics, "frugaleval.ecology"])
     assert proc.stdout.splitlines() == [
         "['frugaleval'] []",
         f"frugaleval.careers {careers}",
         f"frugaleval.heuristics {heuristics}",
+        f"frugaleval.ecology {ecology}",
     ]
 
 
