@@ -71,9 +71,11 @@ class Publication(_PublicationFields):
     the same fields in the same order.
 
     citations >= 0 holds however a Publication is built: __new__ checks it,
-    and _make and _replace go through __new__. The table readers
-    build rows with tuple.__new__ and check the sign themselves first
-    (see frugaleval.tables).
+    and _make and _replace go through __new__. The corpus and candidates
+    readers' loop for a well-formed file builds rows with tuple.__new__
+    and checks the sign itself first; their checked path, which reads a
+    file with a bad row, builds through Publication(...), so __new__
+    checks it there (see frugaleval.tables).
     """
 
     __slots__ = ()

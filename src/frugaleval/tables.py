@@ -13,19 +13,28 @@ a byte that is not UTF-8 is reported with its line.
   environment: id, criterion, <one column per cue>
   career:      position, impact
 
-Every Publication a reader loads has citations >= 0, as does one built any
-other way. A corpus or candidates row converts in one call: its fast path
-checks the sign itself before it builds the tuple, and any row that fails
-there is built again through Publication(...), whose __new__ checks it.
+A reader that reads its file a second time, to name the lines of its
+problems, sees the first read's bytes: a pipe, which cannot seek back, is
+held in memory (_opened).
+
+A corpus or candidates file is read first by one tight loop,
+_publications, which accepts what the checked conversions accept but keeps
+no line numbers. At its first bad row the file is read again through the
+checked conversions, which name every bad line. Every Publication a reader
+loads has citations >= 0, as does one built any other way: the loop checks
+the sign before it builds the tuple with tuple.__new__, and the checked
+path builds through Publication(...), whose __new__ checks it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import io
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
 
 from .indicators import (
     CandidateProfile,
@@ -51,10 +60,57 @@ class TableError(ValueError):
     """A tabular input violated the file contract."""
 
 
-def _read_rows(path: str | Path, required: tuple[str, ...],
+@contextlib.contextmanager
+def _opened(path: Path) -> Iterator[BinaryIO]:
+    """The file's bytes, for every look a reader takes at them: a pipe,
+    which cannot seek back, is read into memory once."""
+    with path.open("rb") as raw:
+        yield raw if raw.seekable() else io.BytesIO(raw.read())
+
+
+@contextlib.contextmanager
+def _csv_rows(source: BinaryIO) -> Iterator:
+    """A csv.reader over the text of `source` from its first byte."""
+    source.seek(0)
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        yield csv.reader(text)
+    finally:
+        text.detach()  # leave the source open for the next look
+
+
+def _header(path: Path, reader: Iterator[list[str]], required: tuple[str, ...]) -> list[str]:
+    """The first row that is not blank, once every required column is in it,
+    no column is nameless and no name repeats."""
+    header = next((row for row in reader if row), None)
+    if header is None:
+        raise TableError(f"{path}: file is empty (expected a header row)")
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
+    nameless = next((i for i, col in enumerate(header) if not col.strip()), None)
+    if nameless is not None:
+        raise TableError(f"{path}: header column {nameless + 1} has no name")
+    repeated = sorted({col for col in header if header.count(col) > 1})
+    if repeated:
+        raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
+    return header
+
+
+def _read_table(path: str | Path, required: tuple[str, ...],
+                converter: Callable[[list[str]], Callable[[list[str]], object]],
+                unique: str) -> list:
+    """Every row of a file that only the checked conversions read, as _read_rows converts it."""
+    path = Path(path)
+    with _opened(path) as source:
+        return list(_read_rows(path, source, required, converter, unique))
+
+
+def _read_rows(path: Path, source: BinaryIO, required: tuple[str, ...],
                converter: Callable[[list[str]], Callable[[list[str]], object]],
                unique: str | None = None) -> Iterator:
-    """Yield convert(fields) for every data row of a CSV file.
+    """Yield convert(fields) for every data row of the CSV file at `path`,
+    whose bytes `source` holds as _opened gives them.
 
     convert is made once, by converter(header), and takes a row's fields in
     header order. A ValueError from converter(header) is the header's
@@ -64,25 +120,12 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
     collected, and after the last row they are raised together as one
     TableError.
     """
-    path = Path(path)
     problems: list[str] = []
     first_line: dict = {}
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        end = 0
-        try:
-            header = next((row for row in reader if row), None)
-            if header is None:
-                raise TableError(f"{path}: file is empty (expected a header row)")
-            missing = [col for col in required if col not in header]
-            if missing:
-                raise TableError(f"{path}: missing required columns: {', '.join(missing)}")
-            nameless = next((i for i, col in enumerate(header) if not col.strip()), None)
-            if nameless is not None:
-                raise TableError(f"{path}: header column {nameless + 1} has no name")
-            repeated = sorted({col for col in header if header.count(col) > 1})
-            if repeated:
-                raise TableError(f"{path}: repeated header columns: {', '.join(repeated)}")
+    end = 0
+    try:
+        with _csv_rows(source) as reader:
+            header = _header(path, reader, required)
             try:
                 convert = converter(header)
             except ValueError as exc:
@@ -108,10 +151,11 @@ def _read_rows(path: str | Path, required: tuple[str, ...],
                         problems.append(f"line {line}: {unique} {value[0]!r} repeats line {first}")
                         continue
                 yield value
-        except csv.Error as exc:
-            problems.append(f"line {end + 1}: {exc}")
-        except UnicodeDecodeError:
-            problems.append(undecodable_byte(path))
+    except csv.Error as exc:
+        problems.append(f"line {end + 1}: {exc}")
+    except UnicodeDecodeError:
+        source.seek(0)
+        problems.append(_undecodable(source.read()))
     if problems:
         raise TableError(f"{path}: " + "; ".join(problems))
 
@@ -120,7 +164,10 @@ def undecodable_byte(path: str | Path) -> str:
     """Where the file's first byte that is not UTF-8 sits, as `line N: byte
     0x.. is not valid UTF-8`. The decoder's error gives a position within
     its chunk, so the file is read again."""
-    data = Path(path).read_bytes()
+    return _undecodable(Path(path).read_bytes())
+
+
+def _undecodable(data: bytes) -> str:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -156,6 +203,46 @@ def _member(text: str, column: str, members: dict[str, enum.Enum]):
         raise ValueError(f"{column} {text!r} is not one of {', '.join(members)}") from None
 
 
+def _publications(path: Path, source: BinaryIO,
+                  required: tuple[str, ...]) -> list[Publication] | dict | None:
+    """A well-formed corpus or candidates file, read in one loop: for
+    CORPUS_COLUMNS its Publications, for CANDIDATE_COLUMNS a dict from
+    candidate_id to that candidate's Publications, each in file order.
+
+    It accepts what the checked path accepts: a blank row, or one as wide as
+    the header with int year and citations, citations >= 0 and a known
+    doc_type and validated. At the first header, row, csv.Error or byte it
+    cannot accept it returns None, for the checked path to name every bad line.
+    """
+    with _csv_rows(source) as reader:
+        try:
+            header = _header(path, reader, required)
+            i_id, i_year, i_category, i_citations, i_doc_type = map(header.index, CORPUS_COLUMNS)
+            grouped = required == CANDIDATE_COLUMNS
+            if grouped:
+                i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
+            width, new, doc_types, validations = len(header), tuple.__new__, _DOC_TYPES, _VALIDATIONS
+            found, included = {} if grouped else [], Validation.INCLUDED
+            for fields in reader:
+                if len(fields) != width:
+                    if fields:
+                        return None
+                    continue
+                citations = int(fields[i_citations])
+                if citations < 0:
+                    return None
+                pub = new(Publication, (fields[i_id], int(fields[i_year]), fields[i_category],
+                                        citations, doc_types[fields[i_doc_type]],
+                                        validations[fields[i_validated]] if grouped else included))
+                if grouped:
+                    found.setdefault(fields[i_candidate], []).append(pub)
+                else:
+                    found.append(pub)
+        except (ValueError, KeyError, csv.Error):  # TableError, UnicodeDecodeError are ValueErrors
+            return None
+    return found
+
+
 def _checked_publication(fields: list[str], columns: tuple[int, ...],
                          validated: Validation) -> Publication:
     """The row's Publication, with `columns` the positions of CORPUS_COLUMNS,
@@ -168,56 +255,28 @@ def _checked_publication(fields: list[str], columns: tuple[int, ...],
                        _member(doc_type, "doc_type", _DOC_TYPES), validated)
 
 
-# A publication row converts in one call. The fast path parses inline and
-# builds the tuple with tuple.__new__, skipping Publication.__new__, so it
-# checks citations >= 0 itself first. A row that fails any step is built
-# again by _checked_publication, through Publication(...), which checks the
-# sign there. So citations >= 0 holds on both paths, and every message and
-# its precedence are the checked path's.
-_new = tuple.__new__
-_INCLUDED = Validation.INCLUDED
-
-
 def _publication_converter(header: list[str]) -> Callable[[list[str]], Publication]:
     columns = tuple(map(header.index, CORPUS_COLUMNS))
-    i_id, i_year, i_category, i_citations, i_doc_type = columns
-
-    def publication(fields: list[str]) -> Publication:
-        try:
-            citations = int(fields[i_citations])
-            row = (fields[i_id], int(fields[i_year]), fields[i_category], citations,
-                   _DOC_TYPES[fields[i_doc_type]], _INCLUDED)
-        except (ValueError, KeyError):
-            pass
-        else:
-            if citations >= 0:
-                return _new(Publication, row)
-        return _checked_publication(fields, columns, _INCLUDED)
-
-    return publication
+    return lambda fields: _checked_publication(fields, columns, Validation.INCLUDED)
 
 
 def read_corpus(path: str | Path) -> ReferenceCorpus:
-    # a list, not the row generator: ReferenceCorpus then only builds, so
+    path = Path(path)
+    with _opened(path) as source:
+        publications = _publications(path, source, CORPUS_COLUMNS)
+        if publications is None:
+            publications = list(_read_rows(path, source, CORPUS_COLUMNS,
+                                           _publication_converter))
+    # a list, not a row generator: ReferenceCorpus then only builds, so
     # reading and building can be timed apart
-    return ReferenceCorpus(list(_read_rows(path, CORPUS_COLUMNS, _publication_converter)))
+    return ReferenceCorpus(publications)
 
 
 def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple[str, Publication]]:
     columns = tuple(map(header.index, CORPUS_COLUMNS))
-    i_id, i_year, i_category, i_citations, i_doc_type = columns
     i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
 
     def candidate_row(fields: list[str]) -> tuple[str, Publication]:
-        try:
-            citations = int(fields[i_citations])
-            row = (fields[i_id], int(fields[i_year]), fields[i_category], citations,
-                   _DOC_TYPES[fields[i_doc_type]], _VALIDATIONS[fields[i_validated]])
-        except (ValueError, KeyError):
-            pass
-        else:
-            if citations >= 0:
-                return fields[i_candidate], _new(Publication, row)
         # validated is checked first, so a bad one is named before any other field
         validated = _member(fields[i_validated], "validated", _VALIDATIONS)
         return fields[i_candidate], _checked_publication(fields, columns, validated)
@@ -232,20 +291,25 @@ def _candidate_key_converter(header: list[str]) -> Callable[[list[str]], tuple]:
 
 def read_candidates(path: str | Path) -> list[CandidateProfile]:
     """Candidate publication rows grouped into profiles by candidate_id."""
-    grouped: dict[str, list[Publication]] = {}
-    for candidate_id, pub in _read_rows(path, CANDIDATE_COLUMNS, _candidate_converter):
-        grouped.setdefault(candidate_id, []).append(pub)
-    try:
-        return [
-            CandidateProfile(id=candidate_id, publications=tuple(pubs))
-            for candidate_id, pubs in sorted(grouped.items())
-        ]
-    except ValueError:
-        # a publication id repeats within a candidate: only now key the rows,
-        # in a second read, to name the lines
-        list(_read_rows(path, CANDIDATE_COLUMNS, _candidate_key_converter,
-                        unique="(candidate_id, id)"))
-        raise
+    path = Path(path)
+    with _opened(path) as source:
+        grouped = _publications(path, source, CANDIDATE_COLUMNS)
+        if grouped is None:
+            grouped = {}
+            for candidate_id, pub in _read_rows(path, source, CANDIDATE_COLUMNS,
+                                                _candidate_converter):
+                grouped.setdefault(candidate_id, []).append(pub)
+        try:
+            return [
+                CandidateProfile(id=candidate_id, publications=tuple(pubs))
+                for candidate_id, pubs in sorted(grouped.items())
+            ]
+        except ValueError:
+            # a publication id repeats within a candidate: only now key the
+            # rows, in a second read, to name the lines
+            list(_read_rows(path, source, CANDIDATE_COLUMNS, _candidate_key_converter,
+                            unique="(candidate_id, id)"))
+            raise
 
 
 def _value_columns(header: list[str], what: str) -> list[tuple[int, str]]:
@@ -276,7 +340,7 @@ def read_profiles_table(path: str | Path) -> list[CandidateProfile]:
     indicator. A criterion column, if present, is ground truth rather than
     a cue and is not loaded as an indicator.
     """
-    rows = _read_rows(path, ("id",), _profile_converter, unique="id")
+    rows = _read_table(path, ("id",), _profile_converter, unique="id")
     return [CandidateProfile(id=pid, indicators=indicators) for pid, indicators in rows]
 
 
@@ -284,7 +348,7 @@ def read_environment(path: str | Path) -> Environment:
     """id, criterion, plus one column per cue; every extra column is a cue."""
     from .ecology import Environment
 
-    rows = list(_read_rows(path, KEY_COLUMNS, _environment_converter, unique="id"))
+    rows = _read_table(path, KEY_COLUMNS, _environment_converter, unique="id")
     if len(rows) < 2:
         raise TableError(f"{path}: environment needs at least 2 objects, got {len(rows)}")
     ids, criterion, cues = zip(*rows)
@@ -307,7 +371,7 @@ def _career_converter(header: list[str]) -> Callable[[list[str]], tuple[int, flo
 def read_career(path: str | Path) -> CareerSequence:
     from .careers import CareerSequence
 
-    rows = sorted(_read_rows(path, CAREER_COLUMNS, _career_converter, unique="position"))
+    rows = sorted(_read_table(path, CAREER_COLUMNS, _career_converter, unique="position"))
     if not rows:
         raise TableError(f"{path}: career file contains no works")
     return CareerSequence(tuple(impact for _, impact in rows))

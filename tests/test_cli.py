@@ -170,6 +170,22 @@ class TestScreenCommand:
             f"error: {cands}: profile 'cand01', publication 'p1': reference "
             "corpus has no group for category='chem', year=2019\n")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_candidates_name_a_repeated_publication(self, tmp_path, capsys):
+        # the repeat is named in a second read, which sees the pipe's bytes again
+        read_end, write_end = os.pipe()
+        os.write(write_end, (CANDIDATE_HEADER + "c1,2020,phys,9,article,A,included\n"
+                             + "c1,2020,phys,1,article,A,included\n").encode())
+        os.close(write_end)
+        try:
+            argv = ["screen", "--corpus", corpus_file(tmp_path),
+                    "--candidates", f"/dev/fd/{read_end}", "--quota", "0.5"]
+            assert error_of(capsys, argv) == (
+                f"error: /dev/fd/{read_end}: line 3: (candidate_id, id) ('A', 'c1') "
+                "repeats line 2\n")
+        finally:
+            os.close(read_end)
+
 
     def test_header_only_candidates_has_nothing_to_screen(self, tmp_path, capsys):
         cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER)

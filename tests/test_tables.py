@@ -4,20 +4,29 @@ field count, finite numbers, unique keys, and write/read round trips."""
 import csv
 import io
 import math
+import os
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frugaleval import tables
 from frugaleval.careers import CareerSequence
 from frugaleval.ecology import Environment
 from frugaleval.indicators import Publication, Validation
 from frugaleval.tables import (
     _DOC_TYPES,
     _VALIDATIONS,
+    CANDIDATE_COLUMNS,
+    CORPUS_COLUMNS,
     TableError,
+    _candidate_converter,
     _member,
     _number,
+    _opened,
+    _publication_converter,
+    _read_rows,
     read_candidates,
     read_career,
     read_corpus,
@@ -529,3 +538,173 @@ def test_publication_row_matches_the_checked_conversions(tmp_path_factory, name,
     for pub in loaded:
         with pytest.raises(ValueError, match="citations must be >= 0, got -1"):
             pub._replace(citations=-1)
+
+
+# what each publication reader is checked against: the checked path alone
+CHECKED = {
+    "corpus": (CORPUS_COLUMNS, _publication_converter),
+    "candidates": (CANDIDATE_COLUMNS, _candidate_converter),
+}
+
+
+def outcome(read):
+    """What read() gives, or the text of the TableError it raises."""
+    try:
+        return read()
+    except TableError as exc:
+        return f"TableError: {exc}"
+
+
+def read_as_loaded(name, path):
+    """The reader's result as plain values: a corpus's Publications in file
+    order, or (candidate_id, publications) per candidate in candidate_id order."""
+    loaded = READERS[name][0](path)
+    if name == "corpus":
+        return list(loaded.publications)
+    return [(profile.id, profile.publications) for profile in loaded]
+
+
+def read_checked(name, path):
+    """The same values from _read_rows with the checked converter."""
+    path = Path(path)
+    with _opened(path) as source:
+        rows = list(_read_rows(path, source, *CHECKED[name]))
+    if name == "corpus":
+        return rows
+    grouped = {}
+    for candidate_id, pub in rows:
+        grouped.setdefault(candidate_id, []).append(pub)
+    return [(candidate_id, tuple(pubs)) for candidate_id, pubs in sorted(grouped.items())]
+
+
+# the texts a spoilt field takes: not the column's type, or out of its range
+SPOILT_TEXTS = {
+    "year": ["20x0", "1.5", "", "1e3", "nan"],
+    "citations": ["-5", "-1", "3.5", "", "x", "1e3"],
+    "doc_type": ["poster", "Article", "", " article"],
+    "validated": ["maybe", "INCLUDED", "", "included "],
+}
+
+
+@st.composite
+def publication_file(draw, name):
+    """The bytes of a corpus or candidates file: valid rows among blank lines,
+    spoilt fields, negative citations, texts int() reads, short and long rows,
+    quoted commas and line breaks, a byte-order mark and bytes that are not UTF-8."""
+    header = READERS[name][1]
+    lines = [record(header)]
+    for k in range(draw(st.integers(0, 6))):
+        row = {
+            # a prefix keeps ids unique, so that no candidate repeats one
+            "id": f"p{k}:" + draw(texts),
+            "year": str(draw(st.integers(1990, 2030))),
+            "category": draw(st.sampled_from(["phys", "a,b", "x\ny", 'q"uote', "\r"])),
+            "citations": str(draw(st.integers(0, 50))),
+            "doc_type": draw(st.sampled_from(sorted(ENUMS["doc_type"]))),
+            "candidate_id": draw(st.sampled_from(["alice", "bob", "c,1"])),
+            "validated": draw(st.sampled_from(sorted(ENUMS["validated"]))),
+        }
+        kind = draw(st.sampled_from(["valid", "valid", "blank", "short", "long", "spoilt",
+                                     "int text"]))
+        if kind == "spoilt":
+            column = draw(st.sampled_from([c for c in SPOILT_TEXTS if c in header]))
+            row[column] = draw(st.sampled_from(SPOILT_TEXTS[column]))
+        elif kind == "int text":
+            row[draw(st.sampled_from(["year", "citations"]))] = draw(st.sampled_from(INT_TEXTS))
+        fields = [row[column] for column in header]
+        if kind == "short":
+            fields = fields[:draw(st.integers(1, len(fields) - 1))]
+        elif kind == "long":
+            fields.append("extra")
+        lines.append(record(None if kind == "blank" else fields))
+    data = "".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x80"])) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("name", ["corpus", "candidates"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_publication_reader_matches_the_checked_path(tmp_path_factory, name, data):
+    path = tmp_path_factory.mktemp(name) / "table.csv"
+    path.write_bytes(data.draw(publication_file(name)))
+    loaded = outcome(lambda: read_as_loaded(name, path))
+    assert loaded == outcome(lambda: read_checked(name, path))
+    if not isinstance(loaded, str):
+        rows = loaded if name == "corpus" else [pub for _, pubs in loaded for pub in pubs]
+        assert all(type(pub) is Publication for pub in rows)
+
+
+class ChecksReached(Exception):
+    """Raised in place of a row's checked conversions."""
+
+
+@pytest.mark.parametrize("name", ["corpus", "candidates"])
+def test_only_a_file_with_a_bad_row_reaches_the_checked_conversions(tmp_path, monkeypatch,
+                                                                    name):
+    reader, header, good = READERS[name]
+
+    def checked_publication(*args):
+        raise ChecksReached
+
+    monkeypatch.setattr(tables, "_checked_publication", checked_publication)
+    path = table(tmp_path, header, [spread_over_lines(good(0)), None,
+                                    *(good(k) for k in range(1, 50))])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded, _ = LOADED[name]
+    assert len(loaded(reader(path))) == len(loaded(reader(marked))) == 50
+    with pytest.raises(ChecksReached):
+        reader(table(tmp_path, header, [good(0), good(1), bad(good(2))]))
+
+
+def message(reader, path):
+    """The reader's TableError text, with the path it names as FILE."""
+    with pytest.raises(TableError) as err:
+        reader(path)
+    return str(err.value).replace(str(path), "FILE")
+
+
+def piped_message(reader, data):
+    """message() for `data` read through a pipe, opened by its /dev/fd name."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # far less than a pipe holds
+        os.close(write_end)
+        return message(reader, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def spoilt_row_file(name):
+    _, header, good = READERS[name]
+    return "".join(map(record, [header, good(0), bad(good(1))])).encode()
+
+
+def undecodable_file(name):
+    _, header, good = READERS[name]
+    return "".join(map(record, [header, good(0)])).encode() + b"\xe9" + record(good(1)).encode()
+
+
+def repeated_key_file(name):
+    _, header, good = READERS[name]
+    return "".join(map(record, [header, good(0), good(1), good(0)])).encode()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("name, contents", [
+    *((name, spoilt_row_file) for name in READERS),
+    *((name, undecodable_file) for name in READERS),
+    ("candidates", repeated_key_file),
+])
+def test_a_pipe_gives_the_regular_files_message(tmp_path, name, contents):
+    # every reader that reads its input again, to name a line, sees the
+    # pipe's bytes a second time rather than an empty pipe
+    reader = READERS[name][0]
+    path = tmp_path / "table.csv"
+    path.write_bytes(contents(name))
+    assert piped_message(reader, contents(name)) == message(reader, path)
