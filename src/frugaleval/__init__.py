@@ -52,18 +52,7 @@ _EXPORTS = {
     "streak_adjusted_summary": "careers",
 }
 
-__all__ = [
-    "BenchmarkReport", "CandidateProfile", "CareerSequence", "ConsiderationSet", "CueOrder",
-    "Decision", "DecisionTrace", "DiscriminationRule", "DocType", "Environment",
-    "HIGHLY_CITED", "HotStreakFit", "Publication", "RankDeficientError", "ReferenceCorpus",
-    "RuleMode", "SplitConfig", "StoppingReason", "StrategyResult", "TraceStep", "Validation",
-    "WeightVector", "count_highly_cited", "cue_validity", "detect_hot_streak",
-    "finalize_publication_list", "fit_linear_weights", "generate_binary_environment",
-    "generate_career", "generate_gaussian_environment", "is_highly_cited",
-    "less_is_more_curve", "one_cue_select", "one_reason_choose", "recognition_accuracy",
-    "recognition_choose", "run_benchmark",
-    "streak_adjusted_summary", "tallying_choose", "validity_order", "weighted_linear_choose",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> object:

@@ -695,15 +695,17 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     is a flag name with dashes or underscores, must be in `known` and may
     appear once. A value quoted as the table report's config line quotes it
     reads as the text it quotes, so that line, one pair a line, replays the run."""
+    data = Path(path).read_bytes()  # once: a pipe gives its bytes only once
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         from .tables import undecodable_byte
 
-        raise ValueError(f"{path}: {undecodable_byte(path)}") from None
+        raise ValueError(f"{path}: {undecodable_byte(data)}") from None
     flags, first_line = [], {}
-    # read_text has made every line end "\n"; splitlines would also split a
-    # quoted value at a form feed or another of the breaks it knows
+    # every line ends "\n", as the CSV readers count lines; splitlines would
+    # also split a quoted value at a form feed or another of the breaks it knows
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -19,8 +19,10 @@ held in memory (_opened).
 
 A corpus or candidates file is read first by one tight loop,
 _publications, which accepts what the checked conversions accept but keeps
-no line numbers. At its first bad row the file is read again through the
-checked conversions, which name every bad line. Every Publication a reader
+no line numbers. At its first bad row, or when a publication id repeats
+within a candidate, the file is read again through the checked
+conversions: one pass, like every other reader's, that names every bad
+row and every repeated key together, in line order. Every Publication a reader
 loads has citations >= 0, as does one built any other way: the loop checks
 the sign before it builds the tuple with tuple.__new__, and the checked
 path builds through Publication(...), whose __new__ checks it.
@@ -115,8 +117,8 @@ def _read_rows(path: Path, source: BinaryIO, required: tuple[str, ...],
     convert is made once, by converter(header), and takes a row's fields in
     header order. A ValueError from converter(header) is the header's
     problem; one from convert(fields) is the row's, reported with its line.
-    With `unique` naming a column, convert returns a tuple led by that
-    column's value, and no two rows may share it. Every row problem is
+    With `unique` naming the row's key, convert returns a tuple led by the
+    key's value, and no two rows may share it. Every row problem is
     collected, and after the last row they are raised together as one
     TableError.
     """
@@ -155,19 +157,16 @@ def _read_rows(path: Path, source: BinaryIO, required: tuple[str, ...],
         problems.append(f"line {end + 1}: {exc}")
     except UnicodeDecodeError:
         source.seek(0)
-        problems.append(_undecodable(source.read()))
+        problems.append(undecodable_byte(source.read()))
     if problems:
         raise TableError(f"{path}: " + "; ".join(problems))
 
 
-def undecodable_byte(path: str | Path) -> str:
-    """Where the file's first byte that is not UTF-8 sits, as `line N: byte
-    0x.. is not valid UTF-8`. The decoder's error gives a position within
-    its chunk, so the file is read again."""
-    return _undecodable(Path(path).read_bytes())
-
-
-def _undecodable(data: bytes) -> str:
+def undecodable_byte(data: bytes) -> str:
+    """Where the first byte of a file's `data` that is not UTF-8 sits, as
+    `line N: byte 0x.. is not valid UTF-8`. A decoder's error gives a
+    position within its chunk, so the caller passes the bytes it decoded;
+    bytes that decode were not the ones the decoder saw."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -272,21 +271,22 @@ def read_corpus(path: str | Path) -> ReferenceCorpus:
     return ReferenceCorpus(publications)
 
 
-def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple[str, Publication]]:
+def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple]:
     columns = tuple(map(header.index, CORPUS_COLUMNS))
     i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
 
-    def candidate_row(fields: list[str]) -> tuple[str, Publication]:
+    def candidate_row(fields: list[str]) -> tuple[tuple[str, str], Publication]:
         # validated is checked first, so a bad one is named before any other field
         validated = _member(fields[i_validated], "validated", _VALIDATIONS)
-        return fields[i_candidate], _checked_publication(fields, columns, validated)
+        pub = _checked_publication(fields, columns, validated)
+        return (fields[i_candidate], pub.id), pub
 
     return candidate_row
 
 
-def _candidate_key_converter(header: list[str]) -> Callable[[list[str]], tuple]:
-    i_candidate, i_id = map(header.index, ("candidate_id", "id"))
-    return lambda fields: ((fields[i_candidate], fields[i_id]),)
+def _profiles(grouped: dict[str, list[Publication]]) -> list[CandidateProfile]:
+    return [CandidateProfile(id=candidate_id, publications=tuple(pubs))
+            for candidate_id, pubs in sorted(grouped.items())]
 
 
 def read_candidates(path: str | Path) -> list[CandidateProfile]:
@@ -294,22 +294,17 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
     path = Path(path)
     with _opened(path) as source:
         grouped = _publications(path, source, CANDIDATE_COLUMNS)
-        if grouped is None:
-            grouped = {}
-            for candidate_id, pub in _read_rows(path, source, CANDIDATE_COLUMNS,
-                                                _candidate_converter):
-                grouped.setdefault(candidate_id, []).append(pub)
-        try:
-            return [
-                CandidateProfile(id=candidate_id, publications=tuple(pubs))
-                for candidate_id, pubs in sorted(grouped.items())
-            ]
-        except ValueError:
-            # a publication id repeats within a candidate: only now key the
-            # rows, in a second read, to name the lines
-            list(_read_rows(path, source, CANDIDATE_COLUMNS, _candidate_key_converter,
-                            unique="(candidate_id, id)"))
-            raise
+        if grouped is not None:
+            try:
+                return _profiles(grouped)
+            except ValueError:  # a publication id repeats within a candidate
+                pass
+        grouped = {}
+        for (candidate_id, _), pub in _read_rows(path, source, CANDIDATE_COLUMNS,
+                                                 _candidate_converter,
+                                                 unique="(candidate_id, id)"):
+            grouped.setdefault(candidate_id, []).append(pub)
+    return _profiles(grouped)
 
 
 def _value_columns(header: list[str], what: str) -> list[tuple[int, str]]:

@@ -826,6 +826,31 @@ class TestConfigFile:
         assert error_of(capsys, ["workload", "--config", str(cfg), "--working-days", "10"]) == (
             f"error: {cfg}: line 2: byte 0xe9 is not valid UTF-8\n")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_piped_config_names_its_undecodable_byte_too(self, capsys):
+        # a pipe gives its bytes once, so they are read once
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"papers = 100\n# caf\xe9\npanel-size = 10\n")
+            os.close(write_end)
+            cfg = f"/dev/fd/{read_end}"
+            assert error_of(capsys, ["workload", "--config", cfg, "--working-days", "10"]) == (
+                f"error: {cfg}: line 2: byte 0xe9 is not valid UTF-8\n")
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_every_line_end_gives_the_same_flags_and_lines(self, tmp_path, capsys, end):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(end.join(["# panel", "papers = 100", "panel-size = 10", ""]).encode())
+        argv = ["workload", "--config", str(cfg), "--working-days", "10"]
+        assert main([*argv, "--format", "machine"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["papers"], config["panel_size"]) == (100, 10)
+        cfg.write_bytes(end.join(["# panel", "papers = 100", "", "panel-size 10", ""]).encode())
+        assert error_of(capsys, argv) == (
+            f"error: {cfg}: line 4: expected key = value, got 'panel-size 10'\n")
+
     def test_value_with_leading_dash_reaches_the_rule_check(self, tmp_path, capsys):
         profiles = write(tmp_path / "p.csv", "id,hcp\n-x,9\ny,1\n")
         cfg = write(tmp_path / "run.cfg", "a = -x\nb = y\ndelta = -1\n")

@@ -192,16 +192,30 @@ class TestEveryReader:
         assert problems(reader, path) == [(1, "byte 0xff is not valid UTF-8")]
 
 
-@pytest.mark.parametrize("name, first, again", [
+# each reader with a key, the key's name and row 0's key
+KEYED = [
     ("candidates", "(candidate_id, id)", "('alice', 'p0')"),
     ("profiles", "id", "'c0'"),
     ("environment", "id", "'o0'"),
     ("career", "position", "0"),
-])
+]
+
+
+@pytest.mark.parametrize("name, first, again", KEYED)
 def test_repeated_key_names_both_lines(tmp_path, name, first, again):
     reader, header, good = READERS[name]
     path = table(tmp_path, header, [good(0), good(1), good(0)])
     assert problems(reader, path) == [(4, f"{first} {again} repeats line 2")]
+
+
+@pytest.mark.parametrize("name, first, again", KEYED)
+def test_bad_rows_and_repeated_keys_are_named_together(tmp_path, name, first, again):
+    # one error names every problem, so no repeat waits for the next run
+    reader, header, good = READERS[name]
+    path = table(tmp_path, header, [good(0), bad(good(1)), good(0), bad(good(2))])
+    [(line, text), repeat, (last, _)] = problems(reader, path)
+    assert (line, repeat, last) == (3, (4, f"{first} {again} repeats line 2"), 5)
+    assert text.startswith(f"{header[1]} 'x' is not")
 
 
 def test_publication_id_may_repeat_across_candidates(tmp_path):
@@ -540,10 +554,11 @@ def test_publication_row_matches_the_checked_conversions(tmp_path_factory, name,
             pub._replace(citations=-1)
 
 
-# what each publication reader is checked against: the checked path alone
+# what each publication reader is checked against: the checked path alone,
+# with the key that read_candidates checks there
 CHECKED = {
-    "corpus": (CORPUS_COLUMNS, _publication_converter),
-    "candidates": (CANDIDATE_COLUMNS, _candidate_converter),
+    "corpus": (CORPUS_COLUMNS, _publication_converter, None),
+    "candidates": (CANDIDATE_COLUMNS, _candidate_converter, "(candidate_id, id)"),
 }
 
 
@@ -565,14 +580,14 @@ def read_as_loaded(name, path):
 
 
 def read_checked(name, path):
-    """The same values from _read_rows with the checked converter."""
+    """The same values from _read_rows with the checked converter and key."""
     path = Path(path)
     with _opened(path) as source:
         rows = list(_read_rows(path, source, *CHECKED[name]))
     if name == "corpus":
         return rows
     grouped = {}
-    for candidate_id, pub in rows:
+    for (candidate_id, _), pub in rows:
         grouped.setdefault(candidate_id, []).append(pub)
     return [(candidate_id, tuple(pubs)) for candidate_id, pubs in sorted(grouped.items())]
 
@@ -590,13 +605,13 @@ SPOILT_TEXTS = {
 def publication_file(draw, name):
     """The bytes of a corpus or candidates file: valid rows among blank lines,
     spoilt fields, negative citations, texts int() reads, short and long rows,
-    quoted commas and line breaks, a byte-order mark and bytes that are not UTF-8."""
+    quoted commas and line breaks, a byte-order mark, bytes that are not UTF-8,
+    and publication ids that repeat, within one candidate and across candidates."""
     header = READERS[name][1]
     lines = [record(header)]
     for k in range(draw(st.integers(0, 6))):
         row = {
-            # a prefix keeps ids unique, so that no candidate repeats one
-            "id": f"p{k}:" + draw(texts),
+            "id": draw(st.one_of(st.sampled_from(["p0", "p1"]), texts)),
             "year": str(draw(st.integers(1990, 2030))),
             "category": draw(st.sampled_from(["phys", "a,b", "x\ny", 'q"uote', "\r"])),
             "citations": str(draw(st.integers(0, 50))),
