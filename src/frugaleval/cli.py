@@ -430,34 +430,43 @@ _META_KEYS = ("command", "out", "format", "config")
 _READ_FILES = ("corpus", "candidates", "profiles", "environment", "impacts", "config")
 
 
-def _same_file(path: Path, other: str) -> bool:
-    try:
-        return os.path.samefile(path, other)
-    except OSError:  # one of the two does not exist (yet)
-        return os.path.abspath(path) == os.path.abspath(other)
-
-
-def _check_writes(args: argparse.Namespace, companion: Path | None) -> None:
-    """Fail naming both flags when a file the run writes is a file it reads
-    or another file it writes."""
-    save = getattr(args, "save_career", None)
-    kept = (*_READ_FILES, "save_career")
-    writes = ((args.out, f"--out {args.out} would overwrite", kept),
-              (companion, f"--out {args.out} would write its companion over", kept),
-              (save, f"--save-career {save} would overwrite", _READ_FILES))
-    for target, claim, names in writes:
-        for name in names:
-            path = getattr(args, name, None)
-            if target and path and _same_file(target, path):
-                raise ValueError(f"{claim} the --{name.replace('_', '-')} file {path}")
+def _targets(args: argparse.Namespace) -> dict[Path, Path]:
+    """The files the run writes, --out, its companion and --save-career, as typed ->
+    the path that gets the bytes: a symlink's target for a symlink. Each must name no
+    directory, hold nothing or a regular file (or a symlink to one), be in a directory
+    that exists, and be no file the run reads nor another file it writes."""
+    out, save = args.out, getattr(args, "save_career", None)
+    companion = out and out + (".txt" if args.format == "machine" else ".json")
+    writes = [target for target in (
+        (out, f"--out {out}", f"--out {out} would overwrite", ""),
+        (companion, f"the companion {companion} of --out {out}",
+         f"--out {out} would write its companion over", f"its companion {companion}"),
+        (save, f"--save-career {save}", f"--save-career {save} would overwrite",
+         f"the --save-career file {save}")) if target[0]]
+    kept = [(path, f"the --{key} file {path}") for key in _READ_FILES
+            if (path := getattr(args, key, None))]
+    resolved = {}
+    for at, (name, who, claim, _) in enumerate(writes):
+        if os.path.basename(name) in ("", ".", "..") or os.path.isdir(name):
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", name)
+        if os.path.lexists(name) and not os.path.isfile(name):  # a FIFO, a device, a bad link
+            raise ValueError(f"{who} is not a regular file")
+        if not os.path.isdir(os.path.dirname(name) or "."):
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", name)
+        resolved[name] = os.path.realpath(name)
+        for other, victim in kept + [(later, as_kept) for later, _, _, as_kept in writes[at + 1:]]:
+            try:
+                same = os.path.samefile(name, other)
+            except OSError:  # one of the two does not exist (yet)
+                same = resolved[name] == os.path.realpath(other)
+            if same:
+                raise ValueError(f"{claim} {victim}")
+    return {Path(name): Path(path) for name, path in resolved.items()}
 
 
 def _write_files(writers: dict[Path, Callable[[Path], object]]) -> None:
     """Write each file to a temp file beside it, then move them into place in
     order, so a failed write leaves none of them behind."""
-    for path in writers:
-        if path.is_dir():  # the one target os.replace refuses once the temps are written
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in writers}
     try:
         for path, write in writers.items():
@@ -483,15 +492,6 @@ def _echo(value: object) -> str:
     return shlex.quote(_typed(value))
 
 
-def _out_paths(out: str, fmt: str) -> tuple[Path, Path]:
-    """The report's path and its companion's; Is a directory when OUT names
-    one: it ends in a separator, "." or "..", or a directory is there."""
-    path = Path(out)
-    if os.path.basename(out) in ("", ".", "..") or path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
-    return path, path.with_name(path.name + (".txt" if fmt == "machine" else ".json"))
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and emit its report; returns the exit status."""
     # in declaration order, so that a check names flags as --help lists them
@@ -501,8 +501,8 @@ def run(args: argparse.Namespace) -> int:
         if value is not None and any(c in _typed(value) for c in "\n\r"):
             raise ValueError(f"--{key.replace('_', '-')} {_typed(value)!r} holds a line break, "
                              f"which the report's config line cannot echo")
-    out, companion_path = _out_paths(args.out, args.format) if args.out else (None, None)
-    _check_writes(args, companion_path)
+    targets = _targets(args)
+    out, companion_path = list(targets)[:2] if args.out else (None, None)
     # A command builds tens of thousands of long-lived, GC-tracked objects
     # (one Publication per screen row) and makes no reference cycles per
     # row, so the cyclic collector's sweeps over them would find nothing.
@@ -541,10 +541,10 @@ def run(args: argparse.Namespace) -> int:
     primary, companion = (machine, table) if args.format == "machine" else (table, machine)
     # files the command saves land once its report has rendered; then the
     # companion lands before the report, so a primary report never stands alone
-    writers = {Path(path): write for path, write in saves.items()}
+    writers = {targets[Path(name)]: write for name, write in saves.items()}
     if out:
-        writers[companion_path] = lambda temp: temp.write_text(companion, encoding="utf-8")
-        writers[out] = lambda temp: temp.write_text(primary, encoding="utf-8")
+        writers[targets[companion_path]] = lambda temp: temp.write_text(companion, encoding="utf-8")
+        writers[targets[out]] = lambda temp: temp.write_text(primary, encoding="utf-8")
     _write_files(writers)
     # after the write, so that a failed write prints only its error
     for line in diagnostics:

@@ -2,7 +2,10 @@
 
 A publication counts as highly cited when it sits in the top share
 (default 10%) of its own subject category and publication year, ranked
-by citation count against a reference corpus. Boundary ties are all
+by citation count against a reference corpus. The population of a
+(category, year) group is every corpus publication in it that is not
+excluded, of any document type, `other` included; of the publications
+being scored, only articles and reviews can count. Boundary ties are all
 included, so the highly cited stratum can be larger than the nominal
 share; the alternative (dropping an arbitrary subset of tied papers)
 would make the classification depend on input order.
@@ -136,8 +139,10 @@ class ReferenceCorpus:
     citation ranks are computed against.
 
     Group membership is taken from each publication's own category and
-    year fields. Publications marked excluded never enter any group;
-    `publications` holds the others, in input order.
+    year fields. Every publication not marked excluded enters its group,
+    whatever its document type, so `other` rows move the thresholds;
+    excluded ones never enter any group. `publications` holds the others,
+    in input order.
     """
 
     def __init__(self, publications: Iterable[Publication]):

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -186,6 +187,21 @@ class TestScreenCommand:
         finally:
             os.close(read_end)
 
+
+    @pytest.mark.parametrize("others, score", [(0, 0.0), (10, 1.0)])
+    def test_other_corpus_rows_are_in_the_ranking_population(self, tmp_path, capsys, others,
+                                                             score):
+        # ten uncited `other` rows grow the group from 10 to 20, so q = ceil(0.1 * N)
+        # goes from 1 to 2 and the threshold from 10 citations to 9
+        corpus = corpus_file(tmp_path, citations=range(1, 11))
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.writelines(f"other{k},2020,phys,0,other\n" for k in range(others))
+        cands = write(tmp_path / "candidates.csv",
+                      CANDIDATE_HEADER + "p0,2020,phys,9,article,A,included\n")
+        assert main(["screen", "--corpus", corpus, "--candidates", cands, "--quota", "0.5",
+                     "--format", "machine"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["selected"] == [{"id": "A", "score": score}]
 
     def test_header_only_candidates_has_nothing_to_screen(self, tmp_path, capsys):
         cands = write(tmp_path / "candidates.csv", CANDIDATE_HEADER)
@@ -910,17 +926,70 @@ class TestReportPlumbing:
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
     # a name that ends in a separator names a directory, whether or not one is there
-    @pytest.mark.parametrize("out", ["new/", "folder", "folder/", ".", "..", "/"])
-    def test_out_naming_a_directory_fails_before_the_command_runs(self, out, tmp_path,
+    @pytest.mark.parametrize("flag, out", [
+        pytest.param(flag, out, id=f"{flag[2:]}-{out}" if flag == "--save-career" else out)
+        for flag in ("--out", "--save-career") for out in ["new/", "folder", "folder/", ".",
+                                                           "..", "/"]])
+    def test_out_naming_a_directory_fails_before_the_command_runs(self, flag, out, tmp_path,
                                                                   monkeypatch, capsys):
         (tmp_path / "run" / "folder").mkdir(parents=True)
         monkeypatch.chdir(tmp_path / "run")
-        monkeypatch.setitem(cli._HANDLERS, "workload", lambda p: pytest.fail("the command ran"))
-        err = error_of(capsys, ["workload", *WORKLOAD_FLAGS, "--out", out])
+        argv = {"--out": ["workload", *WORKLOAD_FLAGS], "--save-career": GENERATE_CAREER}[flag]
+        monkeypatch.setitem(cli._HANDLERS, argv[0], lambda p: pytest.fail("the command ran"))
+        err = error_of(capsys, [*argv, flag, out])
         assert err == f"error: [Errno 21] Is a directory: {out!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run"]
         assert [p.name for p in (tmp_path / "run").iterdir()] == ["folder"]
         assert list((tmp_path / "run" / "folder").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--save-career"])
+    def test_a_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path, monkeypatch, capsys,
+                                                           flag):
+        monkeypatch.chdir(tmp_path)
+        assert main([*GENERATE_CAREER, flag, "plain"]) == 0
+        capsys.readouterr()
+        write(tmp_path / "real", "old\n")
+        os.symlink("real", tmp_path / "link")
+        assert main([*GENERATE_CAREER, flag, "link"]) == 0
+        capsys.readouterr()
+        assert os.path.islink("link") and os.readlink("link") == "real"
+        assert (tmp_path / "real").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    @pytest.mark.parametrize("flags, fifo, message", [
+        (["--out", "f"], "f", "--out f"),
+        (["--out", "r"], "r.json", "the companion r.json of --out r"),
+        (["--save-career", "f"], "f", "--save-career f"),
+    ], ids=["out", "companion", "save-career"])
+    def test_a_fifo_fails_before_the_command_runs(self, tmp_path, monkeypatch, capsys, flags,
+                                                  fifo, message):
+        # it was once replaced with a regular file, and its reader got nothing
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo(fifo)
+        monkeypatch.setitem(cli._HANDLERS, "career", lambda p: pytest.fail("the command ran"))
+        assert error_of(capsys, [*GENERATE_CAREER, *flags]) == (
+            f"error: {message} is not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir() == [fifo]
+
+    def test_out_in_a_missing_directory_names_it(self, tmp_path, monkeypatch, capsys):
+        # not the hidden temp file beside it, which the run once named
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._HANDLERS, "workload", lambda p: pytest.fail("the command ran"))
+        assert error_of(capsys, ["workload", *WORKLOAD_FLAGS, "--out", "nodir/r.txt"]) == (
+            "error: [Errno 2] No such file or directory: 'nodir/r.txt'\n")
+        assert os.listdir() == []
+
+    def test_out_hard_linked_to_an_input_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        corpus_file(tmp_path)
+        candidates_file(tmp_path, {"A": 1, "B": 0})
+        os.link("corpus.csv", "r.txt")
+        before = (tmp_path / "corpus.csv").read_bytes()
+        assert error_of(capsys, ["screen", "--corpus", "corpus.csv", "--candidates",
+                                 "candidates.csv", "--quota", "0.5", "--out", "r.txt"]) == (
+            "error: --out r.txt would overwrite the --corpus file corpus.csv\n")
+        assert (tmp_path / "r.txt").read_bytes() == before
+        assert sorted(os.listdir()) == ["candidates.csv", "corpus.csv", "r.txt"]
 
     # the config line would end inside the value, so the report could not replay
     @pytest.mark.parametrize("flag, value, typed", [
@@ -1227,6 +1296,9 @@ class LongRun(Exception):
 # --reps also takes a count past 2**63, and its run is cut at its fourth
 # repetition, since a huge count is a long run and not an error.
 HOSTILE = ["nan", "inf", "1e308", str(2**63), str(10**20), "", "folder", "missing.csv"]
+# and the names only a flag that writes takes: a FIFO, a symlink to a regular file and a
+# new directory. A read of a FIFO that no one writes would wait forever.
+WRITE_ONLY = ["fifo", "link.txt", "new/"]
 SIZES = ["0", "1", "2", "-1", "nan", ""]
 VALUES = {"n_objects": SIZES, "length": SIZES, "streak_len": SIZES, "reps": [*SIZES, str(10**20)]}
 
@@ -1235,7 +1307,8 @@ VALUES = {"n_objects": SIZES, "length": SIZES, "streak_len": SIZES, "reps": [*SI
 def runs_near_a_mode(draw):
     """A MODES entry's command and options, with --out report.txt, after one
     edit: a value changed, a flag the command knows added, or one dropped.
-    --out may also name one of the run's own inputs."""
+    --out may also name one of the run's own inputs, and --out and
+    --save-career a WRITE_ONLY name."""
     name = draw(st.sampled_from(sorted(MODES)))
     command, options = name.split()[0], {**MODES[name].options, "out": "report.txt"}
     known = {action.dest for action in subcommands()[command]._actions} - {"help"}
@@ -1245,12 +1318,18 @@ def runs_near_a_mode(draw):
         del options[flag]
     else:
         inputs = [value for key, value in options.items() if key in cli._READ_FILES]
-        options[flag] = draw(st.sampled_from(VALUES.get(flag, HOSTILE)
-                                             + (inputs if flag == "out" else [])))
+        options[flag] = draw(st.sampled_from(
+            VALUES.get(flag, HOSTILE) + (inputs if flag == "out" else [])
+            + (WRITE_ONLY if flag in ("out", "save_career") else [])))
     return command, options
 
 
 @example(run=("bench", {**MODES["bench"].options, "out": "report.txt", "reps": str(10**20)}))
+@example(run=("workload", {**MODES["workload"].options, "out": "fifo"}))
+@example(run=("career", {**MODES["career --save-career"].options, "out": "report.txt",
+                         "save_career": "link.txt"}))
+@example(run=("career", {**MODES["career --save-career"].options, "out": "report.txt",
+                         "save_career": "new/"}))
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(runs_near_a_mode())
 def test_main_keeps_its_exit_contract_near_every_mode(run):
@@ -1258,6 +1337,7 @@ def test_main_keeps_its_exit_contract_near_every_mode(run):
     # and only bench says more on stderr: its timings, printed once the
     # report is written. Exit 1 says why on one error line, exit 2 is a
     # usage error, and neither writes a file; nothing else reaches stderr.
+    # The FIFO stays a FIFO and the symlink a symlink.
     command, options = run
     splits, split = itertools.count(), ecology.train_test_indices
 
@@ -1270,6 +1350,9 @@ def test_main_keeps_its_exit_contract_near_every_mode(run):
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
         write_mode_inputs(Path(directory))
         (Path(directory) / "folder").mkdir()
+        os.mkfifo(Path(directory) / "fifo")
+        (Path(directory) / "real.txt").write_text("old\n", encoding="utf-8")
+        os.symlink("real.txt", Path(directory) / "link.txt")
         before = sorted(os.listdir(directory))
         patch.chdir(directory)
         patch.setattr(ecology, "train_test_indices", split_within_budget)
@@ -1278,6 +1361,7 @@ def test_main_keeps_its_exit_contract_near_every_mode(run):
                 code = main([command, *as_flags(options)])
         except LongRun:
             return
+        assert stat.S_ISFIFO(os.lstat("fifo").st_mode) and os.path.islink("link.txt")
         out, err = stdout.getvalue(), stderr.getvalue().splitlines()
         while code == 0 and command == "bench" and err and re.fullmatch(
                 r"\w+: [\d.]+ s per 1000 decisions", err[0]):
