@@ -143,21 +143,30 @@ class ReferenceCorpus:
     whatever its document type, so `other` rows move the thresholds;
     excluded ones never enter any group. `publications` holds the others,
     in input order.
+
+    `_groups` is for the corpus reader, which groups the rows as it reads
+    them: {(category, year): citation counts} of `publications`, none of
+    which is excluded. The corpus takes the lists as its own and only sorts
+    them.
     """
 
-    def __init__(self, publications: Iterable[Publication]):
-        kept: list[Publication] = []
-        groups: dict[tuple[str, int], list[int]] = {}
-        # an enum member read through its class is a slow lookup; read it once
-        excluded = Validation.EXCLUDED
-        for pub in publications:
-            _, year, category, citations, _, validated = pub
-            if validated is not excluded:
-                kept.append(pub)
-                try:
-                    groups[category, year].append(citations)
-                except KeyError:  # the group's first publication
-                    groups[category, year] = [citations]
+    def __init__(self, publications: Iterable[Publication], *,
+                 _groups: dict[tuple[str, int], list[int]] | None = None):
+        if _groups is None:
+            kept: list[Publication] = []
+            groups: dict[tuple[str, int], list[int]] = {}
+            # an enum member read through its class is a slow lookup; read it once
+            excluded = Validation.EXCLUDED
+            for pub in publications:
+                _, year, category, citations, _, validated = pub
+                if validated is not excluded:
+                    kept.append(pub)
+                    try:
+                        groups[category, year].append(citations)
+                    except KeyError:  # the group's first publication
+                        groups[category, year] = [citations]
+        else:  # the corpus reader grouped the rows as it read them
+            kept, groups = publications, _groups
         # ascending citation counts per group: the q-th largest is group[-q]
         for citations in groups.values():
             citations.sort()

@@ -19,7 +19,10 @@ held in memory (_opened).
 
 A corpus or candidates file is read first by one tight loop,
 _publications, which accepts what the checked conversions accept but keeps
-no line numbers. At its first bad row, or when a publication id repeats
+no line numbers. Rows with the same category and year texts share one
+category and one year object, and the loop groups a corpus's citation
+counts by (category, year) as it reads them, so ReferenceCorpus only sorts
+each group. At its first bad row, or when a publication id repeats
 within a candidate, the file is read again through the checked
 conversions: one pass, like every other reader's, that names every bad
 row and every repeated key together, in line order. Every Publication a reader
@@ -203,10 +206,16 @@ def _member(text: str, column: str, members: dict[str, enum.Enum]):
 
 
 def _publications(path: Path, source: BinaryIO,
-                  required: tuple[str, ...]) -> list[Publication] | dict | None:
-    """A well-formed corpus or candidates file, read in one loop: for
-    CORPUS_COLUMNS its Publications, for CANDIDATE_COLUMNS a dict from
-    candidate_id to that candidate's Publications, each in file order.
+                  required: tuple[str, ...]) -> tuple[list | dict, dict] | None:
+    """A well-formed corpus or candidates file, read in one loop, and its
+    groups: for CORPUS_COLUMNS its Publications, for CANDIDATE_COLUMNS a
+    dict from candidate_id to that candidate's Publications, each in file
+    order; and {(category, year): citations} in file order.
+
+    Every row with the same category and year texts holds the same two
+    objects, and each year text is parsed once. The group lists are filled
+    for a corpus alone: a corpus file has no validated column, so every row
+    it holds is in its group.
 
     It accepts what the checked path accepts: a blank row, or one as wide as
     the header with int year and citations, citations >= 0 and a known
@@ -222,6 +231,9 @@ def _publications(path: Path, source: BinaryIO,
                 i_candidate, i_validated = map(header.index, ("candidate_id", "validated"))
             width, new, doc_types, validations = len(header), tuple.__new__, _DOC_TYPES, _VALIDATIONS
             found, included = {} if grouped else [], Validation.INCLUDED
+            # (category text, year text) -> (category, year, the group's citations)
+            keys: dict[tuple[str, str], tuple[str, int, list[int]]] = {}
+            groups: dict[tuple[str, int], list[int]] = {}
             for fields in reader:
                 if len(fields) != width:
                     if fields:
@@ -230,16 +242,27 @@ def _publications(path: Path, source: BinaryIO,
                 citations = int(fields[i_citations])
                 if citations < 0:
                     return None
-                pub = new(Publication, (fields[i_id], int(fields[i_year]), fields[i_category],
-                                        citations, doc_types[fields[i_doc_type]],
+                texts = fields[i_category], fields[i_year]
+                try:
+                    category, year, cited = keys[texts]
+                except KeyError:  # the first row with these texts; " 2020" joins "2020"
+                    category, year = key = texts[0], int(texts[1])
+                    cited = groups.setdefault(key, [])
+                    keys[texts] = category, year, cited
+                pub = new(Publication, (fields[i_id], year, category, citations,
+                                        doc_types[fields[i_doc_type]],
                                         validations[fields[i_validated]] if grouped else included))
                 if grouped:
-                    found.setdefault(fields[i_candidate], []).append(pub)
+                    try:
+                        found[fields[i_candidate]].append(pub)
+                    except KeyError:  # the candidate's first publication
+                        found[fields[i_candidate]] = [pub]
                 else:
                     found.append(pub)
+                    cited.append(citations)
         except (ValueError, KeyError, csv.Error):  # TableError, UnicodeDecodeError are ValueErrors
             return None
-    return found
+    return found, groups
 
 
 def _checked_publication(fields: list[str], columns: tuple[int, ...],
@@ -262,13 +285,13 @@ def _publication_converter(header: list[str]) -> Callable[[list[str]], Publicati
 def read_corpus(path: str | Path) -> ReferenceCorpus:
     path = Path(path)
     with _opened(path) as source:
-        publications = _publications(path, source, CORPUS_COLUMNS)
-        if publications is None:
-            publications = list(_read_rows(path, source, CORPUS_COLUMNS,
-                                           _publication_converter))
-    # a list, not a row generator: ReferenceCorpus then only builds, so
-    # reading and building can be timed apart
-    return ReferenceCorpus(publications)
+        read = _publications(path, source, CORPUS_COLUMNS)
+        if read is None:
+            read = list(_read_rows(path, source, CORPUS_COLUMNS, _publication_converter)), None
+    publications, groups = read
+    # a list, not a row generator: ReferenceCorpus then only builds (with
+    # the loop's groups, only sorts), so reading and building can be timed apart
+    return ReferenceCorpus(publications, _groups=groups)
 
 
 def _candidate_converter(header: list[str]) -> Callable[[list[str]], tuple]:
@@ -293,10 +316,10 @@ def read_candidates(path: str | Path) -> list[CandidateProfile]:
     """Candidate publication rows grouped into profiles by candidate_id."""
     path = Path(path)
     with _opened(path) as source:
-        grouped = _publications(path, source, CANDIDATE_COLUMNS)
-        if grouped is not None:
+        read = _publications(path, source, CANDIDATE_COLUMNS)
+        if read is not None:
             try:
-                return _profiles(grouped)
+                return _profiles(read[0])
             except ValueError:  # a publication id repeats within a candidate
                 pass
         grouped = {}

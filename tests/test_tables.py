@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from frugaleval import tables
 from frugaleval.careers import CareerSequence
 from frugaleval.ecology import Environment
-from frugaleval.indicators import Publication, Validation
+from frugaleval.indicators import Publication, ReferenceCorpus, Validation
 from frugaleval.tables import (
     _DOC_TYPES,
     _VALIDATIONS,
@@ -601,10 +601,16 @@ SPOILT_TEXTS = {
 }
 
 
+# the first four are texts that int() reads as one year, so that rows with
+# different year texts share a group
+YEARS = ["2020", " 2020", "02020", "2_020", "1999", "2031"]
+
+
 @st.composite
 def publication_file(draw, name):
     """The bytes of a corpus or candidates file: valid rows among blank lines,
-    spoilt fields, negative citations, texts int() reads, short and long rows,
+    spoilt fields, negative citations, texts int() reads, year texts that
+    read as one year, short and long rows,
     quoted commas and line breaks, a byte-order mark, bytes that are not UTF-8,
     and publication ids that repeat, within one candidate and across candidates."""
     header = READERS[name][1]
@@ -612,7 +618,7 @@ def publication_file(draw, name):
     for k in range(draw(st.integers(0, 6))):
         row = {
             "id": draw(st.one_of(st.sampled_from(["p0", "p1"]), texts)),
-            "year": str(draw(st.integers(1990, 2030))),
+            "year": draw(st.sampled_from(YEARS)),
             "category": draw(st.sampled_from(["phys", "a,b", "x\ny", 'q"uote', "\r"])),
             "citations": str(draw(st.integers(0, 50))),
             "doc_type": draw(st.sampled_from(sorted(ENUMS["doc_type"]))),
@@ -652,6 +658,31 @@ def test_publication_reader_matches_the_checked_path(tmp_path_factory, name, dat
     if not isinstance(loaded, str):
         rows = loaded if name == "corpus" else [pub for _, pubs in loaded for pub in pubs]
         assert all(type(pub) is Publication for pub in rows)
+    if name == "corpus" and not isinstance(loaded, str):
+        # the groups the reader builds as it reads, against those of the checked rows
+        corpus, reference = read_corpus(path), ReferenceCorpus(read_checked(name, path))
+        assert corpus.group_keys() == reference.group_keys()
+        thresholds = [(key, p) for key in reference.group_keys() for p in (0.1, 0.25, 0.5, 0.9)]
+        assert ([corpus.threshold(*key, p) for key, p in thresholds]
+                == [reference.threshold(*key, p) for key, p in thresholds])
+
+
+@pytest.mark.parametrize("name", ["corpus", "candidates"])
+def test_rows_with_equal_category_and_year_texts_share_both_objects(tmp_path, name):
+    reader, header, good = READERS[name]
+    rows = [good(0), good(1), good(2)]
+    for row, year, citations in zip(rows, ["2020", "2020", " 2020"], ["1", "5", "3"]):
+        row[header.index("year")], row[header.index("citations")] = year, citations
+    loaded = reader(table(tmp_path, header, rows))
+    pubs = (list(loaded.publications) if name == "corpus" else
+            [pub for profile in loaded for pub in profile.publications])
+    assert [(pub.id, pub.year, pub.category) for pub in pubs] == [
+        ("p0", 2020, "phys"), ("p1", 2020, "phys"), ("p2", 2020, "phys")]
+    assert pubs[1].category is pubs[0].category and pubs[1].year is pubs[0].year
+    if name == "corpus":
+        # " 2020" reads as 2020, so its row joins the group of the "2020" rows
+        assert loaded.group_keys() == (("phys", 2020),)
+        assert [loaded.threshold("phys", 2020, p) for p in (0.1, 0.5, 0.9)] == [5, 3, 1]
 
 
 class ChecksReached(Exception):
